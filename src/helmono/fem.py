@@ -96,23 +96,14 @@ def as_coefficient(mesh: Mesh, q: CoefficientLike) -> Coefficient:
     return Coefficient.from_array(mesh, q)
 
 
-def _triangle_geometry(mesh: Mesh):
-    p = mesh.vertices[mesh.triangles]
-    areas = mesh.triangle_areas()
-    if not (areas > 0.0).all():
-        bad = int(np.argmin(areas))
-        raise InvalidParameterError(
-            f"degenerate triangle {bad} with signed area {areas[bad]:.3e}"
-        )
-    return p, areas
+def _scatter(triangles: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    nv = mesh.n_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+def _mass(triangles: np.ndarray, scale: np.ndarray, n: int) -> sp.csr_matrix:
+    return _scatter(triangles, scale[:, None, None] * _MASS_PATTERN[None, :, :], n)
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -124,22 +115,40 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
         Symmetric positive semidefinite; its kernel is spanned by the
         constant vector (pure Neumann problem).
     """
-    p, areas = _triangle_geometry(mesh)
+    areas = mesh.positive_areas
+    p = mesh.vertices[mesh.triangles]
     edges = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
     perp = np.empty_like(edges)
     perp[:, :, 0] = -edges[:, :, 1]
     perp[:, :, 1] = edges[:, :, 0]
     local = np.einsum("tia,tja->tij", perp, perp) / (4.0 * areas)[:, None, None]
-    return _scatter(mesh, local)
+    return _scatter(mesh.triangles, local, mesh.n_vertices)
 
 
 def assemble_weighted_mass(mesh: Mesh, w: CoefficientLike) -> sp.csr_matrix:
     """Assemble ``M_w[i, j] = integral( w phi_i phi_j )`` for piecewise-constant w."""
     w = as_coefficient(mesh, w)
-    _, areas = _triangle_geometry(mesh)
-    scale = areas * w.values
-    local = scale[:, None, None] * _MASS_PATTERN[None, :, :]
-    return _scatter(mesh, local)
+    return _mass(mesh.triangles, mesh.positive_areas * w.values, mesh.n_vertices)
+
+
+def assemble_region_mass(mesh: Mesh, region: Region,
+                         weight: float) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Assemble ``weight * integral_R( phi_i phi_j )`` on the region's own vertices.
+
+    Returns the vertices of the region's triangles (ascending mesh indices)
+    and the mass matrix over them.  It equals the rows and columns of
+    ``assemble_weighted_mass(mesh, weight * flags)`` at those vertices; every
+    other entry of that matrix is zero.  The cost is proportional to the
+    region, not the mesh.
+    """
+    if region.triangle_flags.shape != (mesh.n_triangles,):
+        raise InvalidParameterError("region does not match mesh triangle count")
+    if not np.isfinite(weight):
+        raise InvalidParameterError(f"mass weight must be finite, got {weight!r}")
+    flags = region.triangle_flags
+    vertices, local = np.unique(mesh.triangles[flags], return_inverse=True)
+    scale = mesh.positive_areas[flags] * float(weight)
+    return vertices, _mass(local.reshape(-1, 3), scale, vertices.size)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:

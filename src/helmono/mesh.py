@@ -15,6 +15,7 @@ triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,6 +75,27 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
+    @cached_property
+    def positive_areas(self) -> np.ndarray:
+        """Triangle areas, checked positive; read-only.
+
+        Computed and checked on first use, then kept with the mesh.  A failed
+        check is not kept, so every use on a degenerate mesh raises.
+
+        Raises
+        ------
+        InvalidParameterError
+            If some triangle has zero or negative signed area.
+        """
+        areas = self.triangle_areas()
+        if not (areas > 0.0).all():
+            bad = int(np.argmin(areas))
+            raise InvalidParameterError(
+                f"degenerate triangle {bad} with signed area {areas[bad]:.3e}"
+            )
+        areas.setflags(write=False)
+        return areas
+
     def triangle_barycenters(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
@@ -112,7 +134,7 @@ class Region:
         return Region(self.triangle_flags & ~other.triangle_flags)
 
     def area(self, mesh: Mesh) -> float:
-        return float(mesh.triangle_areas()[self.triangle_flags].sum())
+        return float(mesh.positive_areas[self.triangle_flags].sum())
 
 
 def build_unit_square_mesh(n: int) -> Mesh:
@@ -310,9 +332,7 @@ def validate_mesh(mesh: Mesh) -> None:
     forming closed loops with the domain on the left, and edge-connectivity of
     the triangulation.
     """
-    areas = mesh.triangle_areas()
-    if not (areas > 0).all():
-        raise InvalidParameterError("triangle with non-positive signed area")
+    mesh.positive_areas  # raises on a degenerate triangle
 
     edge_count: dict = {}
     for tri in mesh.triangles:

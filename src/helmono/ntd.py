@@ -31,7 +31,7 @@ from .errors import EigenSolverError, InvalidParameterError, SolverError
 from .fem import (
     CoefficientLike,
     HelmholtzSystem,
-    assemble_weighted_mass,
+    assemble_region_mass,
     boundary_load_matrix,
 )
 from .mesh import Mesh, Region
@@ -245,16 +245,14 @@ def gram_from_solutions(mesh: Mesh, region: Region, basis: BoundaryBasis,
                         label: str = "gram", k: float = 0.0) -> SymOp:
     """Interior Gram matrix ``G[i, j] = weight * integral_R( u_i u_j )``.
 
-    An empty region gives the zero operator.
+    Only the rows of ``solutions`` at the region's vertices enter, against
+    the mass matrix of the region's own triangles, so the cost grows with
+    the region and not with the mesh.  An empty region gives the zero
+    operator.
     """
-    if region.triangle_flags.shape != (mesh.n_triangles,):
-        raise InvalidParameterError("region does not match mesh triangle count")
-    if region.is_empty:
-        raw = np.zeros((basis.dim, basis.dim))
-    else:
-        w = assemble_weighted_mass(mesh, region.triangle_flags.astype(float) * weight)
-        raw = solutions.T @ (w @ solutions)
-    return make_symop(raw, basis.basis_id, label, k)
+    vertices, w = assemble_region_mass(mesh, region, weight)
+    u = solutions[vertices]
+    return make_symop(u.T @ (w @ u), basis.basis_id, label, k)
 
 
 def tb_matrix(mesh: Mesh, region: Region, k: float, basis: BoundaryBasis) -> SymOp:
@@ -291,11 +289,15 @@ class LocalizedPotential(NamedTuple):
 
     ``ratio`` is the attained Rayleigh quotient: energy in the target region
     over the regularized energy in the avoided region plus the penalized
-    component along the excluded flux family.
+    component along the excluded flux family.  ``b_energy`` and ``d_energy``
+    are the solution energies of ``g`` in the target and avoided regions,
+    ``g . G_B g`` and ``g . G_D g``.
     """
 
     g: np.ndarray
     ratio: float
+    b_energy: float
+    d_energy: float
 
 
 def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
@@ -372,5 +374,7 @@ def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
             raise EigenSolverError(
                 f"excluded-family residual {residual:.3e} after cleanup"
             )
-    ratio = float((g @ g_b @ g) / (g @ rhs @ g))
-    return LocalizedPotential(g=g, ratio=ratio)
+    b_energy = g @ g_b @ g
+    ratio = float(b_energy / (g @ rhs @ g))
+    return LocalizedPotential(g=g, ratio=ratio, b_energy=float(b_energy),
+                              d_energy=float(g @ g_d @ g))

@@ -269,6 +269,29 @@ def test_reconstruct_negative_contrast_sweep():
     assert alphas == sorted(alphas, reverse=True)
 
 
+@pytest.mark.parametrize("contrast, value", [("positive", 2.0), ("negative", 0.5)])
+def test_reconstruct_counts_match_inclusion_test(contrast, value):
+    # reconstruct and the library test share the probe and the count, so every
+    # pixel gets the same negative count; the verdicts may differ only where
+    # an eigenvalue was indeterminate (the two paths' acceptance rules)
+    mesh = _mesh(16)
+    basis = boundary_basis(mesh, 16)
+    grid = pixel_grid(mesh, 4, 4)
+    inclusion = rect_region(mesh, (0.25, 0.25, 0.75, 0.5))
+    q = Coefficient.constant(mesh, 1.0).with_region(inclusion, value)
+    result = reconstruct(mesh, q, 1.0, basis, grid, contrast=contrast)
+    lam_q = ntd_matrix(mesh, q, 1.0, basis)
+    lam_1 = ntd_matrix(mesh, 1.0, 1.0, basis)
+    upper, lower = (lam_q, lam_1) if contrast == "positive" else (lam_1, lam_q)
+    alpha, d_max = result.params["alpha"], result.params["d_max"]
+    for p, region in enumerate(grid.regions):
+        test = inclusion_test(upper, lower, tb_matrix(mesh, region, 1.0, basis),
+                              alpha, d_max)
+        assert result.negative_counts[p] == test.negative_count
+        if result.indeterminate_counts[p] == 0:
+            assert bool(result.mask[p]) == test.verdict
+
+
 def test_reconstruct_threads_equivalent():
     mesh = _mesh(16)
     basis = boundary_basis(mesh)

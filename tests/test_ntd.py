@@ -218,6 +218,21 @@ def test_localized_potential_orthogonal_to_v():
     assert abs(np.linalg.norm(result.g) - 1.0) <= 1e-12
 
 
+def test_localized_potential_energies_are_region_grams():
+    # the returned energies are exactly g . G g for the two region Grams, so a
+    # caller needs no second solve to report them
+    mesh = _mesh(8, "bottom")
+    basis = boundary_basis(mesh)
+    b = rect_region(mesh, (0.0, 0.5, 0.5, 1.0))
+    d = rect_region(mesh, (0.5, 0.0, 1.0, 1.0))
+    result = localized_potential(mesh, 1.0, 1.0, basis, b, d)
+    u = basis_solutions(mesh, 1.0, 1.0, basis)
+    for region, energy in ((b, result.b_energy), (d, result.d_energy)):
+        gram = gram_from_solutions(mesh, region, basis, u, k=1.0).matrix
+        assert energy == float(result.g @ gram @ result.g)
+    assert result.ratio > 0.0 and result.b_energy > 0.0
+
+
 def test_localized_potential_precondition_errors():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)

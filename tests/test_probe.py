@@ -1,0 +1,109 @@
+"""The probe operators ``T_B`` and region Grams, built from the region alone.
+
+``gram_from_solutions`` sums the mass of the region's own triangles against
+the solution rows at the region's vertices.  These tests hold it to the
+full-mesh product ``U.T @ M_w @ U`` over random meshes, regions and weights,
+and check that its input checks still fire.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helmono import (
+    Mesh,
+    Region,
+    assemble_weighted_mass,
+    boundary_basis,
+    build_unit_square_mesh,
+    empty_region,
+    full_region,
+    gram_from_solutions,
+    mark_sigma,
+    tb_from_solutions,
+)
+from helmono.errors import InvalidParameterError
+
+
+def _mesh(n):
+    return mark_sigma(build_unit_square_mesh(n), "all")
+
+
+@st.composite
+def _probe_cases(draw):
+    """A mesh, a region of one of four shapes, a finite weight and a seed."""
+    n = draw(st.integers(4, 24))
+    mesh = _mesh(n)
+    cells = st.integers(0, n - 1)
+
+    def box_flags(i0, j0, i1, j1):
+        # cell-aligned box [i0, i1) x [j0, j1); barycenters sit inside cells
+        bary = mesh.triangle_barycenters() * n
+        return ((bary[:, 0] > i0) & (bary[:, 0] < i1)
+                & (bary[:, 1] > j0) & (bary[:, 1] < j1))
+
+    def random_box():
+        i0, j0 = draw(cells), draw(cells)
+        return box_flags(i0, j0, draw(st.integers(i0 + 1, n)), draw(st.integers(j0 + 1, n)))
+
+    shape = draw(st.sampled_from(["box", "union", "boundary", "triangle"]))
+    if shape == "box":
+        flags = random_box()
+    elif shape == "union":
+        flags = random_box() | random_box() | random_box()
+    elif shape == "boundary":
+        i0, i1 = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2,
+                                      unique=True)))
+        depth = draw(st.integers(1, n))
+        flags = draw(st.sampled_from([box_flags(i0, 0, i1, depth),
+                                      box_flags(n - depth, i0, n, i1),
+                                      box_flags(0, 0, n, n)]))
+    else:
+        flags = np.arange(mesh.n_triangles) == draw(st.integers(0, mesh.n_triangles - 1))
+    weight = draw(st.sampled_from([0.0, -1.0, 1.0])) * draw(st.floats(1e-3, 1e3))
+    return mesh, Region(flags), weight, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_probe_cases())
+def test_gram_matches_full_mesh_mass(case):
+    mesh, region, weight, seed = case
+    basis = boundary_basis(mesh, 8)
+    u = np.random.default_rng(seed).standard_normal((mesh.n_vertices, basis.dim))
+    gram = gram_from_solutions(mesh, region, basis, u, weight=weight).matrix
+    full = u.T @ assemble_weighted_mass(mesh, region.triangle_flags * weight) @ u
+    assert np.abs(gram - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_gram_empty_region_is_zero(n):
+    mesh = _mesh(n)
+    basis = boundary_basis(mesh, 4)
+    u = np.random.default_rng(n).standard_normal((mesh.n_vertices, basis.dim))
+    gram = gram_from_solutions(mesh, empty_region(mesh), basis, u, weight=2.0)
+    assert gram.matrix.shape == (4, 4)
+    assert not gram.matrix.any()
+
+
+@pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+def test_gram_rejects_non_finite_weight(weight):
+    mesh = _mesh(4)
+    basis = boundary_basis(mesh, 4)
+    u = np.ones((mesh.n_vertices, basis.dim))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        gram_from_solutions(mesh, full_region(mesh), basis, u, weight=weight)
+
+
+def test_probe_on_degenerate_mesh_raises_every_call():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    triangles = np.array([[0, 1, 3], [0, 1, 1]])  # second has zero area
+    boundary = np.array([[0, 1], [1, 3], [3, 2], [2, 0]])
+    bad = Mesh(vertices, triangles, boundary, np.ones(4, dtype=bool))
+    basis = boundary_basis(bad)
+    u = np.ones((bad.n_vertices, basis.dim))
+    for _ in range(2):  # a failed area check is never kept as a result
+        with pytest.raises(InvalidParameterError, match="degenerate triangle"):
+            gram_from_solutions(bad, full_region(bad), basis, u)
+    with pytest.raises(InvalidParameterError, match="degenerate triangle"):
+        tb_from_solutions(bad, full_region(bad), 1.0, basis, u)
