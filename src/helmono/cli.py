@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HelmonoError, InvalidParameterError
-from .fem import Coefficient, HelmholtzSystem
+from .fem import Coefficient, assemble_stiffness, assemble_weighted_mass
 from .io import (
     fmt,
     parse_config_text,
@@ -318,8 +318,8 @@ def cmd_ntd(cfg: Config, args, outdir: Path) -> None:
     write_symop_csv(outdir / "ntd.csv", op)
     _note(outdir / "ntd.csv")
     if args.dump_matrices:
-        system = HelmholtzSystem(mesh, q, k)
-        write_sparse_csv(outdir / "system_matrix.csv", system.matrix)
+        matrix = assemble_stiffness(mesh) - (k * k) * assemble_weighted_mass(mesh, q)
+        write_sparse_csv(outdir / "system_matrix.csv", matrix)
         loads = basis_load_matrix(mesh, basis)
         write_sparse_csv(outdir / "load_matrix.csv", loads)
         _note(outdir / "system_matrix.csv")

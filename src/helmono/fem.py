@@ -35,6 +35,17 @@ NodalField = np.ndarray
 PIVOT_RTOL = 1e-12
 #: Relative residual bound every direct solve is checked against.
 RESIDUAL_RTOL = 1e-10
+#: Relative pivot threshold a symmetric-mode factorization must clear to be
+#: kept.  It sits well above ``PIVOT_RTOL``: near a resonance the static
+#: diagonal pivots can stay larger than the partial-pivoting ones (up to
+#: 1e-11 where the partial-pivoting ratio was below ``PIVOT_RTOL``, over 690
+#: wavenumbers at the first five resonances of meshes n = 8, 16 and 32), so a
+#: factorization anywhere near that guard is redone with partial pivoting and
+#: judged by it.
+SYMMETRIC_PIVOT_RTOL = 1e-9
+#: Columns per triangular-solve panel of ``solve_many``: the panel of right
+#: sides stays in cache while the factors stream past it.
+SOLVE_PANEL = 16
 
 _MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
@@ -187,18 +198,72 @@ def assemble_boundary_load(mesh: Mesh, edge_values: Sequence[float]) -> NodalFie
     return boundary_load_matrix(mesh) @ vals
 
 
-class HelmholtzSystem:
-    """Factorized Galerkin system ``(S - k^2 M_q) u = b`` for one ``(q, k)``.
+def _pivot_extremes(lu: spla.SuperLU) -> tuple[float, float]:
+    pivots = np.abs(lu.U.diagonal())
+    return float(pivots.min()), float(pivots.max())
 
-    Factorizing once and solving for many right-hand sides is the workhorse
-    behind trace operators, which need one solve per basis function.
+
+def factorize(matrix: sp.csc_matrix, where: str) -> spla.SuperLU:
+    """Sparse LU of a symmetric matrix, refused when it is near singular.
+
+    The first attempt runs SuperLU in symmetric mode: a minimum-degree
+    ordering of ``A + A^T`` and diagonal pivots, so the row and column
+    permutations coincide and the factors stay far sparser than with the
+    default column ordering.  It is kept when its smallest pivot magnitude
+    exceeds ``SYMMETRIC_PIVOT_RTOL`` times the largest.  Otherwise the matrix
+    is refactored with partial pivoting, and that factorization must clear
+    ``PIVOT_RTOL``.  ``where`` names the system in error messages.
 
     Raises
     ------
     ResonanceError
-        If the matrix is singular or the smallest pivot magnitude falls at or
-        below ``PIVOT_RTOL`` times the largest: the wavenumber is numerically
-        resonant for this coefficient.
+        If the partial-pivoting factorization is exactly singular or its
+        smallest pivot magnitude is at or below ``PIVOT_RTOL`` times the
+        largest.
+    """
+    try:
+        lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+    except RuntimeError:  # an exactly zero pivot: let partial pivoting judge
+        pass
+    else:
+        small, large = _pivot_extremes(lu)
+        if small > SYMMETRIC_PIVOT_RTOL * large:
+            return lu
+    try:
+        lu = spla.splu(matrix)
+    except RuntimeError as exc:  # SuperLU reports exact singularity this way
+        raise ResonanceError(f"factorization failed {where}: {exc}", 0.0, 0.0) from exc
+    small, large = _pivot_extremes(lu)
+    threshold = PIVOT_RTOL * large
+    if small <= threshold:
+        raise ResonanceError(
+            f"near-singular system {where}: smallest pivot {small:.3e} "
+            f"<= {threshold:.3e}",
+            small,
+            threshold,
+        )
+    return lu
+
+
+class HelmholtzSystem:
+    """Factorized Galerkin system ``(S - k^2 M_q) u = b`` for one ``(q, k)``.
+
+    Factorizing once and solving for many right-hand sides is the workhorse
+    behind trace operators, which need one solve per basis function.  The
+    factorization comes from :func:`factorize`: SuperLU's symmetric mode
+    when its pivots are safely away from zero, otherwise partial pivoting
+    with the resonance guard below.  ``solve_many`` runs the triangular
+    solves in panels of ``SOLVE_PANEL`` columns; every solve's residual is
+    checked against ``RESIDUAL_RTOL``.
+
+    Raises
+    ------
+    ResonanceError
+        If the matrix is singular or the smallest pivot magnitude of its
+        partial-pivoting factorization falls at or below ``PIVOT_RTOL`` times
+        the largest: the wavenumber is numerically resonant for this
+        coefficient.
     """
 
     def __init__(self, mesh: Mesh, q: CoefficientLike, k: float):
@@ -213,22 +278,7 @@ class HelmholtzSystem:
         self.stiffness = assemble_stiffness(mesh)
         self.weighted_mass = assemble_weighted_mass(mesh, q)
         self.matrix = (self.stiffness - (k * k) * self.weighted_mass).tocsc()
-        try:
-            self._lu = spla.splu(self.matrix)
-        except RuntimeError as exc:  # SuperLU reports exact singularity this way
-            raise ResonanceError(
-                f"factorization failed at k={k:.17g}: {exc}", 0.0, 0.0
-            ) from exc
-        pivots = np.abs(self._lu.U.diagonal())
-        small = float(pivots.min())
-        threshold = PIVOT_RTOL * float(pivots.max())
-        if small <= threshold:
-            raise ResonanceError(
-                f"near-singular system at k={k:.17g}: smallest pivot {small:.3e} "
-                f"<= {threshold:.3e}",
-                small,
-                threshold,
-            )
+        self._lu = factorize(self.matrix, f"at k={k:.17g}")
         self._matrix_norm = spla.norm(self.matrix, 1)
 
     def _check_residual(self, b: np.ndarray, u: np.ndarray) -> None:
@@ -254,8 +304,14 @@ class HelmholtzSystem:
         b = np.asarray(loads, dtype=float)
         if b.ndim != 2 or b.shape[0] != self.mesh.n_vertices:
             raise InvalidParameterError("load block must be (n_vertices, m)")
-        u = self._lu.solve(b)
-        self._check_residual(b, u)
+        u = np.empty(b.shape)
+        for start in range(0, b.shape[1], SOLVE_PANEL):
+            panel = slice(start, start + SOLVE_PANEL)
+            # Contiguous columns: SuperLU reads them without another copy, and
+            # the residual's column norms do not stride across the block.
+            rhs = np.asfortranarray(b[:, panel])
+            u[:, panel] = solution = self._lu.solve(rhs)
+            self._check_residual(rhs, solution)
         return u
 
 

@@ -28,7 +28,7 @@ from .ntd import (
     BoundaryBasis,
     SymOp,
     basis_load_matrix,
-    make_symop,
+    ntd_from_solutions,
     tb_from_solutions,
 )
 from .spectral import count_negative, d_of_q
@@ -263,10 +263,9 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     sys1 = HelmholtzSystem(mesh, 1.0, k)
     loads = basis_load_matrix(mesh, basis)
     u1 = sys1.solve_many(loads)
-    lam1 = make_symop(loads.T @ u1, basis.basis_id, "ntd_background", k)
+    lam1 = ntd_from_solutions(basis, loads, u1, "ntd_background", k)
     sys_q = HelmholtzSystem(mesh, q, k)
-    uq = sys_q.solve_many(loads)
-    lam_q = make_symop(loads.T @ uq, basis.basis_id, "ntd_measured", k)
+    lam_q = ntd_from_solutions(basis, loads, sys_q.solve_many(loads), "ntd_measured", k)
     if contrast == "positive":
         diff = lam_q.matrix - lam1.matrix
     else:

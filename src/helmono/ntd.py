@@ -236,8 +236,19 @@ def ntd_matrix(mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
     """
     loads = basis_load_matrix(mesh, basis)
     system = HelmholtzSystem(mesh, q, k)
-    solutions = system.solve_many(loads)
-    return make_symop(loads.T @ solutions, basis.basis_id, label, k)
+    return ntd_from_solutions(basis, loads, system.solve_many(loads), label, k)
+
+
+def ntd_from_solutions(basis: BoundaryBasis, loads: np.ndarray, solutions: np.ndarray,
+                       label: str, k: float) -> SymOp:
+    """Neumann-to-Dirichlet matrix ``loads.T @ solutions`` from the basis loads
+    and their solutions.
+
+    Only the rows where some load is nonzero, the vertices of the flagged
+    boundary edges, enter the product; every other row contributes zero.
+    """
+    rows = np.flatnonzero(loads.any(axis=1))
+    return make_symop(loads[rows].T @ solutions[rows], basis.basis_id, label, k)
 
 
 def gram_from_solutions(mesh: Mesh, region: Region, basis: BoundaryBasis,

@@ -33,8 +33,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, InvalidParameterError, SpectralAmbiguityError
-from .fem import CoefficientLike, as_coefficient, assemble_mass, assemble_stiffness, \
-    assemble_weighted_mass
+from .fem import Coefficient, CoefficientLike, as_coefficient, assemble_mass, \
+    assemble_stiffness, assemble_weighted_mass, factorize
 from .mesh import Mesh
 
 #: Problems at or below this many unknowns are solved densely.
@@ -86,7 +86,9 @@ def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
 
     ``sigma_upper`` must lie strictly above the whole spectrum; the sparse
     path shift-inverts there so the eigenvalues nearest the shift are exactly
-    the algebraically largest.
+    the algebraically largest.  The shifted matrix ``a - sigma_upper b`` is
+    then negative definite, so :func:`fem.factorize` keeps its symmetric-mode
+    factorization.
     """
     n = a.shape[0]
     if m < 1 or m > n:
@@ -100,15 +102,17 @@ def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
             return EigenResult(values=w[order].copy(), vectors=v[:, order].copy())
         w = sla.eigh(aw, bw, eigvals_only=True)
         return EigenResult(values=np.sort(w)[::-1][:m].copy())
+    lu = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}")
     try:
         out = spla.eigsh(
-            a.tocsc(),
+            a,
             k=m,
             M=b.tocsc(),
             sigma=sigma_upper,
             which="LM",
             v0=_deterministic_start(n),
             return_eigenvectors=want_vectors,
+            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
         )
     except spla.ArpackNoConvergence as exc:
         raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
@@ -137,16 +141,20 @@ def _check_pair_residuals(a, b, result: EigenResult) -> None:
             )
 
 
-def _neumann_pencil(mesh: Mesh, q: CoefficientLike, k: float):
+def _validated(mesh: Mesh, q: CoefficientLike, k: float) -> Coefficient:
     if not (k > 0.0 and np.isfinite(k)):
         raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
-    q = as_coefficient(mesh, q)
+    return as_coefficient(mesh, q)
+
+
+def _neumann_pencil(mesh: Mesh, q: CoefficientLike, k: float):
+    q = _validated(mesh, q, k)
     s = assemble_stiffness(mesh)
     mq = assemble_weighted_mass(mesh, q)
     m = assemble_mass(mesh)
     a = (k * k) * mq - s
     sigma_upper = (k * k) * max(q.max, 0.0) + 1.0
-    return a, m, sigma_upper, q
+    return a, m, sigma_upper
 
 
 def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int,
@@ -157,7 +165,7 @@ def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int,
     sorted descending.  With ``want_vectors`` the eigenvectors are returned
     and each pair's residual is verified against the documented bound.
     """
-    a, m, sigma_upper, _ = _neumann_pencil(mesh, q, k)
+    a, m, sigma_upper = _neumann_pencil(mesh, q, k)
     if not (1 <= count <= mesh.n_vertices):
         raise InvalidParameterError(
             f"count must be between 1 and {mesh.n_vertices}, got {count}"
@@ -188,7 +196,7 @@ def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None
         If some eigenvalue lies within ``tol`` of zero, in which case the
         count is not meaningful (the configuration is numerically resonant).
     """
-    a, m, sigma_upper, _ = _neumann_pencil(mesh, q, k)
+    a, m, sigma_upper = _neumann_pencil(mesh, q, k)
     values, tol_eff = _sweep_down(a, m, sigma_upper, mesh.n_vertices, 0.0, tol)
     near = values[np.abs(values) <= tol_eff]
     if near.size:
@@ -208,7 +216,7 @@ def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
     ``d_of_q``, but it is computed from a different pencil so the two serve
     as mutual cross-checks.
     """
-    a, _, _, q = _neumann_pencil(mesh, q, k)
+    q = _validated(mesh, q, k)
     p = assemble_weighted_mass(mesh, 1.0 + (k * k) * q.values)
     g = assemble_stiffness(mesh) + assemble_mass(mesh)
     sigma_upper = max(1.0 + (k * k) * q.max, 0.0) + 1.0
@@ -230,7 +238,7 @@ def is_resonance(mesh: Mesh, q: CoefficientLike, k: float,
                  tol: Optional[float] = None) -> bool:
     """Whether some discrete Neumann eigenvalue of ``(q, k)`` lies within
     ``tol`` of zero, i.e. the forward problem is (numerically) unsolvable."""
-    a, m, sigma_upper, _ = _neumann_pencil(mesh, q, k)
+    a, m, sigma_upper = _neumann_pencil(mesh, q, k)
     values, tol_eff = _sweep_down(a, m, sigma_upper, mesh.n_vertices, 0.0, tol)
     return bool((np.abs(values) <= tol_eff).any())
 
@@ -242,7 +250,7 @@ def nearest_neumann_eigenvalue(mesh: Mesh, q: CoefficientLike, k: float) -> floa
     it over a wavenumber range and watching for sign changes brackets the
     resonances of the discretization.
     """
-    a, mass, sigma_upper, _ = _neumann_pencil(mesh, q, k)
+    a, mass, sigma_upper = _neumann_pencil(mesh, q, k)
     n = mesh.n_vertices
     count = min(8, n)
     while True:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmono import (
     Coefficient,
@@ -17,6 +20,7 @@ from helmono import (
     solve_helmholtz,
 )
 from helmono.errors import InvalidParameterError, ResonanceError
+from helmono.fem import PIVOT_RTOL
 
 
 def _mesh(n, selector="all"):
@@ -173,6 +177,54 @@ def test_resonant_wavenumber_detected():
     with pytest.raises(ResonanceError) as info:
         HelmholtzSystem(mesh, 1.0, k_star)
     assert info.value.smallest_pivot <= info.value.threshold
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("random_q", [False, True])
+def test_resonance_guard_matches_partial_pivoting(n, random_q):
+    # At and around the first five discrete resonances, HelmholtzSystem must
+    # refuse exactly the wavenumbers whose partial-pivoting factorization has
+    # a pivot ratio at or below PIVOT_RTOL, whichever factorization it keeps.
+    mesh = _mesh(n)
+    q = (np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles) if random_q
+         else np.ones(mesh.n_triangles))
+    s = assemble_stiffness(mesh)
+    mq = assemble_weighted_mass(mesh, q)
+    mu = np.sort(sla.eigh(s.toarray(), mq.toarray(), eigvals_only=True))
+    offsets = [0.0] + [sign * 10.0 ** -e for e in range(6, 17) for sign in (1, -1)]
+    verdicts = []
+    for j in range(1, 6):
+        for offset in offsets:
+            k = float(np.sqrt(mu[j]) * (1.0 + offset))
+            try:
+                pivots = np.abs(spla.splu((s - (k * k) * mq).tocsc()).U.diagonal())
+                expected = pivots.min() <= PIVOT_RTOL * pivots.max()
+            except RuntimeError:
+                expected = True
+            try:
+                HelmholtzSystem(mesh, q, k)
+                raised = False
+            except ResonanceError:
+                raised = True
+            assert raised == expected, (j, offset)
+            verdicts.append(raised)
+    assert any(verdicts) and not all(verdicts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4, 16), width=st.sampled_from([1, 15, 16, 17, 33]),
+       k=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_solve_many_panels_match_single_solves(n, width, k, seed):
+    # q <= 2 and k <= 2 keep k^2 q below the first nonzero Neumann eigenvalue
+    # (about pi^2 / 2 for such q), so no case is resonant.
+    mesh = _mesh(n)
+    rng = np.random.default_rng(seed)
+    system = HelmholtzSystem(mesh, rng.uniform(0.5, 2.0, mesh.n_triangles), k)
+    loads = rng.standard_normal((mesh.n_vertices, width))
+    block = system.solve_many(loads)
+    columns = np.column_stack([system.solve(loads[:, j]) for j in range(width)])
+    assert block.shape == loads.shape
+    assert np.abs(block - columns).max() <= 1e-12 * np.abs(columns).max()
 
 
 def test_zero_coefficient_rejected_for_solve():

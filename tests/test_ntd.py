@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmono import (
     Coefficient,
+    HelmholtzSystem,
     assemble_weighted_mass,
     basis_edge_values,
+    basis_load_matrix,
     basis_solutions,
     boundary_basis,
     build_unit_square_mesh,
@@ -89,6 +93,20 @@ def test_ntd_symmetric_and_deterministic():
     op2 = ntd_matrix(mesh, 1.0, 1.0, basis)
     assert np.abs(op1.matrix - op1.matrix.T).max() == 0.0
     assert np.abs(op1.matrix - op2.matrix).max() <= 1e-15
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 24), segments=st.integers(1, 16), selector=st.sampled_from(["all", "top"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ntd_from_boundary_rows_matches_full_product(n, segments, selector, seed):
+    mesh = _mesh(n, selector)
+    basis = boundary_basis(mesh, min(segments, int(mesh.sigma_flags.sum())))
+    q = np.random.default_rng(seed).uniform(0.5, 2.0, mesh.n_triangles)
+    loads = basis_load_matrix(mesh, basis)
+    full = loads.T @ HelmholtzSystem(mesh, q, 1.0).solve_many(loads)
+    full = 0.5 * (full + full.T)
+    op = ntd_matrix(mesh, q, 1.0, basis)
+    assert np.abs(op.matrix - full).max() <= 1e-13 * np.abs(full).max()
 
 
 def test_ntd_converges_under_mesh_refinement():
