@@ -19,7 +19,7 @@ forward map is undefined there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -254,8 +254,9 @@ class HelmholtzSystem:
     factorization comes from :func:`factorize`: SuperLU's symmetric mode
     when its pivots are safely away from zero, otherwise partial pivoting
     with the resonance guard below.  ``solve_many`` runs the triangular
-    solves in panels of ``SOLVE_PANEL`` columns; every solve's residual is
-    checked against ``RESIDUAL_RTOL``.
+    solves in panels of ``SOLVE_PANEL`` columns, densifying sparse loads one
+    panel at a time, and can keep only some rows of the solutions; every
+    solve's residual is checked over all rows against ``RESIDUAL_RTOL``.
 
     Raises
     ------
@@ -299,19 +300,35 @@ class HelmholtzSystem:
         self._check_residual(b, u)
         return u
 
-    def solve_many(self, loads: np.ndarray) -> np.ndarray:
-        """Solve for a block of load vectors (columns); residuals verified."""
-        b = np.asarray(loads, dtype=float)
+    def solve_many(self, loads, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Solve for a block of load vectors (columns); residuals verified.
+
+        ``loads`` is a dense array or a sparse matrix; only one panel of it is
+        dense at a time.  Every panel's residual is checked over all mesh
+        rows.  With ``rows`` (vertex indices), only those rows of the
+        solutions are kept and returned.
+        """
+        if sp.issparse(loads):
+            b = loads.tocsc().astype(float, copy=False)
+        else:
+            b = np.asarray(loads, dtype=float)
         if b.ndim != 2 or b.shape[0] != self.mesh.n_vertices:
             raise InvalidParameterError("load block must be (n_vertices, m)")
-        u = np.empty(b.shape)
+        if rows is not None:
+            rows = np.asarray(rows)
+            if (rows.ndim != 1 or rows.dtype.kind not in "iu"
+                    or not ((rows >= 0) & (rows < b.shape[0])).all()):
+                raise InvalidParameterError("rows must be a flat array of vertex indices")
+        u = np.empty((b.shape[0] if rows is None else rows.size, b.shape[1]))
         for start in range(0, b.shape[1], SOLVE_PANEL):
             panel = slice(start, start + SOLVE_PANEL)
             # Contiguous columns: SuperLU reads them without another copy, and
             # the residual's column norms do not stride across the block.
-            rhs = np.asfortranarray(b[:, panel])
-            u[:, panel] = solution = self._lu.solve(rhs)
+            rhs = (b[:, panel].toarray(order="F") if sp.issparse(b)
+                   else np.asfortranarray(b[:, panel]))
+            solution = self._lu.solve(rhs)
             self._check_residual(rhs, solution)
+            u[:, panel] = solution if rows is None else solution[rows]
         return u
 
 

@@ -96,8 +96,12 @@ class Mesh:
         areas.setflags(write=False)
         return areas
 
-    def triangle_barycenters(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+    @cached_property
+    def barycenters(self) -> np.ndarray:
+        """Triangle barycenters, shape (nt, 2); computed on first use, read-only."""
+        bary = self.vertices[self.triangles].mean(axis=1)
+        bary.setflags(write=False)
+        return bary
 
     def boundary_edge_lengths(self) -> np.ndarray:
         a = self.vertices[self.boundary_edges[:, 0]]
@@ -267,7 +271,7 @@ def rect_region(mesh: Mesh, box: Sequence[float]) -> Region:
     x0, y0, x1, y1 = (float(v) for v in box)
     if not (x0 < x1 and y0 < y1):
         raise InvalidParameterError(f"degenerate box {box!r}")
-    bary = mesh.triangle_barycenters()
+    bary = mesh.barycenters
     flags = (bary[:, 0] >= x0) & (bary[:, 0] <= x1) & (bary[:, 1] >= y0) & (bary[:, 1] <= y1)
     if not flags.any():
         raise InvalidParameterError(f"box {box!r} selects no triangle")
@@ -305,7 +309,7 @@ def pixel_grid(mesh: Mesh, nx: int, ny: int) -> PixelGrid:
     """
     if nx < 1 or ny < 1:
         raise InvalidParameterError("pixel grid must be at least 1 x 1")
-    bary = mesh.triangle_barycenters()
+    bary = mesh.barycenters
     ix = np.clip(np.floor(bary[:, 0] * nx).astype(int), 0, nx - 1)
     iy = np.clip(np.floor(bary[:, 1] * ny).astype(int), 0, ny - 1)
     pix = iy * nx + ix

@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import EigenSolverError, InvalidParameterError, SolverError
 from .fem import (
@@ -148,16 +149,26 @@ def project_onto_basis(basis: BoundaryBasis, edge_values: np.ndarray) -> np.ndar
                                 else basis.lengths * vals)
 
 
-def basis_load_matrix(mesh: Mesh, basis: BoundaryBasis) -> np.ndarray:
-    """Nodal load vectors of the basis functions, one column each.
+def basis_load_matrix(mesh: Mesh, basis: BoundaryBasis) -> sp.csc_matrix:
+    """Nodal load vectors of the basis functions, one sparse column each.
 
     Column ``j`` is also the Riesz pairing used to read traces back:
     ``loads[:, j] @ u`` equals the boundary integral of ``b_j`` against the
     trace of ``u`` (the edge trapezoid rule is exact for P1 traces against
-    edgewise-constant fluxes).
+    edgewise-constant fluxes).  Only the vertices of the flagged boundary
+    edges carry entries, and every stored entry is nonzero.
     """
     e = boundary_load_matrix(mesh)[:, basis.edge_indices]
-    return np.asarray(e @ basis.functions)
+    loads = (e @ sp.csr_matrix(basis.functions)).tocsc()
+    loads.eliminate_zeros()
+    return loads
+
+
+def load_rows(loads: sp.spmatrix) -> np.ndarray:
+    """Rows where some load is nonzero, ascending: for basis loads, the
+    vertices of the flagged boundary edges.  Every other row of a solution
+    pairs with zeros when traces are read back."""
+    return np.flatnonzero((sp.csr_matrix(loads) != 0).getnnz(axis=1))
 
 
 @dataclass(frozen=True)
@@ -236,19 +247,26 @@ def ntd_matrix(mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
     """
     loads = basis_load_matrix(mesh, basis)
     system = HelmholtzSystem(mesh, q, k)
-    return ntd_from_solutions(basis, loads, system.solve_many(loads), label, k)
+    boundary = system.solve_many(loads, load_rows(loads))
+    return ntd_from_solutions(basis, loads, boundary, label, k)
 
 
-def ntd_from_solutions(basis: BoundaryBasis, loads: np.ndarray, solutions: np.ndarray,
-                       label: str, k: float) -> SymOp:
+def ntd_from_solutions(basis: BoundaryBasis, loads: sp.spmatrix,
+                       boundary_solutions: np.ndarray, label: str, k: float) -> SymOp:
     """Neumann-to-Dirichlet matrix ``loads.T @ solutions`` from the basis loads
-    and their solutions.
+    and the rows ``load_rows(loads)`` of their solutions.
 
-    Only the rows where some load is nonzero, the vertices of the flagged
-    boundary edges, enter the product; every other row contributes zero.
+    Every other row of the solutions pairs with zero loads, so the boundary
+    rows alone give the whole product.
     """
-    rows = np.flatnonzero(loads.any(axis=1))
-    return make_symop(loads[rows].T @ solutions[rows], basis.basis_id, label, k)
+    rows = load_rows(loads)
+    if boundary_solutions.shape != (rows.size, loads.shape[1]):
+        raise InvalidParameterError(
+            f"expected solutions at {rows.size} boundary rows for {loads.shape[1]} "
+            f"loads, got shape {boundary_solutions.shape}"
+        )
+    raw = loads[rows].toarray().T @ boundary_solutions
+    return make_symop(raw, basis.basis_id, label, k)
 
 
 def gram_from_solutions(mesh: Mesh, region: Region, basis: BoundaryBasis,

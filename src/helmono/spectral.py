@@ -80,15 +80,28 @@ def _deterministic_start(n: int) -> np.ndarray:
     return np.random.default_rng(_V0_SEED).standard_normal(n)
 
 
+def _shift_invert(a: sp.spmatrix, b: sp.spmatrix,
+                  sigma_upper: float) -> spla.LinearOperator:
+    """``(a - sigma_upper b)^{-1}`` from one factorization.
+
+    With ``sigma_upper`` above the whole spectrum the shifted matrix is
+    negative definite, so :func:`fem.factorize` keeps its symmetric-mode
+    factorization.
+    """
+    lu = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}")
+    n = a.shape[0]
+    return spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+
+
 def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
-                want_vectors: bool) -> EigenResult:
+                want_vectors: bool,
+                opinv: Optional[spla.LinearOperator] = None) -> EigenResult:
     """Top-m eigenpairs of ``a v = lambda b v`` with ``b`` positive definite.
 
     ``sigma_upper`` must lie strictly above the whole spectrum; the sparse
     path shift-inverts there so the eigenvalues nearest the shift are exactly
-    the algebraically largest.  The shifted matrix ``a - sigma_upper b`` is
-    then negative definite, so :func:`fem.factorize` keeps its symmetric-mode
-    factorization.
+    the algebraically largest.  ``opinv`` is the :func:`_shift_invert` of the
+    pencil when the caller already has it; otherwise it is factored here.
     """
     n = a.shape[0]
     if m < 1 or m > n:
@@ -102,7 +115,8 @@ def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
             return EigenResult(values=w[order].copy(), vectors=v[:, order].copy())
         w = sla.eigh(aw, bw, eigvals_only=True)
         return EigenResult(values=np.sort(w)[::-1][:m].copy())
-    lu = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}")
+    if opinv is None:
+        opinv = _shift_invert(a, b, sigma_upper)
     try:
         out = spla.eigsh(
             a,
@@ -112,7 +126,7 @@ def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
             which="LM",
             v0=_deterministic_start(n),
             return_eigenvectors=want_vectors,
-            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            OPinv=opinv,
         )
     except spla.ArpackNoConvergence as exc:
         raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
@@ -175,12 +189,18 @@ def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int,
     return result
 
 
-def _sweep_down(a, b, sigma_upper, n, threshold: float, tol: Optional[float]):
+def _sweep_down(a, b, sigma_upper, threshold: float, tol: Optional[float]):
     """Top eigenvalues computed until at least one falls below the decision
-    window around ``threshold``; returns (values, effective tolerance)."""
+    window around ``threshold``; returns (values, effective tolerance).
+
+    The count doubles from 8 until then.  Every step restarts ARPACK from the
+    same start vector, but the shifted pencil is factored once per sweep.
+    """
+    n = a.shape[0]
+    opinv = _shift_invert(a, b, sigma_upper) if n > DENSE_CUTOFF else None
     m = min(8, n)
     while True:
-        values = _pencil_top(a, b, m, sigma_upper, False).values
+        values = _pencil_top(a, b, m, sigma_upper, False, opinv).values
         tol_eff = tol if tol is not None else TOL_FACTOR * float(np.abs(values).max())
         if values.min() < threshold - tol_eff or m >= n:
             return values, tol_eff
@@ -197,7 +217,7 @@ def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None
         count is not meaningful (the configuration is numerically resonant).
     """
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
-    values, tol_eff = _sweep_down(a, m, sigma_upper, mesh.n_vertices, 0.0, tol)
+    values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol)
     near = values[np.abs(values) <= tol_eff]
     if near.size:
         raise SpectralAmbiguityError(
@@ -220,7 +240,7 @@ def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
     p = assemble_weighted_mass(mesh, 1.0 + (k * k) * q.values)
     g = assemble_stiffness(mesh) + assemble_mass(mesh)
     sigma_upper = max(1.0 + (k * k) * q.max, 0.0) + 1.0
-    values, tol_eff = _sweep_down(p, g, sigma_upper, mesh.n_vertices, 1.0, tol)
+    values, tol_eff = _sweep_down(p, g, sigma_upper, 1.0, tol)
     # The count decides mu > 1 + tol, so the ambiguous band sits around that
     # decision point.  mu = 1 exactly is a structural eigenvalue (constants
     # whenever q has mean zero contribution) and is cleanly not counted.
@@ -239,7 +259,7 @@ def is_resonance(mesh: Mesh, q: CoefficientLike, k: float,
     """Whether some discrete Neumann eigenvalue of ``(q, k)`` lies within
     ``tol`` of zero, i.e. the forward problem is (numerically) unsolvable."""
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
-    values, tol_eff = _sweep_down(a, m, sigma_upper, mesh.n_vertices, 0.0, tol)
+    values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol)
     return bool((np.abs(values) <= tol_eff).any())
 
 
@@ -250,14 +270,10 @@ def nearest_neumann_eigenvalue(mesh: Mesh, q: CoefficientLike, k: float) -> floa
     it over a wavenumber range and watching for sign changes brackets the
     resonances of the discretization.
     """
-    a, mass, sigma_upper = _neumann_pencil(mesh, q, k)
-    n = mesh.n_vertices
-    count = min(8, n)
-    while True:
-        values = _pencil_top(a, mass, count, sigma_upper, False).values
-        if values.min() < 0.0 or count >= n:
-            return float(values[np.argmin(np.abs(values))])
-        count = min(2 * count, n)
+    a, m, sigma_upper = _neumann_pencil(mesh, q, k)
+    # A zero tolerance makes the sweep stop at the first negative eigenvalue.
+    values, _ = _sweep_down(a, m, sigma_upper, 0.0, 0.0)
+    return float(values[np.argmin(np.abs(values))])
 
 
 def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResult:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from helmono import (
     mark_sigma,
     solve_helmholtz,
 )
-from helmono.errors import InvalidParameterError, ResonanceError
+from helmono.errors import InvalidParameterError, ResonanceError, SolverError
 from helmono.fem import PIVOT_RTOL
 
 
@@ -225,6 +226,58 @@ def test_solve_many_panels_match_single_solves(n, width, k, seed):
     columns = np.column_stack([system.solve(loads[:, j]) for j in range(width)])
     assert block.shape == loads.shape
     assert np.abs(block - columns).max() <= 1e-12 * np.abs(columns).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 16), width=st.sampled_from([1, 15, 16, 17, 33]),
+       sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_solve_many_rows_match_full_block(n, width, sparse, seed):
+    # Sparse or dense loads and any subset of rows give exactly the rows of
+    # the full dense-load block: the panels are solved identically.
+    mesh = _mesh(n)
+    rng = np.random.default_rng(seed)
+    system = HelmholtzSystem(mesh, rng.uniform(0.5, 2.0, mesh.n_triangles), 1.0)
+    dense = sp.random(mesh.n_vertices, width, density=0.1, random_state=rng).toarray()
+    rows = np.sort(rng.choice(mesh.n_vertices, rng.integers(0, mesh.n_vertices + 1),
+                              replace=False))
+    full = system.solve_many(dense)
+    loads = sp.csc_matrix(dense) if sparse else dense
+    assert np.array_equal(system.solve_many(loads, rows), full[rows])
+    assert np.array_equal(system.solve_many(loads), full)
+
+
+class _CorruptRow:
+    """Stands in for a factorization and perturbs one row of every solution."""
+
+    def __init__(self, lu, row):
+        self.lu, self.row = lu, row
+
+    def solve(self, rhs):
+        u = self.lu.solve(rhs)
+        u[self.row] += 1e-3 * np.abs(u).max()
+        return u
+
+
+def test_solve_many_checks_rows_it_drops():
+    # The residual is checked over every mesh row, so a wrong solution value
+    # in a row outside ``rows`` is still caught.
+    mesh = _mesh(8)
+    system = HelmholtzSystem(mesh, 1.0, 1.0)
+    loads = sp.csc_matrix(np.eye(mesh.n_vertices)[:, :20])
+    rows = np.arange(10)
+    system.solve_many(loads, rows)
+    system._lu = _CorruptRow(system._lu, mesh.n_vertices // 2)
+    with pytest.raises(SolverError):
+        system.solve_many(loads, rows)
+
+
+def test_solve_many_rejects_bad_rows():
+    mesh = _mesh(4)
+    system = HelmholtzSystem(mesh, 1.0, 1.0)
+    loads = np.ones((mesh.n_vertices, 2))
+    for rows in ([mesh.n_vertices], [-1], [[0, 1]], [0.5]):
+        with pytest.raises(InvalidParameterError):
+            system.solve_many(loads, np.array(rows))
 
 
 def test_zero_coefficient_rejected_for_solve():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +15,7 @@ from helmono import (
     basis_load_matrix,
     basis_solutions,
     boundary_basis,
+    boundary_load_matrix,
     build_unit_square_mesh,
     empty_region,
     full_region,
@@ -107,6 +111,32 @@ def test_ntd_from_boundary_rows_matches_full_product(n, segments, selector, seed
     full = 0.5 * (full + full.T)
     op = ntd_matrix(mesh, q, 1.0, basis)
     assert np.abs(op.matrix - full).max() <= 1e-13 * np.abs(full).max()
+
+
+def test_basis_loads_are_sparse_without_explicit_zeros():
+    mesh = _mesh(16, "top")
+    basis = boundary_basis(mesh, 5)
+    loads = basis_load_matrix(mesh, basis)
+    assert sp.isspmatrix_csc(loads)
+    dense = loads.toarray()
+    assert loads.nnz == np.count_nonzero(dense)
+    expected = boundary_load_matrix(mesh)[:, basis.edge_indices] @ basis.functions
+    assert np.array_equal(dense, expected)
+
+
+def test_ntd_matrix_peak_memory_below_one_dense_block():
+    # Neither the loads nor the solutions may exist as a dense
+    # n_vertices x dim block: the peak stays below the size of one.
+    mesh = _mesh(128)
+    basis = boundary_basis(mesh, 256)
+    block = mesh.n_vertices * basis.dim * 8
+    tracemalloc.start()
+    try:
+        ntd_matrix(mesh, 1.0, 1.0, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block, (peak, block)
 
 
 def test_ntd_converges_under_mesh_refinement():

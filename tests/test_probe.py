@@ -39,7 +39,7 @@ def _probe_cases(draw):
 
     def box_flags(i0, j0, i1, j1):
         # cell-aligned box [i0, i1) x [j0, j1); barycenters sit inside cells
-        bary = mesh.triangle_barycenters() * n
+        bary = mesh.barycenters * n
         return ((bary[:, 0] > i0) & (bary[:, 0] < i1)
                 & (bary[:, 1] > j0) & (bary[:, 1] < j1))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from helmono import spectral
 from helmono import (
     assemble_mass,
     assemble_stiffness,
@@ -60,6 +61,25 @@ def test_d_of_q_analytic_counts():
     mesh = build_unit_square_mesh(32)
     assert d_of_q(mesh, 1.0, 1.0) == 1
     assert d_of_q(mesh, 1.0, 4.0) == 3
+
+
+def test_sweep_factors_the_shifted_pencil_once(monkeypatch):
+    # At k = 8 the first eight eigenvalues are all positive, so each sweep
+    # doubles its count once; both steps share one factorization.
+    calls = []
+
+    def counting(matrix, where):
+        calls.append(where)
+        return factorize(matrix, where)
+
+    factorize = spectral.factorize
+    monkeypatch.setattr(spectral, "factorize", counting)
+    mesh = build_unit_square_mesh(64)
+    assert d_of_q(mesh, 1.0, 8.0) == 8
+    assert len(calls) == 1
+    nearest_neumann_eigenvalue(mesh, 1.0, 8.0)
+    assert count_K_eigs_above_one(mesh, 1.0, 8.0) == 8
+    assert len(calls) == 3
 
 
 def test_d_of_q_small_constant():
