@@ -44,7 +44,7 @@ def show(result):
 
 for contrast, value in (("positive", 2.0), ("negative", 0.5)):
     q = Coefficient.constant(mesh, 1.0).with_region(scatterer, value)
-    result = reconstruct(mesh, q, 1.0, basis, grid, contrast=contrast, threads=4)
+    result = reconstruct(mesh, q, 1.0, basis, grid, contrast=contrast)
     path = outdir / f"mask_{contrast}.pgm"
     write_pgm(path, result.pixel_values().reshape(grid.ny, grid.nx))
     print(f"contrast {value} ({contrast} test), true support"

@@ -451,7 +451,7 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
         alpha = None
 
     result = reconstruct(mesh, q, k, basis, grid, contrast=contrast, alpha=alpha,
-                         tol=_count_tol(cfg), threads=args.threads)
+                         tol=_count_tol(cfg))
 
     rows = []
     for p in range(grid.nx * grid.ny):
@@ -510,14 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.dir)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker cap for parallel pixel tests "
-                            "(default: HELM_MONO_THREADS or CPU count)")
+                       help="thread cap, validated (at least 1; default: "
+                            "HELM_MONO_THREADS or CPU count) but unused: "
+                            "pixel counts run on the calling thread and BLAS "
+                            "reads OPENBLAS_NUM_THREADS")
         p.add_argument("--dump-matrices", action="store_true",
                        help="also dump system matrix and load vectors (debug)")
     return parser
 
 
-def _resolve_threads(value) -> int:
+def _check_threads(value) -> None:
+    """Reject a thread cap below 1 or a non-integer HELM_MONO_THREADS."""
     if value is None:
         env = os.environ.get("HELM_MONO_THREADS")
         if env is not None:
@@ -531,14 +534,13 @@ def _resolve_threads(value) -> int:
             value = os.cpu_count() or 1
     if value < 1:
         raise ConfigError("thread cap must be at least 1")
-    return value
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        args.threads = _resolve_threads(args.threads)
+        _check_threads(args.threads)
         cfg = _load_config(args.config)
         outdir = _out_dir(cfg, args)
         _COMMANDS[args.command](cfg, args, outdir)

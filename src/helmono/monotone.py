@@ -199,17 +199,10 @@ class ReconstructionResult:
 
 
 def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, d_max: int,
-                  tol: Optional[float], threads: int):
-    def one(tb_matrix_):
-        return count_negative(diff - alpha * tb_matrix_, tol)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(one, tbs))
-    else:
-        counts = [one(tb) for tb in tbs]
+                  tol: Optional[float]):
+    # One count per pixel on the calling thread: a single-matrix eigvalsh
+    # holds the GIL, so a thread pool cannot overlap two counts.
+    counts = [count_negative(diff - alpha * tb, tol) for tb in tbs]
     negative = np.array([c.negative for c in counts], dtype=int)
     indeterminate = np.array([c.indeterminate for c in counts], dtype=int)
     tols = np.array([c.tol for c in counts])
@@ -220,7 +213,7 @@ def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, d_max: int,
 def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
                 basis: BoundaryBasis, grid: PixelGrid,
                 contrast: str = "positive", alpha: Optional[float] = None,
-                tol: Optional[float] = None, threads: int = 1) -> ReconstructionResult:
+                tol: Optional[float] = None) -> ReconstructionResult:
     """Reconstruct the scatterer support pixel by pixel.
 
     For every pixel ``B`` of the grid the inclusion test compares
@@ -280,7 +273,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     sweep_history = None
     if alpha is not None:
         negative, indeterminate, mask, tol_used = _pixel_counts(
-            diff, tbs, float(alpha), d_max, tol, threads
+            diff, tbs, float(alpha), d_max, tol
         )
         alpha_used = float(alpha)
     else:
@@ -289,7 +282,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         chosen = None
         for m in range(_SWEEP_CAP + 1):
             a = 2.0 ** (-m)
-            outcome = _pixel_counts(diff, tbs, a, d_max, tol, threads)
+            outcome = _pixel_counts(diff, tbs, a, d_max, tol)
             outcomes.append((a, outcome))
             sweep_history.append((a, int(outcome[2].sum())))
             if m >= 1:

@@ -220,6 +220,8 @@ def make_symop(raw: np.ndarray, basis_id: str, label: str, k: float,
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise InvalidParameterError("operator matrix must be square")
+    if not np.isfinite(raw).all():
+        raise SolverError(f"operator '{label}' has non-finite entries")
     scale = float(np.abs(raw).max()) if raw.size else 0.0
     defect = float(np.abs(raw - raw.T).max()) if raw.size else 0.0
     if defect > symmetry_rtol * max(scale, 1e-300):

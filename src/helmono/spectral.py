@@ -283,18 +283,27 @@ def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResu
     ``-tol`` threshold are tallied separately as indeterminate; callers treat
     any indeterminacy as "no verdict".  The default tolerance is
     ``1e-8 * max|eigenvalue|`` (zero for the zero matrix, which therefore has
-    no negative and no indeterminate eigenvalues).
+    no negative and no indeterminate eigenvalues).  A non-finite entry is
+    rejected, since no comparison with it could fail.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError("count_negative expects a square matrix")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    defect = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if defect > 1e-12 * max(scale, 1e-300):
-        raise InvalidParameterError(
-            f"matrix is not symmetric: defect {defect:.3e} vs scale {scale:.3e}"
-        )
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
+    if not np.isfinite(a).all():
+        raise InvalidParameterError("count_negative expects finite entries")
+    # A matrix equal to its transpose bit for bit (so also in the signs of
+    # its zeros) is bit for bit its own symmetrization: it goes to eigvalsh
+    # as it is.
+    bits = a.view(np.uint64)
+    if not np.array_equal(bits, bits.T):
+        scale = float(np.abs(a).max())
+        defect = float(np.abs(a - a.T).max())
+        if defect > 1e-12 * max(scale, 1e-300):
+            raise InvalidParameterError(
+                f"matrix is not symmetric: defect {defect:.3e} vs scale {scale:.3e}"
+            )
+        a = 0.5 * (a + a.T)
+    w = np.linalg.eigvalsh(a)
     if tol is not None:
         tol_eff = float(tol)
         if tol_eff <= 0.0:

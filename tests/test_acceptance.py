@@ -118,7 +118,7 @@ def test_acceptance_5_scatterer_detection():
         for segments in (128, 256):
             basis = boundary_basis(mesh, segments)
             results[segments] = reconstruct(mesh, q, 1.0, basis, grid,
-                                            contrast=contrast, threads=4)
+                                            contrast=contrast)
         coarse, fine = results[128], results[256]
         for tag, res in (("128", coarse), ("256", fine)):
             got = set(np.flatnonzero(res.mask).tolist())

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from helmono import monotone
 from helmono import (
     Coefficient,
     PixelGrid,
@@ -292,14 +295,29 @@ def test_reconstruct_counts_match_inclusion_test(contrast, value):
             assert bool(result.mask[p]) == test.verdict
 
 
-def test_reconstruct_threads_equivalent():
+def test_reconstruct_counts_each_pixel_once_on_the_calling_thread(monkeypatch):
+    # The benchmark derives its count and sweep metrics from the calls to
+    # monotone.count_negative: one per pixel and alpha, on this thread.
+    calls = []
+
+    def recorder(matrix, tol=None):
+        calls.append(threading.get_ident())
+        return count_negative(matrix, tol)
+
+    monkeypatch.setattr(monotone, "count_negative", recorder)
     mesh = _mesh(16)
     basis = boundary_basis(mesh)
     grid = pixel_grid(mesh, 4, 4)
-    serial = reconstruct(mesh, 1.0, 1.0, basis, grid, alpha=0.5, threads=1)
-    threaded = reconstruct(mesh, 1.0, 1.0, basis, grid, alpha=0.5, threads=4)
-    assert (serial.negative_counts == threaded.negative_counts).all()
-    assert (serial.mask == threaded.mask).all()
+    pixels = len(grid.regions)
+    reconstruct(mesh, 1.0, 1.0, basis, grid, alpha=0.5)
+    assert len(calls) == pixels
+    inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
+    q = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
+    calls.clear()
+    swept = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative")
+    assert len(swept.sweep) > 1
+    assert len(calls) == pixels * len(swept.sweep)
+    assert set(calls) == {threading.get_ident()}
 
 
 def test_reconstruct_mask_pure_under_grid_permutation():

@@ -174,6 +174,16 @@ def test_make_symop_rejects_asymmetry():
         make_symop(bad, "basis-a", "bad", 1.0)
 
 
+@pytest.mark.parametrize("where, value", [((0, 1), np.nan), ((0, 0), np.inf),
+                                          ((1, 1), -np.inf)])
+def test_make_symop_rejects_non_finite(where, value):
+    # NaN fails every comparison, so the symmetry check alone would pass it
+    raw = np.diag([-1.0, 2.0, 3.0])
+    raw[where] = raw[where[::-1]] = value
+    with pytest.raises(SolverError, match="non-finite"):
+        make_symop(raw, "basis-a", "bad", 1.0)
+
+
 def test_tb_positive_semidefinite():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helmono import spectral
 from helmono import (
@@ -176,6 +179,83 @@ def test_count_negative_rejects_asymmetry():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(InvalidParameterError):
         count_negative(a)
+
+
+@pytest.mark.parametrize("where, value", [((0, 1), np.nan), ((0, 0), np.inf),
+                                          ((2, 2), -np.inf)])
+def test_count_negative_rejects_non_finite(where, value):
+    # NaN fails every comparison, so neither the symmetry check nor the
+    # count would notice it: the verdict would read "no negative eigenvalue"
+    a = np.diag([-1.0, 2.0, 3.0])
+    a[where] = a[where[::-1]] = value
+    with pytest.raises(InvalidParameterError, match="finite"):
+        count_negative(a)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        count_negative(a, tol=1e-8)
+
+
+def _reference_count(a, tol):
+    """The count as symmetrize-then-eigvalsh, with the 1e-8 default tolerance
+    and the half-width window around -tol."""
+    w = np.linalg.eigvalsh(0.5 * (a + a.T))
+    tol_eff = float(tol) if tol is not None else 1e-8 * (
+        float(np.abs(w).max()) if w.size else 0.0)
+    return (int((w < -tol_eff).sum()),
+            int((np.abs(w + tol_eff) < 0.5 * tol_eff).sum()), tol_eff)
+
+
+@st.composite
+def _symmetric(draw, min_n=1):
+    """Exactly symmetric matrices, some mirrored entry pairs -0.0 and 0.0."""
+    n = draw(st.integers(min_n, 10))
+    a = draw(arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3, width=64)))
+    a = np.triu(a) + np.triu(a, 1).T
+    zero = draw(arrays(np.bool_, (n, n)))
+    sign = draw(arrays(np.bool_, (n, n)))
+    for i, j in zip(*np.nonzero(np.triu(zero, 1))):
+        a[i, j], a[j, i] = (-0.0, 0.0) if sign[i, j] else (0.0, -0.0)
+    return a
+
+
+_tols = st.none() | st.floats(1e-9, 10.0)
+
+
+# a == a.T, but symmetrizing turns each -0.0 into 0.0, and LAPACK reads the
+# sign of a zero: eigvalsh of the two differs in the last bit.
+_SIGNED_ZEROS = np.array([[1.0, 0.0, 1.0, 1.0],
+                          [-0.0, 1.0, 1.0, 0.0],
+                          [1.0, 1.0, 1.0, 0.0],
+                          [1.0, -0.0, -0.0, 1.0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric(), _tols)
+@example(_SIGNED_ZEROS, None)
+def test_count_negative_exactly_symmetric_matches_reference(a, tol):
+    assert np.array_equal(a, a.T)
+    assert tuple(count_negative(a, tol)) == _reference_count(a, tol)
+
+
+def _nudge(a, data, delta):
+    """Add delta to one off-diagonal entry of a, leaving its mirror."""
+    i, j = data.draw(st.permutations(range(a.shape[0])))[:2]
+    a[i, j] += delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric(min_n=2), _tols, st.floats(0.01, 0.5), st.data())
+def test_count_negative_near_symmetric_matches_reference(a, tol, frac, data):
+    _nudge(a, data, frac * 1e-12 * float(np.abs(a).max()))
+    assume(not np.array_equal(a, a.T))
+    assert tuple(count_negative(a, tol)) == _reference_count(a, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric(min_n=2), _tols, st.floats(4.0, 1e6), st.data())
+def test_count_negative_beyond_symmetry_bound_raises(a, tol, factor, data):
+    _nudge(a, data, factor * 1e-12 * max(float(np.abs(a).max()), 1.0))
+    with pytest.raises(InvalidParameterError, match="not symmetric"):
+        count_negative(a, tol)
 
 
 def test_count_negative_explicit_tol_positive():
