@@ -31,8 +31,6 @@ from .fem import (
     assemble_stiffness,
     assemble_weighted_mass,
     boundary_load_matrix,
-    l2_norm,
-    solve_helmholtz,
 )
 from .mesh import (
     Mesh,
@@ -40,14 +38,10 @@ from .mesh import (
     Region,
     build_unit_square_mesh,
     empty_region,
-    eval_p1_structured,
-    full_region,
     mark_sigma,
     mesh_to_text,
     pixel_grid,
     rect_region,
-    structured_n,
-    validate_mesh,
 )
 from .monotone import (
     ComparisonResult,
@@ -60,6 +54,7 @@ from .monotone import (
 )
 from .ntd import (
     BoundaryBasis,
+    Forward,
     LocalizedPotential,
     SymOp,
     basis_edge_values,
@@ -71,9 +66,7 @@ from .ntd import (
     make_symop,
     ntd_matrix,
     project_onto_basis,
-    region_gram,
     tb_from_solutions,
-    tb_matrix,
 )
 from .spectral import (
     CountResult,
@@ -93,22 +86,20 @@ __all__ = [
     "InvalidParameterError", "BasisMismatchError", "EigenSolverError", "SolverError",
     # mesh
     "Mesh", "Region", "PixelGrid", "build_unit_square_mesh", "mark_sigma",
-    "rect_region", "full_region", "empty_region", "pixel_grid", "validate_mesh",
-    "eval_p1_structured", "mesh_to_text", "structured_n",
+    "rect_region", "empty_region", "pixel_grid", "mesh_to_text",
     # fem
     "Coefficient", "NodalField", "as_coefficient", "assemble_stiffness",
     "assemble_mass", "assemble_weighted_mass", "assemble_boundary_load",
-    "boundary_load_matrix", "HelmholtzSystem", "solve_helmholtz", "l2_norm",
+    "boundary_load_matrix", "HelmholtzSystem",
     # spectral
     "EigenResult", "CountResult", "neumann_eigenvalues", "d_of_q",
     "count_K_eigs_above_one", "is_resonance", "nearest_neumann_eigenvalue",
     "count_negative",
     # ntd
-    "BoundaryBasis", "SymOp", "LocalizedPotential", "boundary_basis",
+    "BoundaryBasis", "Forward", "SymOp", "LocalizedPotential", "boundary_basis",
     "basis_load_matrix", "basis_solutions", "basis_edge_values",
-    "project_onto_basis", "make_symop", "ntd_matrix", "tb_matrix",
-    "tb_from_solutions", "region_gram", "gram_from_solutions",
-    "localized_potential",
+    "project_onto_basis", "make_symop", "ntd_matrix", "tb_from_solutions",
+    "gram_from_solutions", "localized_potential",
     # monotone
     "ComparisonResult", "ReconstructionResult", "leq_d", "identity_residual",
     "monotonicity_check", "inclusion_test", "reconstruct",

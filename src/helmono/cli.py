@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HelmonoError, InvalidParameterError
-from .fem import Coefficient, assemble_stiffness, assemble_weighted_mass
+from .fem import Coefficient
 from .io import (
     fmt,
     parse_config_text,
@@ -39,13 +39,12 @@ from .io import (
     write_vector_csv,
 )
 from .mesh import build_unit_square_mesh, empty_region, mark_sigma, pixel_grid, rect_region
-from .monotone import identity_residual, inclusion_test, monotonicity_check, reconstruct
+from .monotone import identity_residual, monotonicity_check, reconstruct
 from .ntd import (
+    Forward,
     basis_edge_values,
-    basis_load_matrix,
     boundary_basis,
     localized_potential,
-    ntd_matrix,
     project_onto_basis,
 )
 from .spectral import (
@@ -314,14 +313,12 @@ def cmd_ntd(cfg: Config, args, outdir: Path) -> None:
     q = _build_coefficient(cfg, mesh)
     k = _wavenumber(cfg)
     basis = _build_basis(cfg, mesh)
-    op = ntd_matrix(mesh, q, k, basis)
-    write_symop_csv(outdir / "ntd.csv", op)
+    forward = Forward(mesh, q, k, basis)
+    write_symop_csv(outdir / "ntd.csv", forward.ntd("ntd"))
     _note(outdir / "ntd.csv")
     if args.dump_matrices:
-        matrix = assemble_stiffness(mesh) - (k * k) * assemble_weighted_mass(mesh, q)
-        write_sparse_csv(outdir / "system_matrix.csv", matrix)
-        loads = basis_load_matrix(mesh, basis)
-        write_sparse_csv(outdir / "load_matrix.csv", loads)
+        write_sparse_csv(outdir / "system_matrix.csv", forward.system.matrix)
+        write_sparse_csv(outdir / "load_matrix.csv", forward.loads)
         _note(outdir / "system_matrix.csv")
         _note(outdir / "load_matrix.csv")
 

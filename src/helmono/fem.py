@@ -331,21 +331,3 @@ class HelmholtzSystem:
             u[:, panel] = solution if rows is None else solution[rows]
         return u
 
-
-def solve_helmholtz(mesh: Mesh, q: CoefficientLike, k: float,
-                    edge_values: Sequence[float]) -> NodalField:
-    """Solve the Neumann problem for one edgewise-constant flux.
-
-    Convenience wrapper: assembles, factorizes, checks resonance and solves.
-    For many fluxes against one configuration build a
-    :class:`HelmholtzSystem` once and reuse it.
-    """
-    system = HelmholtzSystem(mesh, q, k)
-    return system.solve(assemble_boundary_load(mesh, edge_values))
-
-
-def l2_norm(mesh: Mesh, u: NodalField) -> float:
-    """L2 norm of a nodal field via the mass matrix."""
-    u = np.asarray(u, dtype=float)
-    m = assemble_mass(mesh)
-    return float(np.sqrt(max(u @ (m @ u), 0.0)))

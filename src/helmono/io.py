@@ -9,14 +9,14 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, InvalidParameterError
 from .mesh import Mesh, mesh_to_text
-from .ntd import BoundaryBasis, SymOp, make_symop
+from .ntd import SymOp
 
 
 def fmt(x) -> str:
@@ -80,48 +80,6 @@ def write_symop_csv(path, op: SymOp) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
-def read_symop_csv(path, basis: Optional[BoundaryBasis] = None) -> SymOp:
-    """Read an operator dump back.
-
-    Pass the basis the file was produced on to restore comparability (the
-    file itself only records the dimension); operators loaded without a basis
-    get a file-derived id and can only be compared with operators loaded the
-    same way.
-    """
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidParameterError(f"{path}: empty operator file")
-    head = lines[0].split(",")
-    if len(head) != 3:
-        raise InvalidParameterError(f"{path}: malformed header {lines[0]!r}")
-    label, k_str, dim_str = head
-    try:
-        k = float(k_str)
-        dim = int(dim_str)
-    except ValueError as exc:
-        raise InvalidParameterError(f"{path}: malformed header {lines[0]!r}") from exc
-    if len(lines) - 1 != dim:
-        raise InvalidParameterError(
-            f"{path}: header says dim {dim} but file has {len(lines) - 1} rows"
-        )
-    try:
-        matrix = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    except ValueError as exc:
-        raise InvalidParameterError(f"{path}: malformed matrix row") from exc
-    if matrix.shape != (dim, dim):
-        raise InvalidParameterError(f"{path}: matrix is not {dim} x {dim}")
-    if basis is not None:
-        if basis.dim != dim:
-            raise InvalidParameterError(
-                f"{path}: file dimension {dim} does not match basis dimension {basis.dim}"
-            )
-        basis_id = basis.basis_id
-    else:
-        basis_id = f"file:{label}:k{fmt(k)}:dim{dim}"
-    return make_symop(matrix, basis_id, label, k)
-
-
 def write_pgm(path, values: np.ndarray) -> None:
     """ASCII PGM (P2) image of per-pixel values in [0, 255].
 
@@ -138,21 +96,6 @@ def write_pgm(path, values: np.ndarray) -> None:
     for iy in range(ny - 1, -1, -1):
         lines.append(" ".join(str(v) for v in vals[iy]))
     _write(path, "\n".join(lines) + "\n")
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a P2 image back into mathematical orientation."""
-    tokens = []
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    if not tokens or tokens[0] != "P2":
-        raise InvalidParameterError(f"{path}: not an ASCII PGM file")
-    nx, ny, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    data = np.array([int(t) for t in tokens[4:]], dtype=int)
-    if data.size != nx * ny or maxval != 255:
-        raise InvalidParameterError(f"{path}: malformed PGM payload")
-    return data.reshape(ny, nx)[::-1]
 
 
 def write_manifest(path, command: str, config_pairs: Sequence[tuple],

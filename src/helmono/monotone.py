@@ -22,16 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import BasisMismatchError, InvalidParameterError
-from .fem import CoefficientLike, HelmholtzSystem, as_coefficient
+from .fem import CoefficientLike, as_coefficient
 from .mesh import Mesh, PixelGrid
-from .ntd import (
-    BoundaryBasis,
-    SymOp,
-    basis_load_matrix,
-    load_rows,
-    ntd_from_solutions,
-    tb_from_solutions,
-)
+from .ntd import BoundaryBasis, Forward, SymOp, tb_from_solutions
 from .spectral import count_negative, d_of_q
 
 _SWEEP_CAP = 20
@@ -51,17 +44,6 @@ class ComparisonResult:
     tol: float
     verdict: bool
 
-    @staticmethod
-    def from_counts(negative: int, indeterminate: int, d_allowed: int,
-                    tol: float) -> "ComparisonResult":
-        return ComparisonResult(
-            negative_count=negative,
-            indeterminate_count=indeterminate,
-            d_allowed=d_allowed,
-            tol=tol,
-            verdict=(negative <= d_allowed and indeterminate == 0),
-        )
-
 
 def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> ComparisonResult:
     """Test ``a <=_d b``: does ``b - a`` have at most ``d`` negative eigenvalues?
@@ -77,8 +59,13 @@ def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> Comparison
     if a.k != b.k:
         raise BasisMismatchError(f"operators at different wavenumbers: {a.k} vs {b.k}")
     counts = count_negative(b.matrix - a.matrix, tol)
-    return ComparisonResult.from_counts(counts.negative, counts.indeterminate,
-                                        int(d), counts.tol)
+    return ComparisonResult(
+        negative_count=counts.negative,
+        indeterminate_count=counts.indeterminate,
+        d_allowed=int(d),
+        tol=counts.tol,
+        verdict=(counts.negative <= d and counts.indeterminate == 0),
+    )
 
 
 def identity_residual(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
@@ -97,9 +84,9 @@ def identity_residual(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     g = np.asarray(g, dtype=float)
     if g.shape != (basis.dim,):
         raise InvalidParameterError(f"flux coefficients must have shape ({basis.dim},)")
-    sys1 = HelmholtzSystem(mesh, q1, k)
-    sys2 = HelmholtzSystem(mesh, q2, k)
-    load = basis_load_matrix(mesh, basis) @ g
+    fwd1 = Forward(mesh, q1, k, basis)
+    sys1, sys2 = fwd1.system, Forward(mesh, q2, k, basis).system
+    load = fwd1.loads @ g
     u1 = sys1.solve(load)
     u2 = sys2.solve(load)
     boundary_term = load @ (u2 - u1)
@@ -120,15 +107,13 @@ def monotonicity_check(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     Requires ``q1 <= q2`` triangle by triangle; the allowance is
     ``d_of_q(q2)``.  On a faithful discretization the verdict is True.
     """
-    from .ntd import ntd_matrix
-
     q1 = as_coefficient(mesh, q1)
     q2 = as_coefficient(mesh, q2)
     if not (q1.values <= q2.values).all():
         raise InvalidParameterError("coefficients are not ordered: q1 <= q2 fails")
     d2 = d_of_q(mesh, q2, k)
-    lam1 = ntd_matrix(mesh, q1, k, basis, label="ntd_q1")
-    lam2 = ntd_matrix(mesh, q2, k, basis, label="ntd_q2")
+    lam1 = Forward(mesh, q1, k, basis).ntd("ntd_q1")
+    lam2 = Forward(mesh, q2, k, basis).ntd("ntd_q2")
     return leq_d(lam1, lam2, d2, tol)
 
 
@@ -137,20 +122,12 @@ def inclusion_test(lam_q: SymOp, lam_1: SymOp, tb: SymOp, alpha: float,
     """Test ``alpha T_B <=_d  lam_q - lam_1`` for one probing region.
 
     The verdict is the pixel acceptance criterion of the reconstruction:
-    counts the negative eigenvalues of ``lam_q - lam_1 - alpha T_B``.
+    :func:`leq_d` counts the negative eigenvalues of
+    ``lam_q - lam_1 - alpha T_B``.
     """
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise InvalidParameterError(f"alpha must be positive and finite, got {alpha!r}")
-    if not isinstance(d_max, (int, np.integer)) or d_max < 0:
-        raise InvalidParameterError("defect allowance must be a nonnegative integer")
-    if not (lam_q.basis_id == lam_1.basis_id == tb.basis_id):
-        raise BasisMismatchError("inclusion test requires operators on one basis")
-    if not (lam_q.k == lam_1.k == tb.k):
-        raise BasisMismatchError("inclusion test requires operators at one wavenumber")
-    diff = lam_q.matrix - lam_1.matrix - float(alpha) * tb.matrix
-    counts = count_negative(diff, tol)
-    return ComparisonResult.from_counts(counts.negative, counts.indeterminate,
-                                        int(d_max), counts.tol)
+    return leq_d(tb.scaled(alpha), lam_q - lam_1, d_max, tol)
 
 
 @dataclass(frozen=True)
@@ -254,15 +231,14 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
             )
         d_max = d_of_q(mesh, 1.0, k)
 
-    loads = basis_load_matrix(mesh, basis)
-    rows = load_rows(loads)
-    # The probes read every interior row of the background solutions; the
-    # measured operator needs only the boundary rows.
-    u1 = HelmholtzSystem(mesh, 1.0, k).solve_many(loads)
-    lam1 = ntd_from_solutions(basis, loads, u1[rows], "ntd_background", k)
-    lam_q = ntd_from_solutions(basis, loads,
-                               HelmholtzSystem(mesh, q, k).solve_many(loads, rows),
-                               "ntd_measured", k)
+    # The probes read every row of the background solutions; the measured
+    # operator needs only the boundary rows.  The background system is
+    # released before the measured one is factored.
+    background = Forward(mesh, 1.0, k, basis)
+    u1 = background.solutions()
+    lam1 = background.ntd("ntd_background", u1)
+    del background
+    lam_q = Forward(mesh, q, k, basis).ntd("ntd_measured")
     if contrast == "positive":
         diff = lam_q.matrix - lam1.matrix
     else:

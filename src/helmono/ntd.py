@@ -4,7 +4,8 @@ Everything downstream of the forward solver observes the domain through a
 finite orthonormal family of boundary fluxes supported on the instrumented
 part of the boundary.  This module builds those families (piecewise-constant
 per edge, optionally grouped into contiguous arc-length segments), assembles
-the Galerkin Neumann-to-Dirichlet matrix
+the forward map of one coefficient on such a family (:class:`Forward`), whose
+Galerkin Neumann-to-Dirichlet matrix is
 
     Lambda(q)[i, j] = integral_Sigma( b_i  trace(u^{(b_j)}) ) ds,
 
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import EigenSolverError, InvalidParameterError, SolverError
+from .errors import BasisMismatchError, EigenSolverError, InvalidParameterError, SolverError
 from .fem import (
     CoefficientLike,
     HelmholtzSystem,
@@ -164,13 +165,6 @@ def basis_load_matrix(mesh: Mesh, basis: BoundaryBasis) -> sp.csc_matrix:
     return loads
 
 
-def load_rows(loads: sp.spmatrix) -> np.ndarray:
-    """Rows where some load is nonzero, ascending: for basis loads, the
-    vertices of the flagged boundary edges.  Every other row of a solution
-    pairs with zeros when traces are read back."""
-    return np.flatnonzero((sp.csr_matrix(loads) != 0).getnnz(axis=1))
-
-
 @dataclass(frozen=True)
 class SymOp:
     """A symmetric operator matrix expressed in a boundary basis."""
@@ -188,8 +182,6 @@ class SymOp:
         return self.matrix.shape[0]
 
     def __sub__(self, other: "SymOp") -> "SymOp":
-        from .errors import BasisMismatchError
-
         if self.basis_id != other.basis_id:
             raise BasisMismatchError(
                 f"cannot combine operators on bases {self.basis_id} and {other.basis_id}"
@@ -216,7 +208,11 @@ class SymOp:
 
 def make_symop(raw: np.ndarray, basis_id: str, label: str, k: float,
                symmetry_rtol: float = SYMMETRY_RTOL) -> SymOp:
-    """Validate near-symmetry of a raw operator matrix and symmetrize it."""
+    """Validate near-symmetry of a raw operator matrix and symmetrize it.
+
+    Each half is scaled before the sum, so entries near the largest double
+    do not overflow.
+    """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise InvalidParameterError("operator matrix must be square")
@@ -229,46 +225,60 @@ def make_symop(raw: np.ndarray, basis_id: str, label: str, k: float,
             f"operator '{label}' symmetry defect {defect:.3e} "
             f"exceeds {symmetry_rtol:g} of scale {scale:.3e}"
         )
-    return SymOp(matrix=0.5 * (raw + raw.T), basis_id=basis_id, label=label, k=float(k))
+    return SymOp(matrix=0.5 * raw + 0.5 * raw.T, basis_id=basis_id, label=label,
+                 k=float(k))
+
+
+class Forward:
+    """The forward map of one ``(q, k)`` on a boundary basis.
+
+    Holds the one factorized :class:`HelmholtzSystem` of ``(q, k)``, the
+    sparse basis loads and their boundary rows: the vertices of the flagged
+    boundary edges, where some load is nonzero.  Every other row of a
+    solution pairs with zero loads when traces are read back.
+    """
+
+    def __init__(self, mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis):
+        self.basis = basis
+        self.loads = basis_load_matrix(mesh, basis)
+        self.rows = np.unique(self.loads.indices)
+        self.system = HelmholtzSystem(mesh, q, k)
+
+    def solutions(self) -> np.ndarray:
+        """Nodal solutions for every basis flux, one column per basis function."""
+        return self.system.solve_many(self.loads)
+
+    def ntd(self, label: str, solutions: Optional[np.ndarray] = None) -> SymOp:
+        """Neumann-to-Dirichlet matrix ``loads.T @ solutions``.
+
+        Entry ``(i, j)`` is the boundary integral of basis flux ``i`` against
+        the trace of the solution driven by basis flux ``j``.  Only the
+        boundary rows of the solutions are solved for, unless the full
+        ``solutions()`` are given, whose boundary rows are then read.
+        Symmetric up to solver roundoff (checked, then symmetrized exactly).
+        """
+        if solutions is None:
+            boundary = self.system.solve_many(self.loads, self.rows)
+        elif solutions.shape != self.loads.shape:
+            raise InvalidParameterError(
+                f"expected solutions of shape {self.loads.shape}, got {solutions.shape}"
+            )
+        else:
+            boundary = solutions[self.rows]
+        raw = self.loads[self.rows].toarray().T @ boundary
+        return make_symop(raw, self.basis.basis_id, label, self.system.k)
 
 
 def basis_solutions(mesh: Mesh, q: CoefficientLike, k: float,
                     basis: BoundaryBasis) -> np.ndarray:
-    """Nodal solutions for every basis flux, one column per basis function."""
-    system = HelmholtzSystem(mesh, q, k)
-    return system.solve_many(basis_load_matrix(mesh, basis))
+    """``Forward(mesh, q, k, basis).solutions()``."""
+    return Forward(mesh, q, k, basis).solutions()
 
 
 def ntd_matrix(mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
                label: str = "ntd") -> SymOp:
-    """Neumann-to-Dirichlet matrix of ``(q, k)`` on the basis.
-
-    Entry ``(i, j)`` is the boundary integral of basis flux ``i`` against the
-    trace of the solution driven by basis flux ``j``.  Symmetric up to solver
-    roundoff (checked, then symmetrized exactly).
-    """
-    loads = basis_load_matrix(mesh, basis)
-    system = HelmholtzSystem(mesh, q, k)
-    boundary = system.solve_many(loads, load_rows(loads))
-    return ntd_from_solutions(basis, loads, boundary, label, k)
-
-
-def ntd_from_solutions(basis: BoundaryBasis, loads: sp.spmatrix,
-                       boundary_solutions: np.ndarray, label: str, k: float) -> SymOp:
-    """Neumann-to-Dirichlet matrix ``loads.T @ solutions`` from the basis loads
-    and the rows ``load_rows(loads)`` of their solutions.
-
-    Every other row of the solutions pairs with zero loads, so the boundary
-    rows alone give the whole product.
-    """
-    rows = load_rows(loads)
-    if boundary_solutions.shape != (rows.size, loads.shape[1]):
-        raise InvalidParameterError(
-            f"expected solutions at {rows.size} boundary rows for {loads.shape[1]} "
-            f"loads, got shape {boundary_solutions.shape}"
-        )
-    raw = loads[rows].toarray().T @ boundary_solutions
-    return make_symop(raw, basis.basis_id, label, k)
+    """``Forward(mesh, q, k, basis).ntd(label)``."""
+    return Forward(mesh, q, k, basis).ntd(label)
 
 
 def gram_from_solutions(mesh: Mesh, region: Region, basis: BoundaryBasis,
@@ -286,33 +296,16 @@ def gram_from_solutions(mesh: Mesh, region: Region, basis: BoundaryBasis,
     return make_symop(u.T @ (w @ u), basis.basis_id, label, k)
 
 
-def tb_matrix(mesh: Mesh, region: Region, k: float, basis: BoundaryBasis) -> SymOp:
-    """Probing operator of a region: ``k^2``-weighted energy of background
-    (coefficient one) solutions inside it.  Positive semidefinite.
-
-    Raises on an empty region: a probe with no support carries no test.
-    """
-    if region.is_empty:
-        raise InvalidParameterError("probing region is empty")
-    u1 = basis_solutions(mesh, 1.0, k, basis)
-    return tb_from_solutions(mesh, region, k, basis, u1)
-
-
 def tb_from_solutions(mesh: Mesh, region: Region, k: float, basis: BoundaryBasis,
                       background_solutions: np.ndarray) -> SymOp:
-    """Probing operator from precomputed background solutions (shared across
-    many regions, e.g. all pixels of a reconstruction grid)."""
+    """Probing operator of a region: ``k^2``-weighted energy of the background
+    (coefficient one) solutions inside it, shared across regions such as the
+    pixels of a reconstruction grid.  Positive semidefinite; an empty region
+    is refused, since a probe with no support carries no test."""
     if region.is_empty:
         raise InvalidParameterError("probing region is empty")
     return gram_from_solutions(mesh, region, basis, background_solutions,
                                weight=k * k, label="tb", k=k)
-
-
-def region_gram(mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
-                region: Region) -> SymOp:
-    """Gram matrix of solution restrictions to a region (unit weight)."""
-    u = basis_solutions(mesh, q, k, basis)
-    return gram_from_solutions(mesh, region, basis, u, weight=1.0, label="gram", k=k)
 
 
 class LocalizedPotential(NamedTuple):
@@ -365,7 +358,7 @@ def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
     if p and np.linalg.matrix_rank(v) < p:
         raise InvalidParameterError("excluded family has dependent columns")
 
-    solutions = basis_solutions(mesh, q, k, basis)
+    solutions = Forward(mesh, q, k, basis).solutions()
     g_b = gram_from_solutions(mesh, region_b, basis, solutions, label="gram_b", k=k).matrix
     g_d = gram_from_solutions(mesh, region_d, basis, solutions, label="gram_d", k=k).matrix
 

@@ -302,7 +302,7 @@ def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResu
             raise InvalidParameterError(
                 f"matrix is not symmetric: defect {defect:.3e} vs scale {scale:.3e}"
             )
-        a = 0.5 * (a + a.T)
+        a = 0.5 * a + 0.5 * a.T  # halves first: no overflow near the largest double
     w = np.linalg.eigvalsh(a)
     if tol is not None:
         tol_eff = float(tol)

@@ -4,7 +4,8 @@ import pytest
 from helmono import boundary_basis, build_unit_square_mesh, leq_d, make_symop, mark_sigma, ntd_matrix
 from helmono.cli import main
 from helmono.errors import ConfigError, InvalidParameterError
-from helmono.io import parse_config_text, read_pgm, read_symop_csv, write_pgm, write_symop_csv
+from helmono.io import parse_config_text, write_pgm, write_symop_csv
+from support import read_pgm, read_symop_csv
 
 K_STAR_N8 = 3.1614184302807775  # sqrt of the first positive Neumann eigenvalue, n = 8
 

@@ -15,13 +15,11 @@ from helmono import (
     assemble_weighted_mass,
     boundary_load_matrix,
     build_unit_square_mesh,
-    eval_p1_structured,
-    l2_norm,
     mark_sigma,
-    solve_helmholtz,
 )
 from helmono.errors import InvalidParameterError, ResonanceError, SolverError
 from helmono.fem import PIVOT_RTOL
+from support import eval_p1_structured
 
 
 def _mesh(n, selector="all"):
@@ -135,7 +133,8 @@ def test_load_matrix_matches_vector_path():
 
 def test_solve_zero_flux_gives_zero():
     mesh = _mesh(8)
-    u = solve_helmholtz(mesh, 1.0, 1.0, np.zeros(mesh.boundary_edges.shape[0]))
+    load = assemble_boundary_load(mesh, np.zeros(mesh.boundary_edges.shape[0]))
+    u = HelmholtzSystem(mesh, 1.0, 1.0).solve(load)
     assert np.abs(u).max() == 0.0
 
 
@@ -300,14 +299,18 @@ def test_refinement_shrinks_error():
     # coarse and mid solutions against a fine reference: mid error at least
     # 3x smaller (second-order convergence gives ~16x; the bound is loose)
     k = 1.0
+
+    def unit_flux_solution(mesh):
+        load = assemble_boundary_load(mesh, np.ones(mesh.boundary_edges.shape[0]))
+        return HelmholtzSystem(mesh, 1.0, k).solve(load)
+
     fine = _mesh(128)
-    u_fine = solve_helmholtz(fine, 1.0, k, np.ones(fine.boundary_edges.shape[0]))
+    u_fine = unit_flux_solution(fine)
 
     def error_on_fine(n):
         mesh = _mesh(n)
-        u = solve_helmholtz(mesh, 1.0, k, np.ones(mesh.boundary_edges.shape[0]))
-        interp = eval_p1_structured(mesh, u, fine.vertices)
-        return l2_norm(fine, interp - u_fine)
+        err = eval_p1_structured(mesh, unit_flux_solution(mesh), fine.vertices) - u_fine
+        return np.sqrt(err @ (assemble_mass(fine) @ err))
 
     e16 = error_on_fine(16)
     e64 = error_on_fine(64)

@@ -6,16 +6,13 @@ from helmono import (
     Region,
     build_unit_square_mesh,
     empty_region,
-    eval_p1_structured,
-    full_region,
     mark_sigma,
     mesh_to_text,
     pixel_grid,
     rect_region,
-    structured_n,
-    validate_mesh,
 )
 from helmono.errors import InvalidParameterError
+from support import eval_p1_structured, structured_n, validate_mesh
 
 
 def test_smallest_mesh_counts():
@@ -129,7 +126,7 @@ def test_region_algebra():
     assert abs(union.area(mesh) - 0.75) <= 1e-12
     assert left.minus(left).is_empty
     assert empty_region(mesh).is_empty
-    assert full_region(mesh).n_selected == mesh.n_triangles
+    assert Region(np.ones(mesh.n_triangles, dtype=bool)).n_selected == mesh.n_triangles
 
 
 def test_pixel_grid_partitions():

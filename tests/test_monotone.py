@@ -6,10 +6,10 @@ import pytest
 from helmono import monotone
 from helmono import (
     Coefficient,
+    Forward,
     PixelGrid,
     ReconstructionResult,
     assemble_weighted_mass,
-    basis_solutions,
     boundary_basis,
     build_unit_square_mesh,
     count_negative,
@@ -24,7 +24,7 @@ from helmono import (
     pixel_grid,
     reconstruct,
     rect_region,
-    tb_matrix,
+    tb_from_solutions,
 )
 from helmono.errors import BasisMismatchError, InvalidParameterError
 
@@ -167,7 +167,7 @@ def test_quantitative_monotonicity_after_deflation():
     lam1 = ntd_matrix(mesh, q1, k, basis).matrix
     lam2 = ntd_matrix(mesh, q2, k, basis).matrix
     gap = lam2 - lam1
-    u1 = basis_solutions(mesh, q1, k, basis)
+    u1 = Forward(mesh, q1, k, basis).solutions()
     w = assemble_weighted_mass(mesh, (k * k) * (q2 - q1))
     gram = u1.T @ (w @ u1)
     gram = 0.5 * (gram + gram.T)
@@ -208,7 +208,8 @@ def test_inclusion_probe_outside_scatterer_rejected_and_grows():
         basis = boundary_basis(mesh, segments)
         lam_q = ntd_matrix(mesh, q, 1.0, basis)
         lam_1 = ntd_matrix(mesh, 1.0, 1.0, basis)
-        tb = tb_matrix(mesh, probe, 1.0, basis)
+        tb = tb_from_solutions(mesh, probe, 1.0, basis,
+                               Forward(mesh, 1.0, 1.0, basis).solutions())
         result = inclusion_test(lam_q, lam_1, tb, 1.0, d_max)
         assert not result.verdict
         assert result.negative_count > d_max
@@ -287,8 +288,9 @@ def test_reconstruct_counts_match_inclusion_test(contrast, value):
     lam_1 = ntd_matrix(mesh, 1.0, 1.0, basis)
     upper, lower = (lam_q, lam_1) if contrast == "positive" else (lam_1, lam_q)
     alpha, d_max = result.params["alpha"], result.params["d_max"]
+    u1 = Forward(mesh, 1.0, 1.0, basis).solutions()
     for p, region in enumerate(grid.regions):
-        test = inclusion_test(upper, lower, tb_matrix(mesh, region, 1.0, basis),
+        test = inclusion_test(upper, lower, tb_from_solutions(mesh, region, 1.0, basis, u1),
                               alpha, d_max)
         assert result.negative_counts[p] == test.negative_count
         if result.indeterminate_counts[p] == 0:

@@ -4,36 +4,45 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helmono import (
     Coefficient,
+    Forward,
     HelmholtzSystem,
+    Region,
     assemble_weighted_mass,
     basis_edge_values,
     basis_load_matrix,
-    basis_solutions,
     boundary_basis,
     boundary_load_matrix,
     build_unit_square_mesh,
     empty_region,
-    full_region,
     gram_from_solutions,
     localized_potential,
     make_symop,
     mark_sigma,
+    nearest_neumann_eigenvalue,
     ntd_matrix,
     project_onto_basis,
     rect_region,
-    region_gram,
-    tb_matrix,
+    tb_from_solutions,
 )
 from helmono.errors import BasisMismatchError, InvalidParameterError, SolverError
+from helmono.ntd import SYMMETRY_RTOL
 
 
 def _mesh(n, selector="all"):
     return mark_sigma(build_unit_square_mesh(n), selector)
+
+
+def _whole(mesh):
+    return Region(np.ones(mesh.n_triangles, dtype=bool))
+
+
+def _background(mesh, k, basis):
+    return Forward(mesh, 1.0, k, basis).solutions()
 
 
 def test_basis_dimension_full_boundary():
@@ -188,7 +197,7 @@ def test_tb_positive_semidefinite():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)
     region = rect_region(mesh, (0.25, 0.25, 0.75, 0.75))
-    tb = tb_matrix(mesh, region, 1.0, basis).matrix
+    tb = tb_from_solutions(mesh, region, 1.0, basis, _background(mesh, 1.0, basis)).matrix
     w = np.linalg.eigvalsh(tb)
     assert w.min() >= -1e-10 * max(w.max(), 1e-300)
 
@@ -196,19 +205,22 @@ def test_tb_positive_semidefinite():
 def test_tb_trace_monotone_in_region():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)
+    u1 = _background(mesh, 1.0, basis)
     small = rect_region(mesh, (0.4, 0.4, 0.6, 0.6))
-    tb_small = tb_matrix(mesh, small, 1.0, basis).matrix
-    tb_full = tb_matrix(mesh, full_region(mesh), 1.0, basis).matrix
+    tb_small = tb_from_solutions(mesh, small, 1.0, basis, u1).matrix
+    tb_full = tb_from_solutions(mesh, _whole(mesh), 1.0, basis, u1).matrix
     assert np.trace(tb_full) >= np.trace(tb_small)
 
 
 def test_tb_additive_over_disjoint_regions():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)
+    u1 = _background(mesh, 1.0, basis)
     left = rect_region(mesh, (0.0, 0.0, 0.5, 1.0))
     right = rect_region(mesh, (0.5, 0.0, 1.0, 1.0))
-    lhs = tb_matrix(mesh, left, 1.0, basis).matrix + tb_matrix(mesh, right, 1.0, basis).matrix
-    rhs = tb_matrix(mesh, full_region(mesh), 1.0, basis).matrix
+    lhs = (tb_from_solutions(mesh, left, 1.0, basis, u1).matrix
+           + tb_from_solutions(mesh, right, 1.0, basis, u1).matrix)
+    rhs = tb_from_solutions(mesh, _whole(mesh), 1.0, basis, u1).matrix
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -216,25 +228,28 @@ def test_tb_empty_region_rejected():
     mesh = _mesh(4)
     basis = boundary_basis(mesh)
     with pytest.raises(InvalidParameterError):
-        tb_matrix(mesh, empty_region(mesh), 1.0, basis)
+        tb_from_solutions(mesh, empty_region(mesh), 1.0, basis,
+                          _background(mesh, 1.0, basis))
 
 
 def test_region_gram_matches_tb():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)
     k = 1.3
+    u1 = _background(mesh, k, basis)
     region = rect_region(mesh, (0.0, 0.0, 0.5, 0.5))
-    gram = region_gram(mesh, 1.0, k, basis, region).matrix
-    tb = tb_matrix(mesh, region, k, basis).matrix
+    gram = gram_from_solutions(mesh, region, basis, u1, k=k).matrix
+    tb = tb_from_solutions(mesh, region, k, basis, u1).matrix
     assert np.abs(k * k * gram - tb).max() <= 1e-12 * max(np.abs(tb).max(), 1e-300)
 
 
 def test_region_gram_dominated_by_full_domain():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)
+    u = _background(mesh, 1.0, basis)
     part = rect_region(mesh, (0.25, 0.0, 1.0, 0.75))
-    g_part = region_gram(mesh, 1.0, 1.0, basis, part).matrix
-    g_full = region_gram(mesh, 1.0, 1.0, basis, full_region(mesh)).matrix
+    g_part = gram_from_solutions(mesh, part, basis, u).matrix
+    g_full = gram_from_solutions(mesh, _whole(mesh), basis, u).matrix
     w = np.linalg.eigvalsh(g_full - g_part)
     assert w.min() >= -1e-12 * max(np.abs(g_full).max(), 1e-300)
 
@@ -243,8 +258,8 @@ def test_region_gram_direct_quadrature_oracle():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)
     region = rect_region(mesh, (0.25, 0.25, 0.75, 0.75))
-    gram = region_gram(mesh, 1.0, 1.0, basis, region).matrix
-    solutions = basis_solutions(mesh, 1.0, 1.0, basis)
+    solutions = _background(mesh, 1.0, basis)
+    gram = gram_from_solutions(mesh, region, basis, solutions).matrix
     rng = np.random.default_rng(5)
     g = rng.standard_normal(basis.dim)
     u = solutions @ g
@@ -258,8 +273,7 @@ def test_localized_potential_trivial_case():
     # no avoided region, no excluded fluxes: the pencil is G against eps I
     mesh = _mesh(8)
     basis = boundary_basis(mesh)
-    result = localized_potential(mesh, 1.0, 1.0, basis,
-                                 full_region(mesh), empty_region(mesh))
+    result = localized_potential(mesh, 1.0, 1.0, basis, _whole(mesh), empty_region(mesh))
     assert np.isfinite(result.ratio)
     assert result.ratio > 0.0
 
@@ -284,7 +298,7 @@ def test_localized_potential_energies_are_region_grams():
     b = rect_region(mesh, (0.0, 0.5, 0.5, 1.0))
     d = rect_region(mesh, (0.5, 0.0, 1.0, 1.0))
     result = localized_potential(mesh, 1.0, 1.0, basis, b, d)
-    u = basis_solutions(mesh, 1.0, 1.0, basis)
+    u = _background(mesh, 1.0, basis)
     for region, energy in ((b, result.b_energy), (d, result.d_energy)):
         gram = gram_from_solutions(mesh, region, basis, u, k=1.0).matrix
         assert energy == float(result.g @ gram @ result.g)
@@ -317,10 +331,66 @@ def test_solution_energies_comparable_when_q_differs_inside_d():
     d_region = rect_region(mesh, (0.25, 0.25, 0.75, 0.75))
     q1 = Coefficient.constant(mesh, 1.0)
     q2 = q1.with_region(d_region, 1.8)
-    g1 = region_gram(mesh, q1, 1.0, basis, d_region).matrix
-    g2 = region_gram(mesh, q2, 1.0, basis, d_region).matrix
+    g1, g2 = (gram_from_solutions(mesh, d_region, basis,
+                                  Forward(mesh, q, 1.0, basis).solutions()).matrix
+              for q in (q1, q2))
     w1, v1 = np.linalg.eigh(g1)
     span = v1[:, w1 > 1e-8 * w1.max()]
     mu = sla.eigh(span.T @ g2 @ span, span.T @ g1 @ span, eigvals_only=True)
     assert mu.min() > 0.0
     assert 0.1 <= mu.min() and mu.max() <= 10.0
+
+
+def test_make_symop_does_not_overflow_near_the_largest_double():
+    # halving before the sum keeps a finite symmetric input finite
+    raw = np.array([[1e308, 1.7e308], [1.7e308, 1e308]])
+    op = make_symop(raw, "basis-a", "huge", 1.0)
+    assert np.array_equal(op.matrix, raw)
+
+
+@pytest.mark.parametrize("n, selector, segments", [(8, "all", None), (16, "top + left", 8),
+                                                   (24, "bottom", 5)])
+def test_forward_ntd_paths_agree_bitwise(n, selector, segments, monkeypatch):
+    # boundary rows solved for, boundary rows read from the full solutions,
+    # and the frozen ntd_matrix all give the same bits; reading rows solves
+    # nothing
+    mesh = _mesh(n, selector)
+    basis = boundary_basis(mesh, segments)
+    q = np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles)
+    fwd = Forward(mesh, q, 1.7, basis)
+    solved = fwd.ntd("ntd")
+    u = fwd.solutions()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ntd solved although it was given the solutions")
+
+    monkeypatch.setattr(fwd.system, "solve_many", no_solve)
+    read = fwd.ntd("ntd", u)
+    frozen = ntd_matrix(mesh, q, 1.7, basis)
+    for op in (read, frozen):
+        assert np.array_equal(op.matrix.view(np.uint64), solved.matrix.view(np.uint64))
+        assert (op.basis_id, op.k) == (solved.basis_id, solved.k)
+
+
+def test_forward_ntd_rejects_mis_shaped_solutions():
+    mesh = _mesh(4)
+    fwd = Forward(mesh, 1.0, 1.0, boundary_basis(mesh))
+    with pytest.raises(InvalidParameterError, match="shape"):
+        fwd.ntd("ntd", fwd.solutions()[fwd.rows])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 10), k=st.floats(0.3, 8.0), seed=st.integers(0, 2**32 - 1),
+       selector=st.sampled_from(["all", "bottom", "left + top"]))
+def test_ntd_symmetric_for_random_q_and_k(n, k, seed, selector):
+    # Lambda is symmetric before symmetrization, to the contracted relative
+    # bound, away from the resonances where the forward map is undefined
+    mesh = _mesh(n, selector)
+    q = np.random.default_rng(seed).uniform(0.2, 3.0, mesh.n_triangles)
+    assume(abs(nearest_neumann_eigenvalue(mesh, q, k)) > 1e-2)
+    fwd = Forward(mesh, q, k, boundary_basis(mesh))
+    u = fwd.solutions()
+    raw = fwd.loads.T @ u
+    assert np.abs(raw - raw.T).max() <= SYMMETRY_RTOL * np.abs(raw).max()
+    op = fwd.ntd("ntd", u)
+    assert np.array_equal(op.matrix, op.matrix.T)

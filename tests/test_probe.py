@@ -18,7 +18,6 @@ from helmono import (
     boundary_basis,
     build_unit_square_mesh,
     empty_region,
-    full_region,
     gram_from_solutions,
     mark_sigma,
     tb_from_solutions,
@@ -91,8 +90,9 @@ def test_gram_rejects_non_finite_weight(weight):
     mesh = _mesh(4)
     basis = boundary_basis(mesh, 4)
     u = np.ones((mesh.n_vertices, basis.dim))
+    whole = Region(np.ones(mesh.n_triangles, dtype=bool))
     with pytest.raises(InvalidParameterError, match="finite"):
-        gram_from_solutions(mesh, full_region(mesh), basis, u, weight=weight)
+        gram_from_solutions(mesh, whole, basis, u, weight=weight)
 
 
 def test_probe_on_degenerate_mesh_raises_every_call():
@@ -102,8 +102,9 @@ def test_probe_on_degenerate_mesh_raises_every_call():
     bad = Mesh(vertices, triangles, boundary, np.ones(4, dtype=bool))
     basis = boundary_basis(bad)
     u = np.ones((bad.n_vertices, basis.dim))
+    whole = Region(np.ones(bad.n_triangles, dtype=bool))
     for _ in range(2):  # a failed area check is never kept as a result
         with pytest.raises(InvalidParameterError, match="degenerate triangle"):
-            gram_from_solutions(bad, full_region(bad), basis, u)
+            gram_from_solutions(bad, whole, basis, u)
     with pytest.raises(InvalidParameterError, match="degenerate triangle"):
-        tb_from_solutions(bad, full_region(bad), 1.0, basis, u)
+        tb_from_solutions(bad, whole, 1.0, basis, u)

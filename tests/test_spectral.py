@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from helmono import spectral
 from helmono import (
+    HelmholtzSystem,
+    assemble_boundary_load,
     assemble_mass,
     assemble_stiffness,
     build_unit_square_mesh,
@@ -19,7 +21,6 @@ from helmono import (
     mark_sigma,
     nearest_neumann_eigenvalue,
     neumann_eigenvalues,
-    solve_helmholtz,
 )
 from helmono.errors import InvalidParameterError, SpectralAmbiguityError
 
@@ -141,7 +142,8 @@ def test_resonance_detection():
 def test_nonresonant_solve_consistency():
     mesh = mark_sigma(build_unit_square_mesh(8), "all")
     assert not is_resonance(mesh, 1.0, 1.0)
-    u = solve_helmholtz(mesh, 1.0, 1.0, np.ones(mesh.boundary_edges.shape[0]))
+    load = assemble_boundary_load(mesh, np.ones(mesh.boundary_edges.shape[0]))
+    u = HelmholtzSystem(mesh, 1.0, 1.0).solve(load)
     assert np.isfinite(u).all()
 
 
@@ -179,6 +181,15 @@ def test_count_negative_rejects_asymmetry():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(InvalidParameterError):
         count_negative(a)
+
+
+def test_count_negative_near_symmetric_does_not_overflow():
+    # the slow path symmetrizes by halves, so entries near the largest double
+    # stay finite: eigenvalues about -1.7e308 and +1.7e308
+    a = np.array([[1.0, 1.7e308], [np.nextafter(1.7e308, 0.0), 1.0]])
+    result = count_negative(a)
+    assert (result.negative, result.indeterminate) == (1, 0)
+    assert np.isfinite(result.tol)
 
 
 @pytest.mark.parametrize("where, value", [((0, 1), np.nan), ((0, 0), np.inf),
