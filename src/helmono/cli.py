@@ -448,7 +448,7 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
         alpha = None
 
     result = reconstruct(mesh, q, k, basis, grid, contrast=contrast, alpha=alpha,
-                         tol=_count_tol(cfg))
+                         tol=_count_tol(cfg), threads=args.threads)
 
     rows = []
     for p in range(grid.nx * grid.ny):
@@ -507,17 +507,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.dir)")
         p.add_argument("--threads", type=int, default=None,
-                       help="thread cap, validated (at least 1; default: "
-                            "HELM_MONO_THREADS or CPU count) but unused: "
-                            "pixel counts run on the calling thread and BLAS "
-                            "reads OPENBLAS_NUM_THREADS")
+                       help="workers counting reconstruct's pixel stacks, each "
+                            "under a one-thread BLAS limit (at least 1; default: "
+                            "HELM_MONO_THREADS or CPU count); never changes "
+                            "an output byte")
         p.add_argument("--dump-matrices", action="store_true",
                        help="also dump system matrix and load vectors (debug)")
     return parser
 
 
-def _check_threads(value) -> None:
-    """Reject a thread cap below 1 or a non-integer HELM_MONO_THREADS."""
+def _threads(value) -> int:
+    """The thread cap: ``--threads``, else HELM_MONO_THREADS, else the CPU
+    count; rejects a cap below 1 or a non-integer HELM_MONO_THREADS."""
     if value is None:
         env = os.environ.get("HELM_MONO_THREADS")
         if env is not None:
@@ -531,13 +532,14 @@ def _check_threads(value) -> None:
             value = os.cpu_count() or 1
     if value < 1:
         raise ConfigError("thread cap must be at least 1")
+    return value
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        _check_threads(args.threads)
+        args.threads = _threads(args.threads)
         cfg = _load_config(args.config)
         outdir = _out_dir(cfg, args)
         _COMMANDS[args.command](cfg, args, outdir)

@@ -16,6 +16,7 @@ against the counts that produced it.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,9 +26,12 @@ from .errors import BasisMismatchError, InvalidParameterError
 from .fem import CoefficientLike, as_coefficient
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, Forward, SymOp, tb_from_solutions
-from .spectral import count_negative, d_of_q
+from .spectral import blas_threads, count_negative, count_negative_stack, d_of_q
 
 _SWEEP_CAP = 20
+#: Pixel matrices per stacked count.  Each worker builds its stack itself, so
+#: a pool of ``t`` workers holds ``t`` stacks at a time.
+PIXEL_STACK = 4
 
 
 @dataclass(frozen=True)
@@ -125,9 +129,13 @@ def inclusion_test(lam_q: SymOp, lam_1: SymOp, tb: SymOp, alpha: float,
     :func:`leq_d` counts the negative eigenvalues of
     ``lam_q - lam_1 - alpha T_B``.
     """
+    _check_alpha(alpha)
+    return leq_d(tb.scaled(alpha), lam_q - lam_1, d_max, tol)
+
+
+def _check_alpha(alpha) -> None:
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise InvalidParameterError(f"alpha must be positive and finite, got {alpha!r}")
-    return leq_d(tb.scaled(alpha), lam_q - lam_1, d_max, tol)
 
 
 @dataclass(frozen=True)
@@ -176,10 +184,27 @@ class ReconstructionResult:
 
 
 def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, d_max: int,
-                  tol: Optional[float]):
-    # One count per pixel on the calling thread: a single-matrix eigvalsh
-    # holds the GIL, so a thread pool cannot overlap two counts.
-    counts = [count_negative(diff - alpha * tb, tol) for tb in tbs]
+                  tol: Optional[float], threads: int):
+    def count(start: int) -> list:
+        chunk = tbs[start:start + PIXEL_STACK]
+        stack = np.empty((len(chunk),) + diff.shape)
+        for j, tb in enumerate(chunk):
+            # bit for bit diff - alpha * tb, with no temporary per pixel
+            np.multiply(tb, -alpha, out=stack[j])
+            stack[j] += diff
+        return count_negative_stack(stack, tol)
+
+    starts = range(0, len(tbs), PIXEL_STACK)
+    # One BLAS thread per count: each stack's eigenvalues are then the same
+    # bits whichever worker, and whatever OPENBLAS_NUM_THREADS, computes them.
+    with blas_threads(1) as capped:
+        workers = min(threads, len(starts)) if capped else 1
+        if workers > 1:
+            with ThreadPoolExecutor(workers) as pool:
+                stacks = list(pool.map(count, starts))
+        else:
+            stacks = [count(start) for start in starts]
+    counts = [c for stack in stacks for c in stack]
     negative = np.array([c.negative for c in counts], dtype=int)
     indeterminate = np.array([c.indeterminate for c in counts], dtype=int)
     tols = np.array([c.tol for c in counts])
@@ -190,7 +215,7 @@ def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, d_max: int,
 def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
                 basis: BoundaryBasis, grid: PixelGrid,
                 contrast: str = "positive", alpha: Optional[float] = None,
-                tol: Optional[float] = None) -> ReconstructionResult:
+                tol: Optional[float] = None, threads: int = 1) -> ReconstructionResult:
     """Reconstruct the scatterer support pixel by pixel.
 
     For every pixel ``B`` of the grid the inclusion test compares
@@ -206,11 +231,21 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
       larger alpha of the first such pair is reported).  If no stable pair
       appears within the cap the smallest alpha's result is returned.
 
+    An explicit ``alpha`` must be positive and finite, as in
+    :func:`inclusion_test`.  The pixel counts run in stacks of
+    :data:`PIXEL_STACK` under a one-thread BLAS limit, spread over a pool of
+    ``threads`` workers (``threads=1`` counts on the calling thread); the
+    result is bit for bit the same for every ``threads`` and BLAS setting.
+
     Returns per-pixel verdicts plus the parameters that produced them.
     """
     q = as_coefficient(mesh, q_true)
     if contrast not in ("positive", "negative"):
         raise InvalidParameterError(f"contrast must be positive or negative, got {contrast!r}")
+    if alpha is not None:
+        _check_alpha(alpha)
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
     if contrast == "positive":
         if q.min < 1.0:
             raise InvalidParameterError(
@@ -249,7 +284,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     sweep_history = None
     if alpha is not None:
         negative, indeterminate, mask, tol_used = _pixel_counts(
-            diff, tbs, float(alpha), d_max, tol
+            diff, tbs, float(alpha), d_max, tol, threads
         )
         alpha_used = float(alpha)
     else:
@@ -258,7 +293,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         chosen = None
         for m in range(_SWEEP_CAP + 1):
             a = 2.0 ** (-m)
-            outcome = _pixel_counts(diff, tbs, a, d_max, tol)
+            outcome = _pixel_counts(diff, tbs, a, d_max, tol, threads)
             outcomes.append((a, outcome))
             sweep_history.append((a, int(outcome[2].sum())))
             if m >= 1:

@@ -11,7 +11,8 @@ Three counting problems drive the monotonicity machinery:
   different pencils so one can cross-check the other.
 * ``count_negative`` counts negative eigenvalues of a dense symmetric matrix,
   the primitive behind every "less-or-equal up to a finite-dimensional defect"
-  verdict.
+  verdict; ``count_negative_stack`` does the same for a stack of matrices in
+  one ``eigvalsh`` call.
 
 Counts refuse to guess: an eigenvalue inside the tolerance window around the
 decision threshold raises :class:`SpectralAmbiguityError` (for the pencils) or
@@ -19,11 +20,19 @@ is reported in a separate indeterminate tally (for ``count_negative``).
 
 Determinism: iterative solves (ARPACK shift-invert) always start from the same
 vector, drawn from a fixed-seed generator, so repeated runs are bit-identical;
-small problems go to dense LAPACK outright.
+small problems go to dense LAPACK outright.  The dense counts run with numpy's
+OpenBLAS limited to one thread (:func:`blas_threads`), so their eigenvalues do
+not depend on the BLAS thread setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -45,6 +54,69 @@ TOL_FACTOR = 1e-8
 RESIDUAL_FACTOR = 1e-8
 
 _V0_SEED = 20151225
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    ``numpy.linalg`` calls this library; scipy loads its own copy, which these
+    calls do not reach.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+# The thread count is one setting of the whole process, so the record of the
+# blocks holding it is one too.
+_CAP_LOCK = threading.Lock()
+_cap = {"n": 0, "depth": 0, "saved": 0}
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Limit numpy's OpenBLAS to ``n`` threads inside the block.
+
+    Yields True when the limit is in force.  The thread count is
+    process-wide, so open blocks share it: the first to open sets it, the
+    last to close restores the previous value (also on an exception), and a
+    block asking for a different count meanwhile raises.  Without the
+    library's thread-count calls the block runs unchanged and yields False.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"BLAS thread count must be at least 1, got {n!r}")
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, put = calls
+    with _CAP_LOCK:
+        if _cap["depth"] == 0:
+            _cap["saved"] = get()
+            _cap["n"] = n
+            put(n)
+        elif _cap["n"] != n:
+            raise InvalidParameterError(
+                f"BLAS threads already limited to {_cap['n']} by an open block, not {n}"
+            )
+        _cap["depth"] += 1
+    try:
+        yield True
+    finally:
+        with _CAP_LOCK:
+            _cap["depth"] -= 1
+            if _cap["depth"] == 0:
+                put(_cap["saved"])
 
 
 @dataclass(frozen=True)
@@ -276,6 +348,17 @@ def nearest_neumann_eigenvalue(mesh: Mesh, q: CoefficientLike, k: float) -> floa
     return float(values[np.argmin(np.abs(values))])
 
 
+def _count_from(w: np.ndarray, tol: Optional[float]) -> CountResult:
+    """The count rule on the ascending eigenvalues ``w`` of one matrix."""
+    if tol is not None:
+        tol_eff = float(tol)
+    else:
+        tol_eff = TOL_FACTOR * (float(np.abs(w).max()) if w.size else 0.0)
+    negative = int((w < -tol_eff).sum())
+    indeterminate = int((np.abs(w + tol_eff) < 0.5 * tol_eff).sum())
+    return CountResult(negative=negative, indeterminate=indeterminate, tol=tol_eff)
+
+
 def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResult:
     """Count eigenvalues of a dense symmetric matrix below ``-tol``.
 
@@ -284,32 +367,48 @@ def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResu
     any indeterminacy as "no verdict".  The default tolerance is
     ``1e-8 * max|eigenvalue|`` (zero for the zero matrix, which therefore has
     no negative and no indeterminate eigenvalues).  A non-finite entry is
-    rejected, since no comparison with it could fail.
+    rejected, since no comparison with it could fail.  The eigenvalues are
+    computed under :func:`blas_threads` ``(1)``, so the count does not depend
+    on the BLAS thread setting.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError("count_negative expects a square matrix")
+    return count_negative_stack(a[None], tol)[0]
+
+
+def count_negative_stack(stack: np.ndarray, tol: Optional[float] = None) -> list:
+    """:func:`count_negative` of each matrix of an ``(s, n, n)`` stack.
+
+    One ``eigvalsh`` call covers the whole stack, so two threads counting two
+    stacks overlap (the call releases the interpreter lock while LAPACK
+    runs).  Each matrix is checked and counted on its own, with its own
+    default tolerance.
+    """
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvalidParameterError("count_negative_stack expects an (s, n, n) stack")
     if not np.isfinite(a).all():
-        raise InvalidParameterError("count_negative expects finite entries")
+        raise InvalidParameterError("eigenvalue counts expect finite entries")
     # A matrix equal to its transpose bit for bit (so also in the signs of
     # its zeros) is bit for bit its own symmetrization: it goes to eigvalsh
     # as it is.
     bits = a.view(np.uint64)
-    if not np.array_equal(bits, bits.T):
-        scale = float(np.abs(a).max())
-        defect = float(np.abs(a - a.T).max())
+    mirrored = (bits == bits.swapaxes(1, 2)).all(axis=(1, 2))
+    sym = a
+    for i in np.flatnonzero(~mirrored):
+        m = a[i]
+        scale = float(np.abs(m).max())
+        defect = float(np.abs(m - m.T).max())
         if defect > 1e-12 * max(scale, 1e-300):
             raise InvalidParameterError(
                 f"matrix is not symmetric: defect {defect:.3e} vs scale {scale:.3e}"
             )
-        a = 0.5 * a + 0.5 * a.T  # halves first: no overflow near the largest double
-    w = np.linalg.eigvalsh(a)
-    if tol is not None:
-        tol_eff = float(tol)
-        if tol_eff <= 0.0:
-            raise InvalidParameterError("tolerance must be positive")
-    else:
-        tol_eff = TOL_FACTOR * (float(np.abs(w).max()) if w.size else 0.0)
-    negative = int((w < -tol_eff).sum())
-    indeterminate = int((np.abs(w + tol_eff) < 0.5 * tol_eff).sum())
-    return CountResult(negative=negative, indeterminate=indeterminate, tol=tol_eff)
+        if sym is a:
+            sym = a.copy()
+        sym[i] = 0.5 * m + 0.5 * m.T  # halves first: no overflow near the largest double
+    if tol is not None and float(tol) <= 0.0:
+        raise InvalidParameterError("tolerance must be positive")
+    with blas_threads(1):
+        w = np.linalg.eigvalsh(sym)
+    return [_count_from(wi, tol) for wi in w]

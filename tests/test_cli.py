@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -232,6 +237,14 @@ def test_reconstruct_negative_sweep(tmp_path):
     assert len(sweep) >= 2
 
 
+def test_reconstruct_fixed_alpha_must_be_positive(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2,
+                                 "alpha.policy": "fixed", "alpha.value": -1})
+    assert run(tmp_path, text, "reconstruct") == 5
+    assert "alpha must be positive and finite" in capsys.readouterr().err
+
+
 def test_reconstruct_threads_equivalent(tmp_path):
     outs = []
     for name, threads in (("serial", "1"), ("pool", "4")):
@@ -243,6 +256,44 @@ def test_reconstruct_threads_equivalent(tmp_path):
     a, b = outs
     assert (a / "reconstruct.csv").read_bytes() == (b / "reconstruct.csv").read_bytes()
     assert (a / "mask.pgm").read_bytes() == (b / "mask.pgm").read_bytes()
+
+
+def _artifacts(out):
+    """Every output file's bytes, the manifest without its timing lines."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.txt":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"time."))
+        files[path.name] = data
+    return files
+
+
+def test_reconstruct_bytes_independent_of_blas_threads(tmp_path):
+    # The default count tolerance scales with the largest eigenvalue, whose
+    # last bits follow the BLAS thread count unless the counts cap it: on
+    # this configuration params.txt's tol differs between 1 and 2 threads.
+    src = Path(__file__).resolve().parent.parent / "src"
+    text = "\n".join([
+        "mesh.n = 64", "k = 1", "basis.segments = 256", "grid.nx = 8", "grid.ny = 8",
+        "contrast = negative", "coefficient.background = 1.0",
+        "coefficient.inclusion = 0.5 0.125 0.75 0.375 0.3029965880234349",
+    ]) + "\n"
+    (tmp_path / "run.cfg").write_text(text)
+    outs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas)
+        done = subprocess.run(
+            [sys.executable, "-m", "helmono.cli", "reconstruct", str(tmp_path / "run.cfg"),
+             "--out", str(out), "--threads", "2"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        outs.append(_artifacts(out))
+    assert set(outs[0]) >= {"reconstruct.csv", "mask.pgm", "params.txt", "sweep.csv",
+                            "manifest.txt"}
+    assert outs[0] == outs[1]
 
 
 def test_thread_env_fallback(tmp_path, monkeypatch, capsys):

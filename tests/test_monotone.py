@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from helmono import monotone
+from helmono import monotone, spectral
 from helmono import (
     Coefficient,
     Forward,
@@ -27,6 +27,7 @@ from helmono import (
     tb_from_solutions,
 )
 from helmono.errors import BasisMismatchError, InvalidParameterError
+from helmono.spectral import count_negative_stack
 
 
 def _mesh(n, selector="all"):
@@ -297,29 +298,82 @@ def test_reconstruct_counts_match_inclusion_test(contrast, value):
             assert bool(result.mask[p]) == test.verdict
 
 
-def test_reconstruct_counts_each_pixel_once_on_the_calling_thread(monkeypatch):
-    # The benchmark derives its count and sweep metrics from the calls to
-    # monotone.count_negative: one per pixel and alpha, on this thread.
-    calls = []
+def _recording_stack_counts(monkeypatch):
+    """Record (thread, matrix bytes) of every pixel matrix reconstruct counts."""
+    seen = []
 
-    def recorder(matrix, tol=None):
-        calls.append(threading.get_ident())
-        return count_negative(matrix, tol)
+    def recorder(stack, tol=None):
+        seen.extend((threading.get_ident(), m.tobytes()) for m in stack)
+        return count_negative_stack(stack, tol)
 
-    monkeypatch.setattr(monotone, "count_negative", recorder)
+    monkeypatch.setattr(monotone, "count_negative_stack", recorder)
+    return seen
+
+
+def _same_result(a, b):
+    assert np.array_equal(a.mask, b.mask)
+    assert np.array_equal(a.negative_counts, b.negative_counts)
+    assert np.array_equal(a.indeterminate_counts, b.indeterminate_counts)
+    assert a.params == b.params and a.sweep == b.sweep
+
+
+def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
+    # threads=1 counts every (pixel, alpha) on the calling thread; a pool of
+    # two counts each of them exactly once, to the same bits.
+    seen = _recording_stack_counts(monkeypatch)
     mesh = _mesh(16)
     basis = boundary_basis(mesh)
     grid = pixel_grid(mesh, 4, 4)
     pixels = len(grid.regions)
-    reconstruct(mesh, 1.0, 1.0, basis, grid, alpha=0.5)
-    assert len(calls) == pixels
     inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
-    q = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
-    calls.clear()
-    swept = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative")
-    assert len(swept.sweep) > 1
-    assert len(calls) == pixels * len(swept.sweep)
-    assert set(calls) == {threading.get_ident()}
+    q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
+    for q, kwargs in ((1.0, {"alpha": 0.5}), (q_low, {"contrast": "negative"})):
+        seen.clear()
+        serial = reconstruct(mesh, q, 1.0, basis, grid, threads=1, **kwargs)
+        steps = len(serial.sweep) if serial.sweep else 1
+        assert steps > 1 or "alpha" in kwargs
+        assert len(seen) == pixels * steps
+        assert {thread for thread, _ in seen} == {threading.get_ident()}
+        matrices = sorted(m for _, m in seen)
+        assert len(set(matrices)) == len(matrices)
+        seen.clear()
+        pooled = reconstruct(mesh, q, 1.0, basis, grid, threads=2, **kwargs)
+        assert sorted(m for _, m in seen) == matrices
+        if spectral._openblas_thread_calls() is not None:
+            assert threading.get_ident() not in {thread for thread, _ in seen}
+        _same_result(pooled, serial)
+
+
+def test_reconstruct_counts_serially_without_the_blas_limit(monkeypatch):
+    # Without the one-thread limit a pool would share the cores with BLAS
+    # threads and its counts would follow the BLAS setting, so the counts
+    # stay on the calling thread whatever ``threads`` asks.
+    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    seen = _recording_stack_counts(monkeypatch)
+    mesh = _mesh(8)
+    grid = pixel_grid(mesh, 4, 2)
+    reconstruct(mesh, 1.0, 1.0, boundary_basis(mesh), grid, alpha=0.5, threads=2)
+    assert len(seen) == len(grid.regions)
+    assert {thread for thread, _ in seen} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan"), float("inf")])
+def test_reconstruct_rejects_bad_alpha(alpha):
+    mesh = _mesh(8)
+    basis = boundary_basis(mesh)
+    grid = pixel_grid(mesh, 2, 2)
+    with pytest.raises(InvalidParameterError, match="alpha must be positive and finite"):
+        reconstruct(mesh, 1.0, 1.0, basis, grid, alpha=alpha)
+    with pytest.raises(InvalidParameterError, match="alpha must be positive and finite"):
+        reconstruct(mesh, 1.0, 1.0, basis, grid, contrast="negative", alpha=alpha)
+
+
+@pytest.mark.parametrize("threads", [0, -2, 1.5])
+def test_reconstruct_rejects_bad_threads(threads):
+    mesh = _mesh(8)
+    with pytest.raises(InvalidParameterError, match="threads"):
+        reconstruct(mesh, 1.0, 1.0, boundary_basis(mesh), pixel_grid(mesh, 2, 2),
+                    alpha=0.5, threads=threads)
 
 
 def test_reconstruct_mask_pure_under_grid_permutation():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from helmono import (
     neumann_eigenvalues,
 )
 from helmono.errors import InvalidParameterError, SpectralAmbiguityError
+from helmono.spectral import blas_threads, count_negative_stack
 
 PI2 = math.pi ** 2
 
@@ -205,10 +208,10 @@ def test_count_negative_rejects_non_finite(where, value):
         count_negative(a, tol=1e-8)
 
 
-def _reference_count(a, tol):
+def _reference_count(a, tol, sym=None):
     """The count as symmetrize-then-eigvalsh, with the 1e-8 default tolerance
-    and the half-width window around -tol."""
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
+    and the half-width window around -tol; ``sym`` defaults to (a + a.T)/2."""
+    w = np.linalg.eigvalsh(0.5 * (a + a.T) if sym is None else sym)
     tol_eff = float(tol) if tol is not None else 1e-8 * (
         float(np.abs(w).max()) if w.size else 0.0)
     return (int((w < -tol_eff).sum()),
@@ -216,9 +219,10 @@ def _reference_count(a, tol):
 
 
 @st.composite
-def _symmetric(draw, min_n=1):
+def _symmetric(draw, min_n=1, n=None):
     """Exactly symmetric matrices, some mirrored entry pairs -0.0 and 0.0."""
-    n = draw(st.integers(min_n, 10))
+    if n is None:
+        n = draw(st.integers(min_n, 10))
     a = draw(arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3, width=64)))
     a = np.triu(a) + np.triu(a, 1).T
     zero = draw(arrays(np.bool_, (n, n)))
@@ -258,7 +262,20 @@ def _nudge(a, data, delta):
 def test_count_negative_near_symmetric_matches_reference(a, tol, frac, data):
     _nudge(a, data, frac * 1e-12 * float(np.abs(a).max()))
     assume(not np.array_equal(a, a.T))
-    assert tuple(count_negative(a, tol)) == _reference_count(a, tol)
+    # The slow path halves before adding; on subnormal entries the halves
+    # round, so (a + a.T)/2 can differ from it in the last bits.
+    assert tuple(count_negative(a, tol)) == _reference_count(a, tol, 0.5 * a + 0.5 * a.T)
+
+
+def test_count_negative_near_symmetric_subnormal_entries():
+    # 0.5 * 5e-324 rounds to zero: halves-first symmetrization and
+    # (a + a.T)/2 give different diagonals, and max|w| differs in its last bit
+    a = np.full((4, 4), 2.2250738585072014e-309)
+    a[0, 0], a[1, 1] = 5e-324, 1.0
+    a[1, 2] += 5e-13
+    result = count_negative(a)
+    assert tuple(result) == _reference_count(a, None, 0.5 * a + 0.5 * a.T)
+    assert (result.negative, result.indeterminate) == (0, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,6 +284,146 @@ def test_count_negative_beyond_symmetry_bound_raises(a, tol, factor, data):
     _nudge(a, data, factor * 1e-12 * max(float(np.abs(a).max()), 1.0))
     with pytest.raises(InvalidParameterError, match="not symmetric"):
         count_negative(a, tol)
+
+
+@st.composite
+def _stacks(draw, min_n=1):
+    """Stacks of one to four exactly symmetric matrices of one size."""
+    n = draw(st.integers(min_n, 10))
+    return np.stack([draw(_symmetric(n=n)) for _ in range(draw(st.integers(1, 4)))])
+
+
+def _assert_stack_matches_single_counts(stack, tol):
+    stacked = [tuple(c) for c in count_negative_stack(stack, tol)]
+    assert stacked == [tuple(count_negative(m, tol)) for m in stack]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacks(), _tols)
+@example(np.stack([_SIGNED_ZEROS, -_SIGNED_ZEROS, _SIGNED_ZEROS.T]), None)
+def test_count_negative_stack_matches_single_counts(stack, tol):
+    _assert_stack_matches_single_counts(stack, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacks(min_n=2), _tols, st.floats(0.01, 0.5), st.data())
+def test_count_negative_stack_near_symmetric_matches_single_counts(stack, tol, frac, data):
+    # some matrices take the symmetrizing path, the others go as they are
+    for m in stack:
+        if data.draw(st.booleans()):
+            _nudge(m, data, frac * 1e-12 * float(np.abs(m).max()))
+    assume(any(not np.array_equal(m, m.T) for m in stack))
+    _assert_stack_matches_single_counts(stack, tol)
+
+
+def test_count_negative_stack_near_symmetric_does_not_overflow():
+    big = np.array([[1.0, 1.7e308], [np.nextafter(1.7e308, 0.0), 1.0]])
+    stack = np.stack([big, np.eye(2), big.T])
+    counts = count_negative_stack(stack)
+    assert [(c.negative, c.indeterminate) for c in counts] == [(1, 0), (0, 0), (1, 0)]
+    assert all(np.isfinite(c.tol) for c in counts)
+    _assert_stack_matches_single_counts(stack, None)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_count_negative_stack_rejects_non_finite(value):
+    stack = np.stack([np.eye(3), np.diag([-1.0, 2.0, 3.0])])
+    stack[1, 0, 2] = stack[1, 2, 0] = value
+    with pytest.raises(InvalidParameterError, match="finite"):
+        count_negative_stack(stack)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        count_negative_stack(stack, tol=1e-8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_stacks(min_n=2), _tols, st.floats(4.0, 1e6), st.data())
+def test_count_negative_stack_beyond_symmetry_bound_raises(stack, tol, factor, data):
+    m = stack[data.draw(st.integers(0, len(stack) - 1))]
+    _nudge(m, data, factor * 1e-12 * max(float(np.abs(m).max()), 1.0))
+    with pytest.raises(InvalidParameterError, match="not symmetric"):
+        count_negative_stack(stack, tol)
+
+
+def test_count_negative_shapes():
+    with pytest.raises(InvalidParameterError, match="square"):
+        count_negative(np.zeros((2, 3, 3)))
+    with pytest.raises(InvalidParameterError, match="stack"):
+        count_negative_stack(np.eye(3))
+    with pytest.raises(InvalidParameterError, match="stack"):
+        count_negative_stack(np.zeros((2, 3, 4)))
+
+
+@pytest.mark.skipif(spectral._openblas_thread_calls() is None,
+                    reason="numpy's OpenBLAS exports no thread-count calls")
+def test_blas_threads_restores_the_count_after_an_exception():
+    get, put = spectral._openblas_thread_calls()
+    original = get()
+    put(2)
+    try:
+        before = get()
+        with pytest.raises(RuntimeError, match="inside"):
+            with blas_threads(1) as capped:
+                assert capped and get() == 1
+                with blas_threads(1):  # open blocks share the limit
+                    assert get() == 1
+                assert get() == 1
+                with pytest.raises(InvalidParameterError, match="already limited"):
+                    with blas_threads(2):
+                        pass
+                raise RuntimeError("inside the block")
+        assert get() == before
+    finally:
+        put(original)
+
+
+@pytest.mark.skipif(spectral._openblas_thread_calls() is None,
+                    reason="numpy's OpenBLAS exports no thread-count calls")
+def test_blas_threads_holds_the_limit_while_any_block_is_open():
+    # More threads than cores open and close blocks with a short switch
+    # interval: a lost update of the open-block record would restore the old
+    # count while some block is still open, or leave the limit in place.
+    get, put = spectral._openblas_thread_calls()
+    original = get()
+    put(2)
+    before = get()
+    seen = []
+
+    def worker():
+        for _ in range(200):
+            with blas_threads(1):
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        after = get()
+        put(original)
+    assert len(seen) == 8 * 200 and set(seen) == {1}
+    assert after == before
+
+
+def test_blas_threads_without_the_thread_calls_changes_nothing(monkeypatch):
+    calls = spectral._openblas_thread_calls()
+    before = calls[0]() if calls else None
+    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    with blas_threads(1) as capped:
+        assert capped is False
+        if calls:
+            assert calls[0]() == before
+        assert count_negative(np.diag([-1.0, 2.0]), 1e-8)[:2] == (1, 0)
+    if calls:
+        assert calls[0]() == before
+    with pytest.raises(InvalidParameterError):
+        with blas_threads(0):
+            pass
 
 
 def test_count_negative_explicit_tol_positive():
