@@ -26,7 +26,7 @@ from .errors import BasisMismatchError, InvalidParameterError
 from .fem import CoefficientLike, as_coefficient
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, Forward, SymOp, tb_from_solutions
-from .spectral import blas_threads, count_negative, count_negative_stack, d_of_q
+from .spectral import count_negative, count_negative_stack, d_of_q, one_blas_thread
 
 _SWEEP_CAP = 20
 #: Pixel matrices per stacked count.  Each worker builds its stack itself, so
@@ -197,7 +197,7 @@ def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, d_max: int,
     starts = range(0, len(tbs), PIXEL_STACK)
     # One BLAS thread per count: each stack's eigenvalues are then the same
     # bits whichever worker, and whatever OPENBLAS_NUM_THREADS, computes them.
-    with blas_threads(1) as capped:
+    with one_blas_thread() as capped:
         workers = min(threads, len(starts)) if capped else 1
         if workers > 1:
             with ThreadPoolExecutor(workers) as pool:

@@ -21,8 +21,8 @@ is reported in a separate indeterminate tally (for ``count_negative``).
 Determinism: iterative solves (ARPACK shift-invert) always start from the same
 vector, drawn from a fixed-seed generator, so repeated runs are bit-identical;
 small problems go to dense LAPACK outright.  The dense counts run with numpy's
-OpenBLAS limited to one thread (:func:`blas_threads`), so their eigenvalues do
-not depend on the BLAS thread setting.
+OpenBLAS limited to one thread (:func:`one_blas_thread`), so their eigenvalues
+do not depend on the BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -80,21 +80,19 @@ def _openblas_thread_calls():
 # The thread count is one setting of the whole process, so the record of the
 # blocks holding it is one too.
 _CAP_LOCK = threading.Lock()
-_cap = {"n": 0, "depth": 0, "saved": 0}
+_cap = {"depth": 0, "saved": 0}
 
 
 @contextmanager
-def blas_threads(n: int):
-    """Limit numpy's OpenBLAS to ``n`` threads inside the block.
+def one_blas_thread():
+    """Limit numpy's OpenBLAS to one thread inside the block.
 
     Yields True when the limit is in force.  The thread count is
     process-wide, so open blocks share it: the first to open sets it, the
-    last to close restores the previous value (also on an exception), and a
-    block asking for a different count meanwhile raises.  Without the
-    library's thread-count calls the block runs unchanged and yields False.
+    last to close restores the previous value (also on an exception).
+    Without the library's thread-count calls the block runs unchanged and
+    yields False.
     """
-    if n < 1:
-        raise InvalidParameterError(f"BLAS thread count must be at least 1, got {n!r}")
     calls = _openblas_thread_calls()
     if calls is None:
         yield False
@@ -103,12 +101,7 @@ def blas_threads(n: int):
     with _CAP_LOCK:
         if _cap["depth"] == 0:
             _cap["saved"] = get()
-            _cap["n"] = n
-            put(n)
-        elif _cap["n"] != n:
-            raise InvalidParameterError(
-                f"BLAS threads already limited to {_cap['n']} by an open block, not {n}"
-            )
+            put(1)
         _cap["depth"] += 1
     try:
         yield True
@@ -368,7 +361,7 @@ def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResu
     ``1e-8 * max|eigenvalue|`` (zero for the zero matrix, which therefore has
     no negative and no indeterminate eigenvalues).  A non-finite entry is
     rejected, since no comparison with it could fail.  The eigenvalues are
-    computed under :func:`blas_threads` ``(1)``, so the count does not depend
+    computed under :func:`one_blas_thread`, so the count does not depend
     on the BLAS thread setting.
     """
     a = np.asarray(matrix, dtype=float)
@@ -409,6 +402,6 @@ def count_negative_stack(stack: np.ndarray, tol: Optional[float] = None) -> list
         sym[i] = 0.5 * m + 0.5 * m.T  # halves first: no overflow near the largest double
     if tol is not None and float(tol) <= 0.0:
         raise InvalidParameterError("tolerance must be positive")
-    with blas_threads(1):
+    with one_blas_thread():
         w = np.linalg.eigvalsh(sym)
     return [_count_from(wi, tol) for wi in w]

@@ -25,7 +25,7 @@ from helmono import (
     neumann_eigenvalues,
 )
 from helmono.errors import InvalidParameterError, SpectralAmbiguityError
-from helmono.spectral import blas_threads, count_negative_stack
+from helmono.spectral import count_negative_stack, one_blas_thread
 
 PI2 = math.pi ** 2
 
@@ -355,21 +355,18 @@ def test_count_negative_shapes():
 
 @pytest.mark.skipif(spectral._openblas_thread_calls() is None,
                     reason="numpy's OpenBLAS exports no thread-count calls")
-def test_blas_threads_restores_the_count_after_an_exception():
+def test_one_blas_thread_restores_the_count_after_an_exception():
     get, put = spectral._openblas_thread_calls()
     original = get()
     put(2)
     try:
         before = get()
         with pytest.raises(RuntimeError, match="inside"):
-            with blas_threads(1) as capped:
+            with one_blas_thread() as capped:
                 assert capped and get() == 1
-                with blas_threads(1):  # open blocks share the limit
+                with one_blas_thread():  # open blocks share the limit
                     assert get() == 1
                 assert get() == 1
-                with pytest.raises(InvalidParameterError, match="already limited"):
-                    with blas_threads(2):
-                        pass
                 raise RuntimeError("inside the block")
         assert get() == before
     finally:
@@ -378,7 +375,7 @@ def test_blas_threads_restores_the_count_after_an_exception():
 
 @pytest.mark.skipif(spectral._openblas_thread_calls() is None,
                     reason="numpy's OpenBLAS exports no thread-count calls")
-def test_blas_threads_holds_the_limit_while_any_block_is_open():
+def test_one_blas_thread_holds_the_limit_while_any_block_is_open():
     # More threads than cores open and close blocks with a short switch
     # interval: a lost update of the open-block record would restore the old
     # count while some block is still open, or leave the limit in place.
@@ -390,7 +387,7 @@ def test_blas_threads_holds_the_limit_while_any_block_is_open():
 
     def worker():
         for _ in range(200):
-            with blas_threads(1):
+            with one_blas_thread():
                 seen.append(get())
 
     interval = sys.getswitchinterval()
@@ -410,20 +407,17 @@ def test_blas_threads_holds_the_limit_while_any_block_is_open():
     assert after == before
 
 
-def test_blas_threads_without_the_thread_calls_changes_nothing(monkeypatch):
+def test_one_blas_thread_without_the_thread_calls_changes_nothing(monkeypatch):
     calls = spectral._openblas_thread_calls()
     before = calls[0]() if calls else None
     monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
-    with blas_threads(1) as capped:
+    with one_blas_thread() as capped:
         assert capped is False
         if calls:
             assert calls[0]() == before
         assert count_negative(np.diag([-1.0, 2.0]), 1e-8)[:2] == (1, 0)
     if calls:
         assert calls[0]() == before
-    with pytest.raises(InvalidParameterError):
-        with blas_threads(0):
-            pass
 
 
 def test_count_negative_explicit_tol_positive():
