@@ -225,8 +225,10 @@ def _wavenumber(cfg: Config) -> float:
 
 def _count_tol(cfg: Config):
     tol = cfg.get_float("tol.count", None)
-    if tol is not None and tol <= 0.0:
-        raise ConfigError(f"line {cfg.lineno('tol.count')}: tol.count must be positive")
+    if tol is not None and not (tol > 0.0 and np.isfinite(tol)):
+        raise ConfigError(
+            f"line {cfg.lineno('tol.count')}: tol.count must be positive and finite"
+        )
     return tol
 
 

@@ -198,12 +198,18 @@ def assemble_boundary_load(mesh: Mesh, edge_values: Sequence[float]) -> NodalFie
     return boundary_load_matrix(mesh) @ vals
 
 
-def _pivot_extremes(lu: spla.SuperLU) -> tuple[float, float]:
-    pivots = np.abs(lu.U.diagonal())
-    return float(pivots.min()), float(pivots.max())
+def _pivots(lu: spla.SuperLU) -> tuple[float, float, Optional[int]]:
+    """Smallest and largest pivot magnitude, and the number of negative pivots
+    when the row and column permutations coincide (else None)."""
+    pivots = lu.U.diagonal()
+    magnitudes = np.abs(pivots)
+    negative = (int((pivots < 0.0).sum())
+                if np.array_equal(lu.perm_r, lu.perm_c) else None)
+    return float(magnitudes.min()), float(magnitudes.max()), negative
 
 
-def factorize(matrix: sp.csc_matrix, where: str) -> spla.SuperLU:
+def factorize(matrix: sp.csc_matrix,
+              where: str) -> tuple[spla.SuperLU, Optional[int]]:
     """Sparse LU of a symmetric matrix, refused when it is near singular.
 
     The first attempt runs SuperLU in symmetric mode: a minimum-degree
@@ -213,6 +219,12 @@ def factorize(matrix: sp.csc_matrix, where: str) -> spla.SuperLU:
     exceeds ``SYMMETRIC_PIVOT_RTOL`` times the largest.  Otherwise the matrix
     is refactored with partial pivoting, and that factorization must clear
     ``PIVOT_RTOL``.  ``where`` names the system in error messages.
+
+    Returns the factorization and the number of its negative pivots, or None
+    when its row and column permutations differ.  With equal permutations
+    ``P^T A P = L U`` and ``U = D L^T`` (SuperLU runs without equilibration),
+    so by Sylvester's law of inertia the count is the number of negative
+    eigenvalues of ``A``.
 
     Raises
     ------
@@ -227,14 +239,14 @@ def factorize(matrix: sp.csc_matrix, where: str) -> spla.SuperLU:
     except RuntimeError:  # an exactly zero pivot: let partial pivoting judge
         pass
     else:
-        small, large = _pivot_extremes(lu)
+        small, large, negative = _pivots(lu)
         if small > SYMMETRIC_PIVOT_RTOL * large:
-            return lu
+            return lu, negative
     try:
         lu = spla.splu(matrix)
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise ResonanceError(f"factorization failed {where}: {exc}", 0.0, 0.0) from exc
-    small, large = _pivot_extremes(lu)
+    small, large, negative = _pivots(lu)
     threshold = PIVOT_RTOL * large
     if small <= threshold:
         raise ResonanceError(
@@ -243,7 +255,7 @@ def factorize(matrix: sp.csc_matrix, where: str) -> spla.SuperLU:
             small,
             threshold,
         )
-    return lu
+    return lu, negative
 
 
 class HelmholtzSystem:
@@ -257,6 +269,9 @@ class HelmholtzSystem:
     solves in panels of ``SOLVE_PANEL`` columns, densifying sparse loads one
     panel at a time, and can keep only some rows of the solutions; every
     solve's residual is checked over all rows against ``RESIDUAL_RTOL``.
+    ``negative_pivots`` is the number of negative eigenvalues of the matrix,
+    read from the factorization's pivots; it is None when the row and column
+    permutations differ, which partial pivoting usually leaves them.
 
     Raises
     ------
@@ -279,7 +294,7 @@ class HelmholtzSystem:
         self.stiffness = assemble_stiffness(mesh)
         self.weighted_mass = assemble_weighted_mass(mesh, q)
         self.matrix = (self.stiffness - (k * k) * self.weighted_mass).tocsc()
-        self._lu = factorize(self.matrix, f"at k={k:.17g}")
+        self._lu, self.negative_pivots = factorize(self.matrix, f"at k={k:.17g}")
         self._matrix_norm = spla.norm(self.matrix, 1)
 
     def _check_residual(self, b: np.ndarray, u: np.ndarray) -> None:

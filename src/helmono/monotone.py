@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BasisMismatchError, InvalidParameterError
-from .fem import CoefficientLike, as_coefficient
+from .errors import BasisMismatchError, InvalidParameterError, ResonanceError
+from .fem import CoefficientLike, HelmholtzSystem, as_coefficient
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, Forward, SymOp, tb_from_solutions
 from .spectral import count_negative, count_negative_stack, d_of_q, one_blas_thread
@@ -103,21 +103,39 @@ def identity_residual(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     return abs(boundary_term + interior_term - energy_term) / scale
 
 
+def _factored(build, mesh: Mesh, q: CoefficientLike, k: float, *args):
+    """``build(mesh, q, k, *args)``, a :class:`Forward` or :class:`HelmholtzSystem`.
+
+    When the system cannot be factored, ``d_of_q`` runs first, so a
+    near-resonant configuration reports its ambiguous count before the
+    resonance, as when the count came first.
+    """
+    try:
+        return build(mesh, q, k, *args)
+    except ResonanceError:
+        d_of_q(mesh, q, k)
+        raise
+
+
 def monotonicity_check(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
                        k: float, basis: BoundaryBasis,
                        tol: Optional[float] = None) -> ComparisonResult:
     """Verify ``Lambda(q1) <=_d Lambda(q2)`` with the defect predicted for ``q2``.
 
     Requires ``q1 <= q2`` triangle by triangle; the allowance is
-    ``d_of_q(q2)``.  On a faithful discretization the verdict is True.
+    ``d_of_q(q2)``, read from the inertia of the ``q2`` system.  On a faithful
+    discretization the verdict is True.
     """
     q1 = as_coefficient(mesh, q1)
     q2 = as_coefficient(mesh, q2)
     if not (q1.values <= q2.values).all():
         raise InvalidParameterError("coefficients are not ordered: q1 <= q2 fails")
-    d2 = d_of_q(mesh, q2, k)
+    # One system at a time: the q2 system is released before q1 is factored.
+    forward = _factored(Forward, mesh, q2, k, basis)
+    d2 = d_of_q(mesh, q2, k, system=forward.system)
+    lam2 = forward.ntd("ntd_q2")
+    del forward
     lam1 = Forward(mesh, q1, k, basis).ntd("ntd_q1")
-    lam2 = Forward(mesh, q2, k, basis).ntd("ntd_q2")
     return leq_d(lam1, lam2, d2, tol)
 
 
@@ -223,10 +241,12 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
 
     * ``contrast="positive"`` (``q >= 1``, strictly above 1 on the scatterer):
       gap ``Lambda(q) - Lambda(1)``, allowance ``d_of_q(max q)``, and alpha
-      defaults to ``min(q restricted to the scatterer) - 1``.
+      defaults to ``min(q restricted to the scatterer) - 1``.  The allowance
+      is read from the inertia of the factorized ``max q`` system.
     * ``contrast="negative"`` (``q <= 1``): gap ``Lambda(1) - Lambda(q)``,
-      allowance ``d_of_q(1)``.  No usable alpha is computable from the data;
-      with ``alpha=None`` the dyadic sweep ``alpha = 2^-m`` runs until the
+      allowance ``d_of_q(1)``, read from the inertia of the background
+      system.  No usable alpha is computable from the data; with
+      ``alpha=None`` the dyadic sweep ``alpha = 2^-m`` runs until the
       accepted set is nonempty and stable across two consecutive steps (the
       larger alpha of the first such pair is reported).  If no stable pair
       appears within the cap the smallest alpha's result is returned.
@@ -251,7 +271,9 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
             raise InvalidParameterError(
                 f"positive contrast requires q >= 1 everywhere (min is {q.min:.17g})"
             )
-        d_max = d_of_q(mesh, q.max, k)
+        system = _factored(HelmholtzSystem, mesh, q.max, k)
+        d_max = d_of_q(mesh, q.max, k, system=system)
+        del system
         if alpha is None:
             above = q.values[q.values > 1.0]
             if above.size == 0:
@@ -259,17 +281,18 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
                     "no triangle has q > 1; give alpha explicitly for a no-scatterer run"
                 )
             alpha = float(above.min() - 1.0)
+        background = Forward(mesh, 1.0, k, basis)
     else:
         if q.max > 1.0:
             raise InvalidParameterError(
                 f"negative contrast requires q <= 1 everywhere (max is {q.max:.17g})"
             )
-        d_max = d_of_q(mesh, 1.0, k)
+        background = _factored(Forward, mesh, 1.0, k, basis)
+        d_max = d_of_q(mesh, 1.0, k, system=background.system)
 
     # The probes read every row of the background solutions; the measured
     # operator needs only the boundary rows.  The background system is
     # released before the measured one is factored.
-    background = Forward(mesh, 1.0, k, basis)
     u1 = background.solutions()
     lam1 = background.ntd("ntd_background", u1)
     del background

@@ -7,8 +7,20 @@ Three counting problems drive the monotonicity machinery:
   Neumann eigenvalues of ``Laplacian + k^2 q``.
 * ``count_K_eigs_above_one`` counts eigenvalues above one of the compact-part
   pencil ``M_{1 + k^2 q} v = mu (S + M) v`` (the ``H^1`` Gram on the right).
-  Both counts agree in exact arithmetic; they are computed through genuinely
-  different pencils so one can cross-check the other.
+
+``d(q)`` has three routes, equal in exact arithmetic and computed from
+different data so each can cross-check the others:
+
+* the sweep: ``d_of_q`` alone computes the top eigenvalues of the Neumann
+  pencil until one falls below zero (the ``dq`` subcommand);
+* the inertia: ``d_of_q(..., system=...)`` reads the negative pivots of an
+  already factorized :class:`~helmono.fem.HelmholtzSystem` of ``(q, k)``
+  (Sylvester's law of inertia) and checks the window with the one eigenvalue
+  nearest zero.  ``monotonicity_check`` and negative-contrast
+  ``reconstruct`` use it on a forward system they factor anyway, and
+  positive-contrast ``reconstruct`` on the constant ``max q`` system;
+* the compact part: ``count_K_eigs_above_one``, from its own pencil (the
+  ``dq`` subcommand reports whether it agrees with the sweep).
 * ``count_negative`` counts negative eigenvalues of a dense symmetric matrix,
   the primitive behind every "less-or-equal up to a finite-dimensional defect"
   verdict; ``count_negative_stack`` does the same for a stack of matrices in
@@ -42,8 +54,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, InvalidParameterError, SpectralAmbiguityError
-from .fem import Coefficient, CoefficientLike, as_coefficient, assemble_mass, \
-    assemble_stiffness, assemble_weighted_mass, factorize
+from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, \
+    assemble_mass, assemble_stiffness, assemble_weighted_mass, factorize
 from .mesh import Mesh
 
 #: Problems at or below this many unknowns are solved densely.
@@ -52,6 +64,9 @@ DENSE_CUTOFF = 1200
 TOL_FACTOR = 1e-8
 #: Eigenpair residuals are checked against this factor times the matrix scale.
 RESIDUAL_FACTOR = 1e-8
+#: Lanczos basis size of the shift-invert search for the one eigenvalue
+#: nearest zero.
+NEAREST_NCV = 8
 
 _V0_SEED = 20151225
 
@@ -153,7 +168,7 @@ def _shift_invert(a: sp.spmatrix, b: sp.spmatrix,
     negative definite, so :func:`fem.factorize` keeps its symmetric-mode
     factorization.
     """
-    lu = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}")
+    lu, _ = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}")
     n = a.shape[0]
     return spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
 
@@ -226,14 +241,23 @@ def _validated(mesh: Mesh, q: CoefficientLike, k: float) -> Coefficient:
     return as_coefficient(mesh, q)
 
 
+def _check_tol(tol: Optional[float]) -> None:
+    if tol is not None and not (tol > 0.0 and np.isfinite(tol)):
+        raise InvalidParameterError(f"tolerance must be positive and finite, got {tol!r}")
+
+
+def _neumann_upper(q: Coefficient, k: float) -> float:
+    """A bound strictly above every eigenvalue of the Neumann pencil of ``(q, k)``."""
+    return (k * k) * max(q.max, 0.0) + 1.0
+
+
 def _neumann_pencil(mesh: Mesh, q: CoefficientLike, k: float):
     q = _validated(mesh, q, k)
     s = assemble_stiffness(mesh)
     mq = assemble_weighted_mass(mesh, q)
     m = assemble_mass(mesh)
     a = (k * k) * mq - s
-    sigma_upper = (k * k) * max(q.max, 0.0) + 1.0
-    return a, m, sigma_upper
+    return a, m, _neumann_upper(q, k)
 
 
 def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int,
@@ -272,15 +296,69 @@ def _sweep_down(a, b, sigma_upper, threshold: float, tol: Optional[float]):
         m = min(2 * m, n)
 
 
-def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None) -> int:
+def _nearest_zero(system: HelmholtzSystem) -> float:
+    """The eigenvalue nearest zero of ``system.matrix v = mu M v``.
+
+    The sparse path shift-inverts at zero with the system's own
+    factorization; small problems go to dense LAPACK.
+    """
+    a, m = system.matrix, assemble_mass(system.mesh)
+    n = a.shape[0]
+    if n <= DENSE_CUTOFF:
+        w = sla.eigh(a.toarray(), m.toarray(), eigvals_only=True)
+    else:
+        opinv = spla.LinearOperator((n, n), matvec=system._lu.solve, dtype=float)
+        try:
+            w = spla.eigsh(a, k=1, M=m.tocsc(), sigma=0.0, which="LM",
+                           v0=_deterministic_start(n), ncv=NEAREST_NCV,
+                           return_eigenvectors=False, OPinv=opinv)
+        except spla.ArpackNoConvergence as exc:
+            raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
+    return float(w[np.argmin(np.abs(w))])
+
+
+def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None, *,
+           system: Optional[HelmholtzSystem] = None) -> int:
     """Number of positive Neumann eigenvalues of ``Laplacian + k^2 q``.
+
+    Without ``system`` the top eigenvalues of the pencil are computed until
+    one falls below the window; the default ``tol`` is ``TOL_FACTOR`` times
+    the largest magnitude among them.
+
+    ``system`` is the factorized :class:`HelmholtzSystem` of the same
+    ``(mesh, q, k)``.  Its matrix ``S - k^2 M_q`` has as many negative
+    eigenvalues as the pencil has positive ones, and when its factorization
+    has pivot signs (``negative_pivots``) the count is read from them.  The
+    window is then checked on the one pencil eigenvalue nearest zero, found
+    with that factorization; as no sweep values exist, the default ``tol`` is
+    ``TOL_FACTOR * (k^2 max(q, 0) + 1)``, the upper spectral bound the sweep
+    shifts to.  A factorization without pivot signs (partial pivoting) falls
+    back to the sweep.
 
     Raises
     ------
     SpectralAmbiguityError
         If some eigenvalue lies within ``tol`` of zero, in which case the
         count is not meaningful (the configuration is numerically resonant).
+    InvalidParameterError
+        If ``tol`` is not positive and finite, or ``system`` belongs to
+        another mesh, coefficient or wavenumber.
     """
+    _check_tol(tol)
+    if system is not None:
+        coeff = _validated(mesh, q, k)
+        if not (system.mesh is mesh and system.k == float(k)
+                and np.array_equal(system.q.values, coeff.values)):
+            raise InvalidParameterError("system was factored for another (mesh, q, k)")
+        if system.negative_pivots is not None:
+            tol_eff = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
+            nearest = -_nearest_zero(system)
+            if abs(nearest) <= tol_eff:
+                raise SpectralAmbiguityError(
+                    f"Neumann eigenvalue {nearest:.3e} within {tol_eff:.3e} of zero",
+                    offending=(nearest,),
+                )
+            return system.negative_pivots
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
     values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol)
     near = values[np.abs(values) <= tol_eff]
@@ -301,6 +379,7 @@ def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
     ``d_of_q``, but it is computed from a different pencil so the two serve
     as mutual cross-checks.
     """
+    _check_tol(tol)
     q = _validated(mesh, q, k)
     p = assemble_weighted_mass(mesh, 1.0 + (k * k) * q.values)
     g = assemble_stiffness(mesh) + assemble_mass(mesh)
@@ -323,6 +402,7 @@ def is_resonance(mesh: Mesh, q: CoefficientLike, k: float,
                  tol: Optional[float] = None) -> bool:
     """Whether some discrete Neumann eigenvalue of ``(q, k)`` lies within
     ``tol`` of zero, i.e. the forward problem is (numerically) unsolvable."""
+    _check_tol(tol)
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
     values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol)
     return bool((np.abs(values) <= tol_eff).any())
@@ -400,8 +480,7 @@ def count_negative_stack(stack: np.ndarray, tol: Optional[float] = None) -> list
         if sym is a:
             sym = a.copy()
         sym[i] = 0.5 * m + 0.5 * m.T  # halves first: no overflow near the largest double
-    if tol is not None and float(tol) <= 0.0:
-        raise InvalidParameterError("tolerance must be positive")
+    _check_tol(tol)
     with one_blas_thread():
         w = np.linalg.eigvalsh(sym)
     return [_count_from(wi, tol) for wi in w]

@@ -6,6 +6,7 @@ every traced function that no longer exists.  Renaming a function the
 benchmark traces therefore fails here, not only in a later benchmark run.
 """
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,25 @@ def test_bench_self_check_passes_with_every_span_present():
     assert run.returncode == 0, run.stdout + run.stderr
     assert "self-check passed" in run.stdout
     assert "absent spans" not in run.stdout + run.stderr, run.stdout
+
+
+def test_traced_compare_op_records_the_defect_span(tmp_path, monkeypatch):
+    # d(q) is one span of the spectral.defect layer whichever route computes
+    # it, so the per-layer numbers keep attributing it.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracing import Tracer
+    from workloads import WORKLOADS
+
+    from helmono.cli import main
+
+    op = WORKLOADS["compare"].small().next_op(random.Random(1))
+    config = tmp_path / "op.cfg"
+    config.write_text(op.config)
+    tracer = Tracer()
+    with tracer.installed():
+        code = main([op.command, str(config), "--out", str(tmp_path / "out"),
+                     "--threads", "1"])
+    assert code == 0
+    assert not tracer.absent
+    defect = [s for s in tracer.spans if s.layer == "spectral.defect"]
+    assert [s.name for s in defect] == ["spectral.d_of_q"]

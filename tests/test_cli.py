@@ -204,6 +204,30 @@ def test_dq_at_resonance_is_ambiguous(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, more", [
+    ("monotonicity-check", {}),
+    ("reconstruct", {"grid.nx": 2, "grid.ny": 2,
+                     "alpha.policy": "fixed", "alpha.value": 0.5}),
+    ("reconstruct", {"grid.nx": 2, "grid.ny": 2, "contrast": "negative"}),
+])
+def test_ambiguous_defect_precedes_resonance(tmp_path, capsys, command, more):
+    # The forward system of q = 1 at k* cannot be factored; the ambiguous
+    # d(q) count is what gets reported, as when the count ran first.
+    out = tmp_path / "out"
+    assert run(tmp_path, base_cfg(out, n=8, k=K_STAR_N8, **more), command) == 4
+    assert "Neumann eigenvalue(s) within" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_reconstruct_rejects_a_count_tolerance_that_is_not_finite(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.policy": "fixed",
+                                 "alpha.value": 0.5, "tol.count": value})
+    assert run(tmp_path, text, "reconstruct") == 2
+    assert "tol.count must be positive and finite" in capsys.readouterr().err
+    assert not (out / "reconstruct.csv").exists()
+
+
 def test_reconstruct_no_scatterer_all_rejected(tmp_path):
     out = tmp_path / "out"
     text = base_cfg(out, **{"grid.nx": 4, "grid.ny": 4,

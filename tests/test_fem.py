@@ -179,6 +179,18 @@ def test_resonant_wavenumber_detected():
     assert info.value.smallest_pivot <= info.value.threshold
 
 
+@pytest.mark.parametrize("k", [0.5, 2.0, 5.0, 9.0])
+def test_negative_pivots_are_the_inertia(k):
+    # A symmetric-mode factorization has equal row and column permutations,
+    # so its negative pivots count the negative eigenvalues of the matrix.
+    mesh = _mesh(8)
+    q = np.random.default_rng(3).uniform(0.5, 2.0, mesh.n_triangles)
+    system = HelmholtzSystem(mesh, q, k)
+    w = np.linalg.eigvalsh(system.matrix.toarray())
+    assert np.abs(w).min() > 1e-6 * np.abs(w).max()
+    assert system.negative_pivots == int((w < 0.0).sum())
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("random_q", [False, True])
 def test_resonance_guard_matches_partial_pivoting(n, random_q):

@@ -132,6 +132,31 @@ def test_monotonicity_center_bump():
     assert result.negative_count <= result.d_allowed == 1
 
 
+@pytest.mark.parametrize("run", ["compare", "positive", "negative"])
+def test_allowance_read_from_a_factored_system(monkeypatch, run):
+    # Every caller that factors the system of the allowance's coefficient
+    # reads d(q) from its pivots; no eigenvalue sweep runs beside it.
+    mesh = _mesh(16)
+    basis = boundary_basis(mesh, 8)
+    grid = pixel_grid(mesh, 2, 2)
+    inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
+    q = Coefficient.constant(mesh, 1.0).with_region(
+        inclusion, 0.5 if run == "negative" else 2.0)
+    k = 4.0
+    allowance_q = {"compare": q, "positive": q.max, "negative": 1.0}[run]
+    expected = d_of_q(mesh, allowance_q, k)
+
+    def no_sweep(*args):
+        raise AssertionError("the eigenvalue sweep ran")
+
+    monkeypatch.setattr(spectral, "_sweep_down", no_sweep)
+    if run == "compare":
+        assert monotonicity_check(mesh, 1.0, q, k, basis).d_allowed == expected
+    else:
+        result = reconstruct(mesh, q, k, basis, grid, contrast=run, alpha=0.5)
+        assert result.params["d_max"] == expected
+
+
 def test_monotonicity_requires_ordering():
     mesh = _mesh(8)
     basis = boundary_basis(mesh)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helmono import spectral
+from helmono import fem, spectral
 from helmono import (
     HelmholtzSystem,
     assemble_boundary_load,
@@ -103,6 +103,84 @@ def test_d_of_q_ambiguous_near_resonance():
     k_star = float(np.sqrt(rho[1]))
     with pytest.raises(SpectralAmbiguityError):
         d_of_q(mesh, 1.0, k_star)
+
+
+def _piecewise(mesh, values):
+    """The coefficient equal to ``values[i, j]`` on the triangles whose
+    centroid lies in cell ``(i, j)`` (row ``i`` along y) of a uniform grid
+    over the unit square."""
+    cells = values.shape[0]
+    centroid = mesh.vertices[mesh.triangles].mean(axis=1)
+    ix = np.minimum((centroid * cells).astype(int), cells - 1)
+    return values[ix[:, 1], ix[:, 0]]
+
+
+# n = 36 has 1369 vertices, above DENSE_CUTOFF: the sweep and the window
+# search run ARPACK there and dense LAPACK at n = 8.
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([8, 36]),
+       arrays(np.float64, (3, 3), elements=st.floats(0.2, 3.0)),
+       st.floats(0.5, 4.0))
+@example(36, np.full((3, 3), 1.0), 2.0)
+def test_d_routes_agree(n, values, k):
+    mesh = build_unit_square_mesh(n)
+    q = _piecewise(mesh, values)
+    # Resonances excluded: every route's window sits far below this margin.
+    assume(abs(nearest_neumann_eigenvalue(mesh, q, k)) > 1e-3)
+    d = d_of_q(mesh, q, k)
+    assert d_of_q(mesh, q, k, system=HelmholtzSystem(mesh, q, k)) == d
+    assert count_K_eigs_above_one(mesh, q, k) == d
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_d_from_system_ambiguous_inside_window(n):
+    mesh = build_unit_square_mesh(n)
+    system = HelmholtzSystem(mesh, 1.0, 1.0)
+    near = nearest_neumann_eigenvalue(mesh, 1.0, 1.0)
+    assert d_of_q(mesh, 1.0, 1.0, 0.5 * abs(near), system=system) == 1
+    with pytest.raises(SpectralAmbiguityError) as info:
+        d_of_q(mesh, 1.0, 1.0, 2.0 * abs(near), system=system)
+    assert info.value.offending == pytest.approx((near,), rel=1e-9)
+
+
+def test_d_from_system_without_pivot_signs_takes_the_sweep(monkeypatch):
+    mesh = build_unit_square_mesh(40)  # above DENSE_CUTOFF: the sweep factors
+    q = _piecewise(mesh, np.array([[1.0, 2.5], [0.5, 1.5]]))
+    d = d_of_q(mesh, q, 3.0)
+    # No symmetric-mode factorization is kept: every one is partial pivoting.
+    monkeypatch.setattr(fem, "SYMMETRIC_PIVOT_RTOL", 1.0)
+    system = HelmholtzSystem(mesh, q, 3.0)
+    assert system.negative_pivots is None
+    calls = []
+
+    def counting(matrix, where):
+        calls.append(where)
+        return factorize(matrix, where)
+
+    factorize = spectral.factorize
+    monkeypatch.setattr(spectral, "factorize", counting)
+    assert d_of_q(mesh, q, 3.0, system=system) == d
+    assert len(calls) == 1
+    for other_q, other_k, other_mesh in ((1.0, 3.0, mesh), (q, 2.0, mesh),
+                                         (q, 3.0, build_unit_square_mesh(40))):
+        with pytest.raises(InvalidParameterError, match="another"):
+            d_of_q(other_mesh, other_q, other_k, system=system)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1e-8])
+def test_counts_reject_a_tolerance_that_is_not_positive_and_finite(tol):
+    # NaN fails every comparison, so a NaN window would pass every guard.
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        count_negative(-np.eye(3), tol=tol)
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        count_negative_stack(-np.eye(3)[None], tol=tol)
+    mesh = build_unit_square_mesh(8)
+    system = HelmholtzSystem(mesh, 1.0, 1.0)
+    for count in (d_of_q, count_K_eigs_above_one, is_resonance):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            count(mesh, 1.0, 1.0, tol)
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        d_of_q(mesh, 1.0, 1.0, tol, system=system)
 
 
 def test_count_k_matches_d():
