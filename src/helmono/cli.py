@@ -52,6 +52,7 @@ from .spectral import (
     d_of_q,
     nearest_neumann_eigenvalue,
     neumann_eigenvalues,
+    one_blas_thread,
 )
 
 _REQUIRED = object()
@@ -472,10 +473,15 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
         f"{key} = {fmt(params[key]) if isinstance(params[key], float) else params[key]}\n"
         for key in ("k", "alpha", "d_max", "basis_dim", "tol", "contrast")
     )
-    (outdir / "params.txt").write_text(text)
     if result.sweep is not None:
+        stable = params["sweep_stable"]
+        text += f"sweep_stable = {'true' if stable else 'false'}\n"
+        if not stable:
+            print(f"warning: the alpha sweep found no stable accepted set; "
+                  f"reporting the smallest alpha {fmt(params['alpha'])}", file=sys.stderr)
         write_table_csv(outdir / "sweep.csv", ["alpha", "accepted_count"], result.sweep)
         _note(outdir / "sweep.csv")
+    (outdir / "params.txt").write_text(text)
     _note(outdir / "reconstruct.csv")
     _note(outdir / "mask.pgm")
     _note(outdir / "params.txt")
@@ -509,8 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.dir)")
         p.add_argument("--threads", type=int, default=None,
-                       help="workers counting reconstruct's pixel stacks, each "
-                            "under a one-thread BLAS limit (at least 1; default: "
+                       help="workers counting reconstruct's pixel stacks, the "
+                            "only parallelism: every subcommand runs under a "
+                            "one-thread BLAS limit (at least 1; default: "
                             "HELM_MONO_THREADS or CPU count); never changes "
                             "an output byte")
         p.add_argument("--dump-matrices", action="store_true",
@@ -544,7 +551,10 @@ def main(argv=None) -> int:
         args.threads = _threads(args.threads)
         cfg = _load_config(args.config)
         outdir = _out_dir(cfg, args)
-        _COMMANDS[args.command](cfg, args, outdir)
+        # Parallelism comes from the --threads pool alone: no BLAS pool of
+        # either OpenBLAS copy competes with it for the cores.
+        with one_blas_thread() as capped:
+            _COMMANDS[args.command](cfg, args, outdir)
         seed = cfg.get_int("seed", 0)
         write_manifest(
             outdir / "manifest.txt",
@@ -552,6 +562,7 @@ def main(argv=None) -> int:
             cfg.pairs(),
             seed,
             [("total", time.perf_counter() - started)],
+            [("blas_one_thread", "true" if capped else "false")],
         )
     except HelmonoError as exc:
         print(f"error: {exc}", file=sys.stderr)

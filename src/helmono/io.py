@@ -99,11 +99,13 @@ def write_pgm(path, values: np.ndarray) -> None:
 
 
 def write_manifest(path, command: str, config_pairs: Sequence[tuple],
-                   seed: int, timings: Sequence[tuple]) -> None:
-    """Run manifest: config echo, library versions, seed and wall times.
+                   seed: int, timings: Sequence[tuple],
+                   stats: Sequence[tuple] = ()) -> None:
+    """Run manifest: config echo, library versions, seed, stats and wall times.
 
-    Timing lines carry the ``time.`` prefix so reproducibility checks can
-    strip them; everything else is deterministic.
+    Deterministic counters and flags go on ``stat.`` lines.  Timing lines
+    carry the ``time.`` prefix so reproducibility checks can strip them;
+    everything else is deterministic.
     """
     import scipy
 
@@ -119,6 +121,8 @@ def write_manifest(path, command: str, config_pairs: Sequence[tuple],
     ]
     for key, value in config_pairs:
         lines.append(f"config.{key} = {value}")
+    for name, value in stats:
+        lines.append(f"stat.{name} = {value}")
     for name, seconds in timings:
         lines.append(f"time.{name} = {seconds:.3f}")
     _write(path, "\n".join(lines) + "\n")

@@ -163,8 +163,9 @@ class ReconstructionResult:
     ``mask[i]`` is True where the pixel passed (accepted as part of the
     scatterer); indeterminate counts are carried separately so ambiguous
     pixels can be rendered as such.  ``params`` records the run parameters
-    (k, alpha, d_max, basis_dim, tol, contrast); ``sweep`` lists the
-    ``(alpha, accepted_count)`` history when the contrast-step sweep ran.
+    (k, alpha, d_max, basis_dim, tol, contrast, and ``sweep_stable`` when
+    the sweep ran); ``sweep`` lists the ``(alpha, accepted_count)`` history
+    when the contrast-step sweep ran.
     """
 
     grid: PixelGrid
@@ -248,14 +249,17 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
       system.  No usable alpha is computable from the data; with
       ``alpha=None`` the dyadic sweep ``alpha = 2^-m`` runs until the
       accepted set is nonempty and stable across two consecutive steps (the
-      larger alpha of the first such pair is reported).  If no stable pair
-      appears within the cap the smallest alpha's result is returned.
+      larger alpha of the first such pair is reported, and
+      ``params["sweep_stable"]`` is True).  If no stable pair appears within
+      the cap the smallest alpha's result is returned with
+      ``params["sweep_stable"]`` False.
 
     An explicit ``alpha`` must be positive and finite, as in
     :func:`inclusion_test`.  The pixel counts run in stacks of
-    :data:`PIXEL_STACK` under a one-thread BLAS limit, spread over a pool of
-    ``threads`` workers (``threads=1`` counts on the calling thread); the
-    result is bit for bit the same for every ``threads`` and BLAS setting.
+    :data:`PIXEL_STACK` under a one-thread limit on both OpenBLAS copies,
+    spread over a pool of ``threads`` workers (``threads=1`` counts on the
+    calling thread); the result is bit for bit the same for every
+    ``threads`` and BLAS setting.
 
     Returns per-pixel verdicts plus the parameters that produced them.
     """
@@ -324,7 +328,8 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
                 if prev_mask.any() and np.array_equal(prev_mask, outcome[2]):
                     chosen = m - 1
                     break
-        if chosen is None:
+        stable = chosen is not None
+        if not stable:
             chosen = len(outcomes) - 1
         alpha_used, (negative, indeterminate, mask, tol_used) = outcomes[chosen]
 
@@ -336,6 +341,8 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         "tol": tol_used,
         "contrast": contrast,
     }
+    if sweep_history is not None:
+        params["sweep_stable"] = stable
     return ReconstructionResult(
         grid=grid,
         mask=mask,

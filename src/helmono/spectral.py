@@ -32,9 +32,10 @@ is reported in a separate indeterminate tally (for ``count_negative``).
 
 Determinism: iterative solves (ARPACK shift-invert) always start from the same
 vector, drawn from a fixed-seed generator, so repeated runs are bit-identical;
-small problems go to dense LAPACK outright.  The dense counts run with numpy's
-OpenBLAS limited to one thread (:func:`one_blas_thread`), so their eigenvalues
-do not depend on the BLAS thread setting.
+small problems go to dense LAPACK outright.  The dense counts run with both
+bundled OpenBLAS copies (numpy's and scipy's) limited to one thread
+(:func:`one_blas_thread`), so their eigenvalues do not depend on the BLAS
+thread setting; the CLI runs every subcommand under the same limit.
 """
 
 from __future__ import annotations
@@ -71,19 +72,13 @@ NEAREST_NCV = 8
 _V0_SEED = 20151225
 
 
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
-
-    ``numpy.linalg`` calls this library; scipy loads its own copy, which these
-    calls do not reach.
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+def _thread_calls(libs: str, pattern: str, name: str):
+    """(get, set) of the thread count of the OpenBLAS in ``libs``, or None."""
+    for path in sorted(glob.glob(os.path.join(libs, pattern))):
         try:
             lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
+            get = getattr(lib, name.format("get"))
+            put = getattr(lib, name.format("set"))
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -92,39 +87,59 @@ def _openblas_thread_calls():
     return None
 
 
-# The thread count is one setting of the whole process, so the record of the
-# blocks holding it is one too.
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of numpy's and of scipy's bundled OpenBLAS, each or None.
+
+    ``numpy.linalg`` calls the first copy; scipy (SuperLU, ARPACK, LAPACK)
+    calls the second, which it loads on its own.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    return (
+        _thread_calls(os.path.join(site, "numpy.libs"), "libscipy_openblas64_*.so",
+                      "scipy_openblas_{}_num_threads64_"),
+        _thread_calls(os.path.join(site, "scipy.libs"), "libscipy_openblas-*.so",
+                      "scipy_openblas_{}_num_threads"),
+    )
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    return _blas_thread_calls()[0]
+
+
+# The thread counts are settings of the whole process, so the record of the
+# blocks holding them is one too.
 _CAP_LOCK = threading.Lock()
-_cap = {"depth": 0, "saved": 0}
+_cap = {"depth": 0, "saved": []}
 
 
 @contextmanager
 def one_blas_thread():
-    """Limit numpy's OpenBLAS to one thread inside the block.
+    """Limit numpy's and scipy's OpenBLAS to one thread each inside the block.
 
-    Yields True when the limit is in force.  The thread count is
-    process-wide, so open blocks share it: the first to open sets it, the
-    last to close restores the previous value (also on an exception).
-    Without the library's thread-count calls the block runs unchanged and
-    yields False.
+    Yields True when numpy's copy is limited, which the dense counts need.
+    The thread counts are process-wide, so open blocks share them: the first
+    to open saves every count it found and sets it to one, the last to close
+    restores them (also on an exception).  A copy without the thread-count
+    calls runs unchanged; without numpy's the block yields False.
     """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield False
-        return
-    get, put = calls
+    numpy_calls = _openblas_thread_calls()
+    calls = [c for c in (numpy_calls, _blas_thread_calls()[1]) if c is not None]
     with _CAP_LOCK:
         if _cap["depth"] == 0:
-            _cap["saved"] = get()
-            put(1)
+            _cap["saved"] = [(put, get()) for get, put in calls]
+            for _, put in calls:
+                put(1)
         _cap["depth"] += 1
     try:
-        yield True
+        yield numpy_calls is not None
     finally:
         with _CAP_LOCK:
             _cap["depth"] -= 1
             if _cap["depth"] == 0:
-                put(_cap["saved"])
+                for put, saved in _cap["saved"]:
+                    put(saved)
 
 
 @dataclass(frozen=True)

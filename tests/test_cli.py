@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from helmono import boundary_basis, build_unit_square_mesh, leq_d, make_symop, mark_sigma, ntd_matrix
+from helmono import cli, spectral
 from helmono.cli import main
-from helmono.errors import ConfigError, InvalidParameterError
+from helmono.errors import ConfigError, InvalidParameterError, SpectralAmbiguityError
 from helmono.io import parse_config_text, write_pgm, write_symop_csv
 from support import read_pgm, read_symop_csv
 
@@ -51,6 +52,47 @@ def test_mesh_command_writes_mesh_and_manifest(tmp_path):
     assert "command = mesh" in manifest
     assert "config.mesh.n = 4" in manifest
     assert sum(ln.startswith("time.") for ln in manifest) == 1
+
+
+@pytest.mark.parametrize("numpy_calls", [True, False])
+def test_manifest_says_whether_the_blas_limit_held(tmp_path, monkeypatch, numpy_calls):
+    if not numpy_calls:
+        monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    held = spectral._openblas_thread_calls() is not None
+    out = tmp_path / "out"
+    assert run(tmp_path, base_cfg(out, n=4), "mesh") == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert f"stat.blas_one_thread = {'true' if held else 'false'}" in manifest
+    assert sum(ln.startswith("stat.") for ln in manifest) == 1
+
+
+@pytest.mark.skipif(None in spectral._blas_thread_calls(),
+                    reason="a bundled OpenBLAS exports no thread-count calls")
+@pytest.mark.parametrize("raised, code", [
+    (None, 0), (ConfigError("bad key"), 2), (SpectralAmbiguityError("near zero"), 4)])
+def test_every_subcommand_runs_with_one_blas_thread_in_both_copies(
+        tmp_path, monkeypatch, raised, code):
+    calls = spectral._blas_thread_calls()  # numpy's copy, then scipy's
+    seen = []
+
+    def command(cfg, args, outdir):
+        seen.append([get() for get, _ in calls])
+        if raised is not None:
+            raise raised
+
+    monkeypatch.setitem(cli._COMMANDS, "mesh", command)
+    originals = [get() for get, _ in calls]
+    try:
+        for _, put in calls:
+            put(2)
+        before = [get() for get, _ in calls]
+        assert run(tmp_path, base_cfg(tmp_path / "out", n=4), "mesh") == code
+        after = [get() for get, _ in calls]
+    finally:
+        for (_, put), count in zip(calls, originals):
+            put(count)
+    assert seen == [[1, 1]]
+    assert after == before
 
 
 def test_eigs_top_eigenvalue(tmp_path):
@@ -318,6 +360,51 @@ def test_reconstruct_bytes_independent_of_blas_threads(tmp_path):
     assert set(outs[0]) >= {"reconstruct.csv", "mask.pgm", "params.txt", "sweep.csv",
                             "manifest.txt"}
     assert outs[0] == outs[1]
+
+
+def test_monotonicity_check_bytes_independent_of_blas_threads(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    text = "\n".join([
+        "mesh.n = 24", "k = 2", "basis.segments = 48", "coefficient.background = 1.0",
+        "coefficient2.background = 1.0",
+        "coefficient2.inclusion = 0.25 0.25 0.75 0.5 1.8",
+    ]) + "\n"
+    (tmp_path / "run.cfg").write_text(text)
+    outs = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas{blas}"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas)
+        done = subprocess.run(
+            [sys.executable, "-m", "helmono.cli", "monotonicity-check",
+             str(tmp_path / "run.cfg"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        outs.append(_artifacts(out))
+    assert set(outs[0]) == {"comparison.txt", "manifest.txt"}
+    assert outs[0] == outs[1]
+
+
+def test_reconstruct_records_whether_the_sweep_settled(tmp_path, capsys):
+    # q = 1 leaves -alpha T_B as every pixel matrix: PSD T_B is nonzero, so no
+    # pixel is ever accepted and the sweep runs to its cap.
+    grid = {"grid.nx": 2, "grid.ny": 2, "contrast": "negative"}
+    out = tmp_path / "flat"
+    assert run(tmp_path, base_cfg(out, n=8, **grid), "reconstruct") == 0
+    pairs = read_kv(out / "params.txt")
+    assert pairs["sweep_stable"] == "false"
+    assert pairs["alpha"] == "9.5367431640625e-07"
+    warning = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(warning) == 1 and warning[0].startswith("warning: ")
+    out = tmp_path / "settled"
+    text = base_cfg(out, n=8, **grid, **{"coefficient.inclusion": "0 0 0.5 0.5 0.5"})
+    assert run(tmp_path, text, "reconstruct") == 0
+    assert read_kv(out / "params.txt")["sweep_stable"] == "true"
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "fixed"
+    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.policy": "fixed",
+                                 "alpha.value": 0.5})
+    assert run(tmp_path, text, "reconstruct") == 0
+    assert "sweep_stable" not in read_kv(out / "params.txt")
 
 
 def test_thread_env_fallback(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helmono import monotone, spectral
 from helmono import (
@@ -449,3 +451,44 @@ def test_pixel_values_mapping():
     # pixel 2 certainly rejected
     assert result.pixel_values().tolist() == [255, 128, 0]
     assert result.ambiguous.tolist() == [False, True, False]
+
+
+def test_reconstruct_flags_a_sweep_without_a_stable_pair():
+    # q = 1 makes every pixel matrix -alpha T_B, and T_B is PSD and nonzero,
+    # so no alpha accepts a pixel and the sweep reaches its cap.
+    mesh = _mesh(8)
+    grid = pixel_grid(mesh, 2, 2)
+    result = reconstruct(mesh, 1.0, 1.0, boundary_basis(mesh), grid, contrast="negative")
+    assert result.params["sweep_stable"] is False
+    assert not result.mask.any()
+    assert len(result.sweep) == monotone._SWEEP_CAP + 1
+    assert result.params["alpha"] == 2.0 ** -monotone._SWEEP_CAP
+    inclusion = rect_region(mesh, (0.0, 0.0, 0.5, 0.5))
+    q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
+    settled = reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid, contrast="negative")
+    assert settled.params["sweep_stable"] is True
+    fixed = reconstruct(mesh, 1.0, 1.0, boundary_basis(mesh), grid, alpha=0.5)
+    assert "sweep_stable" not in fixed.params
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([8, 12]), corner=st.tuples(_unit, _unit),
+       size=st.tuples(st.floats(0.25, 0.6), st.floats(0.25, 0.6)),
+       value=st.floats(1.2, 3.0), alpha1=st.floats(1e-3, 0.5), ratio=st.floats(1.1, 50.0))
+def test_larger_alpha_never_accepts_more(n, corner, size, value, alpha1, ratio):
+    # T_B is PSD, so by Weyl every eigenvalue of diff - alpha T_B is
+    # non-increasing in alpha: the negative count can only grow with alpha.
+    mesh = _mesh(n)
+    basis = boundary_basis(mesh)
+    grid = pixel_grid(mesh, 3, 3)
+    x0, y0 = (c * (1.0 - s) for c, s in zip(corner, size))
+    inclusion = rect_region(mesh, (x0, y0, x0 + size[0], y0 + size[1]))
+    q = Coefficient.constant(mesh, 1.0).with_region(inclusion, value)
+    low, high = (reconstruct(mesh, q, 1.0, basis, grid, alpha=a, tol=1e-9)
+                 for a in (alpha1, alpha1 * ratio))
+    decided = (low.indeterminate_counts == 0) & (high.indeterminate_counts == 0)
+    assert not (high.mask & ~low.mask & decided).any()
+    assert (high.negative_counts[decided] >= low.negative_counts[decided]).all()

@@ -526,3 +526,70 @@ def test_count_request_bounds():
         neumann_eigenvalues(mesh, 1.0, 1.0, 0)
     with pytest.raises(InvalidParameterError):
         neumann_eigenvalues(mesh, 1.0, 1.0, mesh.n_vertices + 1)
+
+
+@pytest.mark.skipif(spectral._blas_thread_calls()[1] is None,
+                    reason="scipy's OpenBLAS exports no thread-count calls")
+def test_one_blas_thread_restores_scipys_count_after_an_exception():
+    get, put = spectral._blas_thread_calls()[1]
+    original = get()
+    put(2)
+    try:
+        before = get()
+        with pytest.raises(RuntimeError, match="inside"):
+            with one_blas_thread():
+                assert get() == 1
+                with one_blas_thread():  # open blocks share the limit
+                    assert get() == 1
+                assert get() == 1
+                raise RuntimeError("inside the block")
+        assert get() == before
+    finally:
+        put(original)
+
+
+@pytest.mark.skipif(spectral._blas_thread_calls()[1] is None,
+                    reason="scipy's OpenBLAS exports no thread-count calls")
+def test_one_blas_thread_holds_scipys_limit_while_any_block_is_open():
+    get, put = spectral._blas_thread_calls()[1]
+    original = get()
+    put(2)
+    before = get()
+    seen = []
+
+    def worker():
+        for _ in range(200):
+            with one_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        after = get()
+        put(original)
+    assert len(seen) == 8 * 200 and set(seen) == {1}
+    assert after == before
+
+
+@pytest.mark.skipif(spectral._blas_thread_calls()[1] is None,
+                    reason="scipy's OpenBLAS exports no thread-count calls")
+def test_one_blas_thread_limits_scipys_copy_without_numpys_calls(monkeypatch):
+    get, put = spectral._blas_thread_calls()[1]
+    original = get()
+    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    put(2)
+    try:
+        before = get()
+        with one_blas_thread() as capped:
+            assert capped is False and get() == 1
+        assert get() == before
+    finally:
+        put(original)
