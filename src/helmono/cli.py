@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HelmonoError, InvalidParameterError
-from .fem import Coefficient
+from .fem import Coefficient, counting
 from .io import (
     fmt,
     parse_config_text,
@@ -553,8 +553,12 @@ def main(argv=None) -> int:
         outdir = _out_dir(cfg, args)
         # Parallelism comes from the --threads pool alone: no BLAS pool of
         # either OpenBLAS copy competes with it for the cores.
-        with one_blas_thread() as capped:
+        with one_blas_thread() as capped, counting() as tally:
             _COMMANDS[args.command](cfg, args, outdir)
+        stats = [("blas_one_thread", "true" if capped else "false")]
+        if tally["factorizations"]:
+            stats += [(name, tally[name])
+                      for name in ("factorizations", "ntd.trailing", "ntd.solved")]
         seed = cfg.get_int("seed", 0)
         write_manifest(
             outdir / "manifest.txt",
@@ -562,7 +566,7 @@ def main(argv=None) -> int:
             cfg.pairs(),
             seed,
             [("total", time.perf_counter() - started)],
-            [("blas_one_thread", "true" if capped else "false")],
+            stats,
         )
     except HelmonoError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,11 @@ forward map is undefined there.
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,12 +40,16 @@ PIVOT_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 #: Relative pivot threshold a symmetric-mode factorization must clear to be
 #: kept.  It sits well above ``PIVOT_RTOL``: near a resonance the static
-#: diagonal pivots can stay larger than the partial-pivoting ones (up to
-#: 1e-11 where the partial-pivoting ratio was below ``PIVOT_RTOL``, over 690
-#: wavenumbers at the first five resonances of meshes n = 8, 16 and 32), so a
+#: diagonal pivots can stay larger than the partial-pivoting ones, so a
 #: factorization anywhere near that guard is redone with partial pivoting and
-#: judged by it.
+#: judged by it.  Over 690 wavenumbers at the first five resonances of meshes
+#: n = 8, 16 and 32 (q = 1 and a random q), the 168 whose partial-pivoting
+#: ratio fell below ``PIVOT_RTOL`` had static ratios up to 4e-13 in the
+#: meshes' vertex order (1e-11 in SuperLU's minimum-degree order); 979 such
+#: wavenumbers over more meshes, seeds and resonances reached 3e-10.
 SYMMETRIC_PIVOT_RTOL = 1e-9
+#: Seed of the right side ``[0; h]`` that checks a bordered factorization.
+_CHECK_SEED = 20171122
 #: Columns per triangular-solve panel of ``solve_many``: the panel of right
 #: sides stays in cache while the factors stream past it.
 SOLVE_PANEL = 16
@@ -198,33 +205,161 @@ def assemble_boundary_load(mesh: Mesh, edge_values: Sequence[float]) -> NodalFie
     return boundary_load_matrix(mesh) @ vals
 
 
-def _pivots(lu: spla.SuperLU) -> tuple[float, float, Optional[int]]:
-    """Smallest and largest pivot magnitude, and the number of negative pivots
-    when the row and column permutations coincide (else None)."""
-    pivots = lu.U.diagonal()
+_tally: ContextVar[Optional[Counter]] = ContextVar("helmono_tally", default=None)
+
+
+@contextmanager
+def counting():
+    """Count, inside the block, the sparse factorizations made and the routes
+    :meth:`ntd.Forward.ntd` took; yields the :class:`collections.Counter`.
+
+    Keys: ``factorizations`` (every SuperLU factorization, including one a
+    pivot guard refused and had redone), ``ntd.trailing`` (a Neumann-to-
+    Dirichlet matrix read off a bordered factorization) and ``ntd.solved``
+    (one computed from solves with the system).  The tally belongs to the
+    calling context, so the counts are those of the block alone.
+    """
+    tally = Counter()
+    token = _tally.set(tally)
+    try:
+        yield tally
+    finally:
+        _tally.reset(token)
+
+
+def count(name: str) -> None:
+    """Add one to ``name`` in the tally of the enclosing :func:`counting` block."""
+    tally = _tally.get()
+    if tally is not None:
+        tally[name] += 1
+
+
+def _splu(matrix: sp.csc_matrix, **options) -> spla.SuperLU:
+    count("factorizations")
+    return spla.splu(matrix, **options)
+
+
+def _pivots(pivots: np.ndarray, same_permutations: bool) -> tuple[float, float, Optional[int]]:
+    """Smallest and largest pivot magnitude, and the number of negative
+    pivots when the row and column permutations coincide (else None).
+
+    The pivots are the diagonal of ``SuperLU.U``.  Reading that attribute
+    makes scipy build CSC copies of both ``L`` and ``U`` and keep them for
+    the factorization's lifetime (about 10 MB at ``n = 128``), so each
+    factorization reads it once.
+    """
     magnitudes = np.abs(pivots)
-    negative = (int((pivots < 0.0).sum())
-                if np.array_equal(lu.perm_r, lu.perm_c) else None)
+    negative = int((pivots < 0.0).sum()) if same_permutations else None
     return float(magnitudes.min()), float(magnitudes.max()), negative
 
 
-def factorize(matrix: sp.csc_matrix,
-              where: str) -> tuple[spla.SuperLU, Optional[int]]:
-    """Sparse LU of a symmetric matrix, refused when it is near singular.
+def _check_residual(matrix: sp.spmatrix, matrix_norm: float, b: np.ndarray,
+                    u: np.ndarray) -> None:
+    """Refuse a solution ``u`` of ``matrix u = b`` (columns of a block each on
+    their own) whose residual exceeds ``RESIDUAL_RTOL`` of its scale."""
+    r = matrix @ u - b
+    scale = matrix_norm * np.linalg.norm(u, axis=0) + np.linalg.norm(b, axis=0)
+    bad = np.linalg.norm(r, axis=0) > RESIDUAL_RTOL * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        raise SolverError(
+            f"direct solve residual exceeded {RESIDUAL_RTOL:g} of scale"
+        )
 
-    The first attempt runs SuperLU in symmetric mode: a minimum-degree
-    ordering of ``A + A^T`` and diagonal pivots, so the row and column
-    permutations coincide and the factors stay far sparser than with the
-    default column ordering.  It is kept when its smallest pivot magnitude
-    exceeds ``SYMMETRIC_PIVOT_RTOL`` times the largest.  Otherwise the matrix
-    is refactored with partial pivoting, and that factorization must clear
-    ``PIVOT_RTOL``.  ``where`` names the system in error messages.
 
-    Returns the factorization and the number of its negative pivots, or None
-    when its row and column permutations differ.  With equal permutations
-    ``P^T A P = L U`` and ``U = D L^T`` (SuperLU runs without equilibration),
-    so by Sylvester's law of inertia the count is the number of negative
-    eigenvalues of ``A``.
+class _Ordered:
+    """Solves with a matrix through the factorization of its rows and columns
+    taken in ``order``."""
+
+    def __init__(self, lu: spla.SuperLU, order: np.ndarray):
+        self.lu, self.order = lu, order
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        solution = self.lu.solve(b[self.order])
+        u = np.empty_like(solution)
+        u[self.order] = solution
+        return u
+
+
+class Factorization(NamedTuple):
+    """What :func:`factorize` keeps.
+
+    ``lu`` solves with the matrix (its ``solve`` takes vectors and column
+    blocks); it is None when only the border's block was kept.  ``negative``
+    is the number of negative eigenvalues of the matrix, or None.  ``ntd`` is
+    ``B^T A^{-1} B`` for the border ``B``, or None without a border or when
+    the bordered factorization was not kept.
+    """
+
+    lu: Optional[object]
+    negative: Optional[int]
+    ntd: Optional[np.ndarray]
+
+
+def _trailing_block(lu: spla.SuperLU, up: sp.csc_matrix, bordered: sp.csc_matrix,
+                    n: int) -> Optional[np.ndarray]:
+    """``B^T A^{-1} B`` read off the factorization ``lu`` of the bordered
+    matrix, whose ``U`` factor is ``up``, or None when the block cannot be
+    trusted to ``RESIDUAL_RTOL``.
+
+    The first ``n`` unknowns eliminated are those of ``A``, so the trailing
+    blocks of the factors multiply to the Schur complement ``-B^T A^{-1} B``.
+    They are an unpivoted LU of it: a tail pivot small against the entries it
+    divides shows as element growth, ``max(|L_tt| |U_tt|)`` far above the
+    block's largest entry, and the block is refused when the rounding that
+    growth allows could exceed ``RESIDUAL_RTOL``.  A kept block is checked
+    against one solve with the bordered matrix, of ``[0; h]`` for a
+    fixed-seed ``h``: its residual over every row, then
+    ``|Lambda z_t + h| <= RESIDUAL_RTOL (|Lambda| |z_t| + |h|)`` for its
+    trailing part ``z_t = -Lambda^{-1} h``.
+
+    Raises
+    ------
+    SolverError
+        If either check fails.
+    """
+    low_t = lu.L[n:, n:].toarray()  # built with ``up``: no second copy
+    up_t = up[n:, n:].toarray()
+    ntd = -(low_t @ up_t)
+    growth = (np.abs(low_t) @ np.abs(up_t)).max()
+    if np.finfo(float).eps * growth > RESIDUAL_RTOL * np.abs(ntd).max():
+        return None
+    h = np.random.default_rng(_CHECK_SEED).standard_normal(ntd.shape[0])
+    rhs = np.concatenate([np.zeros(n), h])
+    z = lu.solve(rhs)
+    _check_residual(bordered, spla.norm(bordered, 1), rhs, z)
+    tail = z[n:]
+    scale = np.linalg.norm(ntd, 1) * np.linalg.norm(tail) + np.linalg.norm(h)
+    if np.linalg.norm(ntd @ tail + h) > RESIDUAL_RTOL * scale:
+        raise SolverError(f"bordered block residual exceeded {RESIDUAL_RTOL:g} of scale")
+    return ntd
+
+
+def factorize(matrix: sp.csc_matrix, where: str, order: Optional[np.ndarray] = None,
+              border: Optional[sp.spmatrix] = None) -> Factorization:
+    """Sparse LU of a symmetric matrix ``A``, refused when it is near singular.
+
+    The first attempt runs SuperLU in symmetric mode on ``A`` with its rows
+    and columns taken in ``order`` (None keeps them as they are), with no
+    further reordering and diagonal pivots, so the row and column
+    permutations coincide.  It is kept when its smallest pivot magnitude
+    exceeds ``SYMMETRIC_PIVOT_RTOL`` times the largest.  Otherwise ``A``
+    itself is refactored with partial pivoting, and that factorization must
+    clear ``PIVOT_RTOL``.  ``where`` names the system in error messages.
+
+    With ``border``, an ``(n, m)`` matrix ``B``, the first attempt factors the
+    bordered matrix ``K = [[A, B], [B^T, 0]]`` instead, its ``m`` multiplier
+    unknowns last, and the pivot guard reads the pivots of the ``A`` part.
+    When the multipliers stayed last, the trailing block of its factors gives
+    ``B^T A^{-1} B`` (see :func:`_trailing_block`) with no solve with ``A``,
+    and only that block is kept: solving with ``A`` through ``K`` would
+    cancel through ``(B^T A^{-1} B)^{-1}``.  A block that cannot be trusted
+    falls back to factoring ``A`` alone, whose solves then give it.
+
+    The negative count is that of the pivots of ``A`` (of its part of
+    ``K``), or None when the row and column permutations differ.  With equal
+    permutations the factorization is a congruence (``U = D L^T``, SuperLU
+    runs without equilibration), so by Sylvester's law of inertia the count
+    is the number of negative eigenvalues of ``A``.
 
     Raises
     ------
@@ -233,20 +368,37 @@ def factorize(matrix: sp.csc_matrix,
         smallest pivot magnitude is at or below ``PIVOT_RTOL`` times the
         largest.
     """
+    n = matrix.shape[0]
+    target = (matrix if border is None
+              else sp.bmat([[matrix, border], [border.T, None]], format="csc"))
+    if order is not None:
+        full = np.concatenate([order, np.arange(n, target.shape[0])])
+        target = target[full][:, full].tocsc()
     try:
-        lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
+        lu = _splu(target, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
     except RuntimeError:  # an exactly zero pivot: let partial pivoting judge
-        pass
+        if border is not None:  # unless the pivot was the border's
+            return factorize(matrix, where, order)
     else:
-        small, large, negative = _pivots(lu)
+        up = lu.U
+        same = np.array_equal(lu.perm_r, lu.perm_c)
+        small, large, negative = _pivots(up.diagonal()[:n], same)
         if small > SYMMETRIC_PIVOT_RTOL * large:
-            return lu, negative
+            if border is None:
+                return Factorization(lu if order is None else _Ordered(lu, order),
+                                     negative, None)
+            if same and (lu.perm_c[n:] == np.arange(n, target.shape[0])).all():
+                ntd = _trailing_block(lu, up, target, n)
+                if ntd is not None:
+                    return Factorization(None, negative, ntd)
+            return factorize(matrix, where, order)
     try:
-        lu = spla.splu(matrix)
+        lu = _splu(matrix)
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise ResonanceError(f"factorization failed {where}: {exc}", 0.0, 0.0) from exc
-    small, large, negative = _pivots(lu)
+    small, large, negative = _pivots(lu.U.diagonal(),
+                                     np.array_equal(lu.perm_r, lu.perm_c))
     threshold = PIVOT_RTOL * large
     if small <= threshold:
         raise ResonanceError(
@@ -255,7 +407,7 @@ def factorize(matrix: sp.csc_matrix,
             small,
             threshold,
         )
-    return lu, negative
+    return Factorization(lu, negative, None)
 
 
 class HelmholtzSystem:
@@ -263,15 +415,27 @@ class HelmholtzSystem:
 
     Factorizing once and solving for many right-hand sides is the workhorse
     behind trace operators, which need one solve per basis function.  The
-    factorization comes from :func:`factorize`: SuperLU's symmetric mode
-    when its pivots are safely away from zero, otherwise partial pivoting
-    with the resonance guard below.  ``solve_many`` runs the triangular
-    solves in panels of ``SOLVE_PANEL`` columns, densifying sparse loads one
-    panel at a time, and can keep only some rows of the solutions; every
-    solve's residual is checked over all rows against ``RESIDUAL_RTOL``.
-    ``negative_pivots`` is the number of negative eigenvalues of the matrix,
-    read from the factorization's pivots; it is None when the row and column
-    permutations differ, which partial pivoting usually leaves them.
+    factorization comes from :func:`factorize`, with the vertices in the
+    mesh's nested-dissection order (:attr:`Mesh.vertex_order`): SuperLU's
+    symmetric mode when its pivots are safely away from zero, otherwise
+    partial pivoting with the resonance guard below.  ``solve_many`` runs the
+    triangular solves in panels of ``SOLVE_PANEL`` columns, densifying sparse
+    loads one panel at a time, and can keep only some rows of the solutions;
+    every solve's residual is checked over all rows against
+    ``RESIDUAL_RTOL``.  ``negative_pivots`` is the number of negative
+    eigenvalues of the matrix, read from the factorization's pivots; it is
+    None when the row and column permutations differ, which partial pivoting
+    usually leaves them.
+
+    With ``border``, the ``(n_vertices, m)`` sparse basis loads ``B``, the
+    system factors the bordered matrix ``[[A, B], [B^T, 0]]`` and keeps only
+    ``ntd = B^T A^{-1} B``, read off the trailing block of its factors: no
+    solve per load, and the system then solves nothing (``solve`` and
+    ``solve_many`` refuse).  When :func:`factorize` falls back to ``A`` alone,
+    ``ntd`` is None and the system solves as without a border.  With
+    ``mass``, the unweighted mass matrix is assembled before the
+    factorization, while no factor occupies memory, and kept as ``mass`` for
+    :func:`spectral.d_of_q`'s window check; otherwise ``mass`` is None.
 
     Raises
     ------
@@ -282,7 +446,8 @@ class HelmholtzSystem:
         coefficient.
     """
 
-    def __init__(self, mesh: Mesh, q: CoefficientLike, k: float):
+    def __init__(self, mesh: Mesh, q: CoefficientLike, k: float, *,
+                 border: Optional[sp.spmatrix] = None, mass: bool = False):
         if not (k > 0.0 and np.isfinite(k)):
             raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
         q = as_coefficient(mesh, q)
@@ -291,29 +456,28 @@ class HelmholtzSystem:
         self.mesh = mesh
         self.q = q
         self.k = float(k)
+        self.mass = assemble_mass(mesh) if mass else None
         self.stiffness = assemble_stiffness(mesh)
         self.weighted_mass = assemble_weighted_mass(mesh, q)
         self.matrix = (self.stiffness - (k * k) * self.weighted_mass).tocsc()
-        self._lu, self.negative_pivots = factorize(self.matrix, f"at k={k:.17g}")
+        self._lu, self.negative_pivots, self.ntd = factorize(
+            self.matrix, f"at k={k:.17g}", mesh.vertex_order, border)
         self._matrix_norm = spla.norm(self.matrix, 1)
 
-    def _check_residual(self, b: np.ndarray, u: np.ndarray) -> None:
-        r = self.matrix @ u - b
-        scale = self._matrix_norm * np.linalg.norm(u, axis=0) + np.linalg.norm(b, axis=0)
-        bad = np.linalg.norm(r, axis=0) > RESIDUAL_RTOL * np.maximum(scale, 1e-300)
-        if np.any(bad):
-            raise SolverError(
-                f"direct solve residual exceeded {RESIDUAL_RTOL:g} of scale"
-            )
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            raise InvalidParameterError(
+                "a bordered system keeps only its NtD block and solves nothing")
+        u = self._lu.solve(b)
+        _check_residual(self.matrix, self._matrix_norm, b, u)
+        return u
 
     def solve(self, load: NodalField) -> NodalField:
         """Solve for one load vector; the residual bound is verified."""
         b = np.asarray(load, dtype=float)
         if b.shape != (self.mesh.n_vertices,):
             raise InvalidParameterError("load vector does not match mesh size")
-        u = self._lu.solve(b)
-        self._check_residual(b, u)
-        return u
+        return self._solve(b)
 
     def solve_many(self, loads, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve for a block of load vectors (columns); residuals verified.
@@ -341,8 +505,7 @@ class HelmholtzSystem:
             # the residual's column norms do not stride across the block.
             rhs = (b[:, panel].toarray(order="F") if sp.issparse(b)
                    else np.asfortranarray(b[:, panel]))
-            solution = self._lu.solve(rhs)
-            self._check_residual(rhs, solution)
+            solution = self._solve(rhs)
             u[:, panel] = solution if rows is None else solution[rows]
         return u
 

@@ -23,6 +23,12 @@ import numpy as np
 from .errors import InvalidParameterError
 
 _SIDE_TOL = 1e-12
+#: Boxes of at most this many vertices are not split further by the
+#: nested-dissection order.
+_DISSECTION_LEAF = 8
+#: Bisection levels at most: keys of ``3^levels`` fit in 64 bits, and
+#: vertices that no cut separates (coincident ones) stop the loop here.
+_DISSECTION_LEVELS = 32
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,76 @@ class Mesh:
         bary = self.vertices[self.triangles].mean(axis=1)
         bary.setflags(write=False)
         return bary
+
+    @cached_property
+    def vertex_order(self) -> np.ndarray:
+        """Nested-dissection elimination order of the vertices; read-only.
+
+        Coordinate bisection: every box holding more than
+        ``_DISSECTION_LEAF`` vertices is cut across its longer side at the
+        middle, and the vertices of the upper half with an edge into the
+        lower half form its separator.  A box's order is its lower half, its
+        upper half, then its separator, so separators come last; all boxes
+        of one level are cut at once.  The corners of the boundary, where it
+        turns, come after everything: the last pivot of a symmetric
+        factorization is ``1 / (A^{-1})_{nn}``, about ``sigma_min / v_n^2``
+        for a near-null vector ``v``, so it reveals a near resonance only
+        where ``v`` is not small, and Neumann modes are not small at the
+        corners (the middle lines, where the separators run, are nodal lines
+        of many of them).
+
+        On the criss-cross meshes a sparse factorization in this order has
+        at most 2% more nonzeros than in SuperLU's minimum-degree order from
+        ``n = 48`` up, and 4% fewer at ``n = 128``; minimum degree keeps up
+        to 16% fewer on smaller meshes.  Computed on first use, then kept
+        with the mesh.
+        """
+        t = self.triangles
+        a, b = t.ravel(), np.roll(t, -1, axis=1).ravel()
+        once = a < b  # an interior edge lies in two triangles, once each way
+        a = np.concatenate([a[once], self.boundary_edges[:, 0]])
+        b = np.concatenate([b[once], self.boundary_edges[:, 1]])
+        n = self.n_vertices
+        x, y = self.vertices.T
+        lo = self.vertices.min(axis=0, keepdims=True)
+        hi = self.vertices.max(axis=0, keepdims=True)
+        box = np.zeros(n, dtype=np.intp)  # meaningful for live vertices only
+        live = np.ones(n, dtype=bool)  # not yet in a separator or a leaf
+        key = np.zeros(n, dtype=np.int64)  # base-3 digits: lower, upper, separator
+        for _ in range(_DISSECTION_LEVELS):
+            split = np.bincount(box[live], minlength=lo.shape[0]) > _DISSECTION_LEAF
+            live &= split[box]
+            if not live.any():
+                break
+            box = np.where(live, np.cumsum(split)[box] - 1, 0)
+            lo, hi = lo[split], hi[split]
+            rows = np.arange(lo.shape[0])
+            axis = (hi - lo).argmax(axis=1)
+            mid = 0.5 * (lo[rows, axis] + hi[rows, axis])
+            upper = np.where(axis[box] == 1, y, x) >= mid[box]
+            code = np.where(live, 2 * box + upper, -1)
+            ca, cb = code[a], code[b]
+            separator = np.zeros(n, dtype=bool)
+            separator[np.where(ca & 1, a, b)[(ca ^ cb) == 1]] = True
+            key = 3 * key + np.where(separator, 2, upper & live)
+            inside = (ca == cb) & (ca >= 0)
+            a, b = a[inside], b[inside]
+            live &= ~separator
+            box = 2 * box + upper
+            lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+            hi[2 * rows, axis] = mid
+            lo[2 * rows + 1, axis] = mid
+        e = self.boundary_edges
+        step = self.vertices[e[:, 1]] - self.vertices[e[:, 0]]
+        into = np.empty(n, dtype=np.intp)
+        into[e[:, 1]] = np.arange(e.shape[0])
+        before = step[into[e[:, 0]]]  # the boundary edge ending where each begins
+        turn = np.abs(before[:, 0] * step[:, 1] - before[:, 1] * step[:, 0])
+        corner = np.zeros(n, dtype=bool)
+        corner[e[turn > _SIDE_TOL * np.hypot(*before.T) * np.hypot(*step.T), 0]] = True
+        order = np.lexsort((key, corner))
+        order.setflags(write=False)
+        return order
 
     def boundary_edge_lengths(self) -> np.ndarray:
         a = self.vertices[self.boundary_edges[:, 0]]

@@ -103,18 +103,20 @@ def identity_residual(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     return abs(boundary_term + interior_term - energy_term) / scale
 
 
-def _factored(build, mesh: Mesh, q: CoefficientLike, k: float, *args):
-    """``build(mesh, q, k, *args)``, a :class:`Forward` or :class:`HelmholtzSystem`.
+def _defect_system(mesh: Mesh, q: CoefficientLike, k: float):
+    """The plain :class:`HelmholtzSystem` of ``(q, k)``, with its mass matrix,
+    and ``d_of_q`` read from its inertia.
 
-    When the system cannot be factored, ``d_of_q`` runs first, so a
+    When the system cannot be factored, ``d_of_q``'s sweep runs first, so a
     near-resonant configuration reports its ambiguous count before the
     resonance, as when the count came first.
     """
     try:
-        return build(mesh, q, k, *args)
+        system = HelmholtzSystem(mesh, q, k, mass=True)
     except ResonanceError:
         d_of_q(mesh, q, k)
         raise
+    return system, d_of_q(mesh, q, k, system=system)
 
 
 def monotonicity_check(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
@@ -130,11 +132,10 @@ def monotonicity_check(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     q2 = as_coefficient(mesh, q2)
     if not (q1.values <= q2.values).all():
         raise InvalidParameterError("coefficients are not ordered: q1 <= q2 fails")
-    # One system at a time: the q2 system is released before q1 is factored.
-    forward = _factored(Forward, mesh, q2, k, basis)
-    d2 = d_of_q(mesh, q2, k, system=forward.system)
-    lam2 = forward.ntd("ntd_q2")
-    del forward
+    # One factorization at a time: d(q2) needs solves, so a plain one, released
+    # before the bordered ones that give both operators without solves.
+    d2 = _defect_system(mesh, q2, k)[1]
+    lam2 = Forward(mesh, q2, k, basis).ntd("ntd_q2")
     lam1 = Forward(mesh, q1, k, basis).ntd("ntd_q1")
     return leq_d(lam1, lam2, d2, tol)
 
@@ -275,9 +276,8 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
             raise InvalidParameterError(
                 f"positive contrast requires q >= 1 everywhere (min is {q.min:.17g})"
             )
-        system = _factored(HelmholtzSystem, mesh, q.max, k)
-        d_max = d_of_q(mesh, q.max, k, system=system)
-        del system
+        d_max = _defect_system(mesh, q.max, k)[1]
+        system = None
         if alpha is None:
             above = q.values[q.values > 1.0]
             if above.size == 0:
@@ -285,22 +285,22 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
                     "no triangle has q > 1; give alpha explicitly for a no-scatterer run"
                 )
             alpha = float(above.min() - 1.0)
-        background = Forward(mesh, 1.0, k, basis)
     else:
         if q.max > 1.0:
             raise InvalidParameterError(
                 f"negative contrast requires q <= 1 everywhere (max is {q.max:.17g})"
             )
-        background = _factored(Forward, mesh, 1.0, k, basis)
-        d_max = d_of_q(mesh, 1.0, k, system=background.system)
+        system, d_max = _defect_system(mesh, 1.0, k)
 
-    # The probes read every row of the background solutions; the measured
-    # operator needs only the boundary rows.  The background system is
-    # released before the measured one is factored.
+    # The measured operator needs no solutions: it is read off a bordered
+    # factorization, made before the background solutions exist, while the
+    # least memory is in use.  The probes read every row of those solutions.
+    lam_q = Forward(mesh, q, k, basis).ntd("ntd_measured")
+    background = Forward(mesh, 1.0, k, basis, system)
+    del system
     u1 = background.solutions()
     lam1 = background.ntd("ntd_background", u1)
     del background
-    lam_q = Forward(mesh, q, k, basis).ntd("ntd_measured")
     if contrast == "positive":
         diff = lam_q.matrix - lam1.matrix
     else:

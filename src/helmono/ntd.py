@@ -31,10 +31,12 @@ import scipy.sparse as sp
 
 from .errors import BasisMismatchError, EigenSolverError, InvalidParameterError, SolverError
 from .fem import (
+    SOLVE_PANEL,
     CoefficientLike,
     HelmholtzSystem,
     assemble_region_mass,
     boundary_load_matrix,
+    count,
 )
 from .mesh import Mesh, Region
 
@@ -232,17 +234,37 @@ def make_symop(raw: np.ndarray, basis_id: str, label: str, k: float,
 class Forward:
     """The forward map of one ``(q, k)`` on a boundary basis.
 
-    Holds the one factorized :class:`HelmholtzSystem` of ``(q, k)``, the
-    sparse basis loads and their boundary rows: the vertices of the flagged
-    boundary edges, where some load is nonzero.  Every other row of a
-    solution pairs with zero loads when traces are read back.
+    Holds the sparse basis loads and their boundary rows: the vertices of the
+    flagged boundary edges, where some load is nonzero.  Every other row of a
+    solution pairs with zero loads when traces are read back.  ``(q, k)`` is
+    factored on first use, in the form that use needs:
+
+    * ``system`` (and ``solutions()``, which solves with it) is the plain
+      :class:`HelmholtzSystem`, factored once; ``system`` may be given, when
+      the caller already factored it;
+    * ``ntd()`` without solutions, while no plain system exists and the
+      basis has more than ``SOLVE_PANEL`` functions, factors the bordered
+      system instead and reads the matrix off its trailing block, with no
+      solve per basis function.  That factorization is not kept, unless it
+      fell back to the plain one, which then solves for it.  With one panel
+      of loads or fewer the bordered factorization saves nothing: the plain
+      system solves for them.
     """
 
-    def __init__(self, mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis):
+    def __init__(self, mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
+                 system: Optional[HelmholtzSystem] = None):
+        self.mesh, self.q, self.k = mesh, q, k
         self.basis = basis
         self.loads = basis_load_matrix(mesh, basis)
         self.rows = np.unique(self.loads.indices)
-        self.system = HelmholtzSystem(mesh, q, k)
+        self._system = system
+
+    @property
+    def system(self) -> HelmholtzSystem:
+        """The factorized plain system of ``(q, k)``."""
+        if self._system is None:
+            self._system = HelmholtzSystem(self.mesh, self.q, self.k)
+        return self._system
 
     def solutions(self) -> np.ndarray:
         """Nodal solutions for every basis flux, one column per basis function."""
@@ -252,21 +274,30 @@ class Forward:
         """Neumann-to-Dirichlet matrix ``loads.T @ solutions``.
 
         Entry ``(i, j)`` is the boundary integral of basis flux ``i`` against
-        the trace of the solution driven by basis flux ``j``.  Only the
-        boundary rows of the solutions are solved for, unless the full
-        ``solutions()`` are given, whose boundary rows are then read.
-        Symmetric up to solver roundoff (checked, then symmetrized exactly).
+        the trace of the solution driven by basis flux ``j``.  Given the full
+        ``solutions()``, their boundary rows are read.  Otherwise the matrix
+        is read off a bordered factorization when no plain system exists (see
+        the class), and else only the boundary rows of the solutions are
+        solved for.  Symmetric up to roundoff (checked, then symmetrized
+        exactly).
         """
-        if solutions is None:
-            boundary = self.system.solve_many(self.loads, self.rows)
-        elif solutions.shape != self.loads.shape:
-            raise InvalidParameterError(
-                f"expected solutions of shape {self.loads.shape}, got {solutions.shape}"
-            )
-        else:
+        if solutions is not None:
+            if solutions.shape != self.loads.shape:
+                raise InvalidParameterError(
+                    f"expected solutions of shape {self.loads.shape}, got {solutions.shape}"
+                )
             boundary = solutions[self.rows]
+        else:
+            if self._system is None and self.loads.shape[1] > SOLVE_PANEL:
+                bordered = HelmholtzSystem(self.mesh, self.q, self.k, border=self.loads)
+                if bordered.ntd is not None:
+                    count("ntd.trailing")
+                    return make_symop(bordered.ntd, self.basis.basis_id, label, self.k)
+                self._system = bordered
+            count("ntd.solved")
+            boundary = self.system.solve_many(self.loads, self.rows)
         raw = self.loads[self.rows].toarray().T @ boundary
-        return make_symop(raw, self.basis.basis_id, label, self.system.k)
+        return make_symop(raw, self.basis.basis_id, label, self.k)
 
 
 def basis_solutions(mesh: Mesh, q: CoefficientLike, k: float,

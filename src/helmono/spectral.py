@@ -14,11 +14,13 @@ different data so each can cross-check the others:
 * the sweep: ``d_of_q`` alone computes the top eigenvalues of the Neumann
   pencil until one falls below zero (the ``dq`` subcommand);
 * the inertia: ``d_of_q(..., system=...)`` reads the negative pivots of an
-  already factorized :class:`~helmono.fem.HelmholtzSystem` of ``(q, k)``
-  (Sylvester's law of inertia) and checks the window with the one eigenvalue
-  nearest zero.  ``monotonicity_check`` and negative-contrast
-  ``reconstruct`` use it on a forward system they factor anyway, and
-  positive-contrast ``reconstruct`` on the constant ``max q`` system;
+  already factorized plain :class:`~helmono.fem.HelmholtzSystem` of
+  ``(q, k)`` (Sylvester's law of inertia) and checks the window with the one
+  eigenvalue nearest zero.  Negative-contrast ``reconstruct`` uses it on the
+  background system it solves with anyway, ``monotonicity_check`` on a plain
+  ``q2`` system (its operators come from bordered factorizations, which
+  solve nothing) and positive-contrast ``reconstruct`` on the constant
+  ``max q`` system;
 * the compact part: ``count_K_eigs_above_one``, from its own pencil (the
   ``dq`` subcommand reports whether it agrees with the sweep).
 * ``count_negative`` counts negative eigenvalues of a dense symmetric matrix,
@@ -55,7 +57,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, InvalidParameterError, SpectralAmbiguityError
-from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, \
+from .fem import Coefficient, CoefficientLike, HelmholtzSystem, _Ordered, as_coefficient, \
     assemble_mass, assemble_stiffness, assemble_weighted_mass, factorize
 from .mesh import Mesh
 
@@ -175,28 +177,32 @@ def _deterministic_start(n: int) -> np.ndarray:
     return np.random.default_rng(_V0_SEED).standard_normal(n)
 
 
-def _shift_invert(a: sp.spmatrix, b: sp.spmatrix,
-                  sigma_upper: float) -> spla.LinearOperator:
-    """``(a - sigma_upper b)^{-1}`` from one factorization.
+def _shift_invert(a: sp.spmatrix, b: sp.spmatrix, sigma_upper: float,
+                  order: np.ndarray) -> spla.LinearOperator:
+    """``(a - sigma_upper b)^{-1}`` from one factorization, with the rows and
+    columns in ``order`` (the pencil has the mesh's pattern, so the mesh's
+    :attr:`~helmono.mesh.Mesh.vertex_order`).
 
     With ``sigma_upper`` above the whole spectrum the shifted matrix is
     negative definite, so :func:`fem.factorize` keeps its symmetric-mode
     factorization.
     """
-    lu, _ = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}")
+    shifted = (a - sigma_upper * b).tocsr()[order][:, order].tocsc()
+    lu = factorize(shifted, f"at shift {sigma_upper:.17g}").lu
     n = a.shape[0]
-    return spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    return spla.LinearOperator((n, n), matvec=_Ordered(lu, order).solve, dtype=float)
 
 
 def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
-                want_vectors: bool,
+                want_vectors: bool, order: np.ndarray,
                 opinv: Optional[spla.LinearOperator] = None) -> EigenResult:
     """Top-m eigenpairs of ``a v = lambda b v`` with ``b`` positive definite.
 
     ``sigma_upper`` must lie strictly above the whole spectrum; the sparse
     path shift-inverts there so the eigenvalues nearest the shift are exactly
     the algebraically largest.  ``opinv`` is the :func:`_shift_invert` of the
-    pencil when the caller already has it; otherwise it is factored here.
+    pencil when the caller already has it; otherwise it is factored here, in
+    ``order``.
     """
     n = a.shape[0]
     if m < 1 or m > n:
@@ -211,7 +217,7 @@ def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
         w = sla.eigh(aw, bw, eigvals_only=True)
         return EigenResult(values=np.sort(w)[::-1][:m].copy())
     if opinv is None:
-        opinv = _shift_invert(a, b, sigma_upper)
+        opinv = _shift_invert(a, b, sigma_upper, order)
     try:
         out = spla.eigsh(
             a,
@@ -288,23 +294,25 @@ def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int,
         raise InvalidParameterError(
             f"count must be between 1 and {mesh.n_vertices}, got {count}"
         )
-    result = _pencil_top(a, m, count, sigma_upper, want_vectors)
+    result = _pencil_top(a, m, count, sigma_upper, want_vectors, mesh.vertex_order)
     _check_pair_residuals(a, m, result)
     return result
 
 
-def _sweep_down(a, b, sigma_upper, threshold: float, tol: Optional[float]):
+def _sweep_down(a, b, sigma_upper, threshold: float, tol: Optional[float],
+                order: np.ndarray):
     """Top eigenvalues computed until at least one falls below the decision
     window around ``threshold``; returns (values, effective tolerance).
 
     The count doubles from 8 until then.  Every step restarts ARPACK from the
-    same start vector, but the shifted pencil is factored once per sweep.
+    same start vector, but the shifted pencil is factored once per sweep, in
+    ``order``.
     """
     n = a.shape[0]
-    opinv = _shift_invert(a, b, sigma_upper) if n > DENSE_CUTOFF else None
+    opinv = _shift_invert(a, b, sigma_upper, order) if n > DENSE_CUTOFF else None
     m = min(8, n)
     while True:
-        values = _pencil_top(a, b, m, sigma_upper, False, opinv).values
+        values = _pencil_top(a, b, m, sigma_upper, False, order, opinv).values
         tol_eff = tol if tol is not None else TOL_FACTOR * float(np.abs(values).max())
         if values.min() < threshold - tol_eff or m >= n:
             return values, tol_eff
@@ -315,9 +323,11 @@ def _nearest_zero(system: HelmholtzSystem) -> float:
     """The eigenvalue nearest zero of ``system.matrix v = mu M v``.
 
     The sparse path shift-inverts at zero with the system's own
-    factorization; small problems go to dense LAPACK.
+    factorization; small problems go to dense LAPACK.  ``M`` is the system's
+    ``mass`` when it kept one, else it is assembled here.
     """
-    a, m = system.matrix, assemble_mass(system.mesh)
+    a = system.matrix
+    m = system.mass if system.mass is not None else assemble_mass(system.mesh)
     n = a.shape[0]
     if n <= DENSE_CUTOFF:
         w = sla.eigh(a.toarray(), m.toarray(), eigvals_only=True)
@@ -357,7 +367,7 @@ def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None
         count is not meaningful (the configuration is numerically resonant).
     InvalidParameterError
         If ``tol`` is not positive and finite, or ``system`` belongs to
-        another mesh, coefficient or wavenumber.
+        another mesh, coefficient or wavenumber, or is a bordered system.
     """
     _check_tol(tol)
     if system is not None:
@@ -365,6 +375,8 @@ def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None
         if not (system.mesh is mesh and system.k == float(k)
                 and np.array_equal(system.q.values, coeff.values)):
             raise InvalidParameterError("system was factored for another (mesh, q, k)")
+        if system.ntd is not None:
+            raise InvalidParameterError("a bordered system solves nothing; d_of_q needs a plain one")
         if system.negative_pivots is not None:
             tol_eff = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
             nearest = -_nearest_zero(system)
@@ -375,7 +387,7 @@ def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None
                 )
             return system.negative_pivots
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
-    values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol)
+    values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol, mesh.vertex_order)
     near = values[np.abs(values) <= tol_eff]
     if near.size:
         raise SpectralAmbiguityError(
@@ -399,7 +411,7 @@ def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
     p = assemble_weighted_mass(mesh, 1.0 + (k * k) * q.values)
     g = assemble_stiffness(mesh) + assemble_mass(mesh)
     sigma_upper = max(1.0 + (k * k) * q.max, 0.0) + 1.0
-    values, tol_eff = _sweep_down(p, g, sigma_upper, 1.0, tol)
+    values, tol_eff = _sweep_down(p, g, sigma_upper, 1.0, tol, mesh.vertex_order)
     # The count decides mu > 1 + tol, so the ambiguous band sits around that
     # decision point.  mu = 1 exactly is a structural eigenvalue (constants
     # whenever q has mean zero contribution) and is cleanly not counted.
@@ -419,7 +431,7 @@ def is_resonance(mesh: Mesh, q: CoefficientLike, k: float,
     ``tol`` of zero, i.e. the forward problem is (numerically) unsolvable."""
     _check_tol(tol)
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
-    values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol)
+    values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol, mesh.vertex_order)
     return bool((np.abs(values) <= tol_eff).any())
 
 
@@ -432,7 +444,7 @@ def nearest_neumann_eigenvalue(mesh: Mesh, q: CoefficientLike, k: float) -> floa
     """
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
     # A zero tolerance makes the sweep stop at the first negative eigenvalue.
-    values, _ = _sweep_down(a, m, sigma_upper, 0.0, 0.0)
+    values, _ = _sweep_down(a, m, sigma_upper, 0.0, 0.0, mesh.vertex_order)
     return float(values[np.argmin(np.abs(values))])
 
 

@@ -193,3 +193,45 @@ def test_region_flags_read_only():
     region = Region(np.zeros(8, dtype=bool))
     with pytest.raises(ValueError):
         region.triangle_flags[0] = True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 40])
+def test_vertex_order_is_a_deterministic_permutation(n):
+    mesh = build_unit_square_mesh(n)
+    order = mesh.vertex_order
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
+    assert np.array_equal(build_unit_square_mesh(n).vertex_order, order)
+    assert mesh.vertex_order is order
+    with pytest.raises(ValueError):
+        order[0] = 0
+    # the four corners of the square come last
+    corners = {0, n, n * (n + 1), (n + 1) ** 2 - 1}
+    assert set(order[-4:].tolist()) == corners
+
+
+def test_vertex_order_stops_on_coincident_vertices():
+    # no cut separates vertices at one point: the bisection ends at its level
+    # cap with a permutation all the same
+    vertices = np.zeros((12, 2))
+    vertices[:3] = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    triangles = np.array([[0, 1, 2]])
+    boundary = np.array([[0, 1], [1, 2], [2, 0]])
+    mesh = Mesh(vertices, triangles, boundary, np.zeros(3, dtype=bool))
+    assert np.array_equal(np.sort(mesh.vertex_order), np.arange(12))
+
+
+@pytest.mark.parametrize("n", [48, 64, 96, 128])
+def test_vertex_order_fill_near_minimum_degree(n):
+    # A symmetric-mode factorization in the nested-dissection order has at
+    # most 5% more nonzeros than in SuperLU's minimum-degree order.
+    import scipy.sparse.linalg as spla
+
+    from helmono import assemble_stiffness, assemble_weighted_mass
+
+    mesh = build_unit_square_mesh(n)
+    matrix = (assemble_stiffness(mesh) - assemble_weighted_mass(mesh, 2.0)).tocsc()
+    order = mesh.vertex_order
+    options = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    nested = spla.splu(matrix[order][:, order].tocsc(), permc_spec="NATURAL", **options)
+    degree = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", **options)
+    assert nested.L.nnz + nested.U.nnz <= 1.05 * (degree.L.nnz + degree.U.nnz)

@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helmono import monotone, spectral
@@ -22,6 +22,7 @@ from helmono import (
     make_symop,
     mark_sigma,
     monotonicity_check,
+    nearest_neumann_eigenvalue,
     ntd_matrix,
     pixel_grid,
     reconstruct,
@@ -29,6 +30,7 @@ from helmono import (
     tb_from_solutions,
 )
 from helmono.errors import BasisMismatchError, InvalidParameterError
+from helmono.fem import counting
 from helmono.spectral import count_negative_stack
 
 
@@ -492,3 +494,23 @@ def test_larger_alpha_never_accepts_more(n, corner, size, value, alpha1, ratio):
     decided = (low.indeterminate_counts == 0) & (high.indeterminate_counts == 0)
     assert not (high.mask & ~low.mask & decided).any()
     assert (high.negative_counts[decided] >= low.negative_counts[decided]).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(6, 12), k=st.floats(0.5, 5.0), seed=st.integers(0, 2**32 - 1),
+       segments=st.sampled_from([17, 20]))
+def test_ordered_coefficients_pass_the_monotonicity_check(n, k, seed, segments):
+    # q1 <= q2 gives Lambda(q1) <=_d Lambda(q2) with d = d(q2), away from the
+    # resonances of either coefficient; both operators are read off bordered
+    # factorizations (more than SOLVE_PANEL basis functions).
+    mesh = _mesh(n)
+    rng = np.random.default_rng(seed)
+    q1 = rng.uniform(0.3, 2.0, mesh.n_triangles)
+    q2 = q1 + rng.uniform(0.0, 1.0, mesh.n_triangles) * (rng.random(mesh.n_triangles) < 0.5)
+    for q in (q1, q2):
+        assume(abs(nearest_neumann_eigenvalue(mesh, q, k)) > 1e-2)
+    basis = boundary_basis(mesh, segments)
+    with counting() as tally:
+        result = monotonicity_check(mesh, q1, q2, k, basis)
+    assert tally["ntd.trailing"] == 2
+    assert result.verdict, result

@@ -29,7 +29,9 @@ from helmono import (
     rect_region,
     tb_from_solutions,
 )
+from helmono import d_of_q, fem
 from helmono.errors import BasisMismatchError, InvalidParameterError, SolverError
+from helmono.fem import SOLVE_PANEL, counting
 from helmono.ntd import SYMMETRY_RTOL
 
 
@@ -351,9 +353,10 @@ def test_make_symop_does_not_overflow_near_the_largest_double():
 @pytest.mark.parametrize("n, selector, segments", [(8, "all", None), (16, "top + left", 8),
                                                    (24, "bottom", 5)])
 def test_forward_ntd_paths_agree_bitwise(n, selector, segments, monkeypatch):
-    # boundary rows solved for, boundary rows read from the full solutions,
-    # and the frozen ntd_matrix all give the same bits; reading rows solves
-    # nothing
+    # Forward.ntd() and the frozen ntd_matrix give the same bits; boundary
+    # rows read from the full solutions agree to roundoff (a basis of more
+    # than SOLVE_PANEL functions reads ntd() off a bordered factorization,
+    # not from solves); reading rows solves nothing
     mesh = _mesh(n, selector)
     basis = boundary_basis(mesh, segments)
     q = np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles)
@@ -367,8 +370,9 @@ def test_forward_ntd_paths_agree_bitwise(n, selector, segments, monkeypatch):
     monkeypatch.setattr(fwd.system, "solve_many", no_solve)
     read = fwd.ntd("ntd", u)
     frozen = ntd_matrix(mesh, q, 1.7, basis)
+    assert np.array_equal(frozen.matrix.view(np.uint64), solved.matrix.view(np.uint64))
+    assert np.abs(read.matrix - solved.matrix).max() <= 1e-12 * np.abs(solved.matrix).max()
     for op in (read, frozen):
-        assert np.array_equal(op.matrix.view(np.uint64), solved.matrix.view(np.uint64))
         assert (op.basis_id, op.k) == (solved.basis_id, solved.k)
 
 
@@ -394,3 +398,98 @@ def test_ntd_symmetric_for_random_q_and_k(n, k, seed, selector):
     assert np.abs(raw - raw.T).max() <= SYMMETRY_RTOL * np.abs(raw).max()
     op = fwd.ntd("ntd", u)
     assert np.array_equal(op.matrix, op.matrix.T)
+
+
+def _solve_route(fwd, label="ntd"):
+    """Lambda from the plain system's solutions, whatever ``fwd.ntd()`` does."""
+    return fwd.ntd(label, fwd.solutions())
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 20), k=st.floats(0.3, 6.0), seed=st.integers(0, 2**32 - 1),
+       selector=st.sampled_from(["all", "bottom + right", "left + top"]),
+       segments=st.one_of(st.none(), st.integers(SOLVE_PANEL + 1, 80)))
+def test_trailing_block_matches_the_solve_route(n, k, seed, selector, segments):
+    # Lambda read off the bordered factorization equals
+    # loads[rows].T @ solutions()[rows] to 1e-11 relative; segments=None is
+    # one basis function per edge, the worst conditioned basis.  On the
+    # closed loop that basis makes Lambda singular (the next test).
+    mesh = _mesh(n, selector)
+    edges = int(mesh.sigma_flags.sum())
+    assume(edges > SOLVE_PANEL and (segments is None or segments <= edges))
+    assume(not (selector == "all" and segments is None))
+    q = np.random.default_rng(seed).uniform(0.3, 3.0, mesh.n_triangles)
+    assume(abs(nearest_neumann_eigenvalue(mesh, q, k)) > 1e-2)
+    basis = boundary_basis(mesh, segments)
+    fwd = Forward(mesh, q, k, basis)
+    with counting() as tally:
+        block = fwd.ntd("ntd").matrix
+    assert (tally["ntd.trailing"], tally["ntd.solved"]) == (1, 0)
+    u = fwd.solutions()
+    solved = fwd.loads[fwd.rows].toarray().T @ u[fwd.rows]
+    assert np.abs(block - solved).max() <= 1e-11 * np.abs(solved).max()
+
+
+@pytest.mark.parametrize("n", [8, 13, 64])
+def test_one_function_per_edge_of_a_closed_loop(n):
+    # The alternating flux on an even loop of edges loads no vertex, so
+    # Lambda is singular; whichever route ntd() takes, it matches the solve
+    # route and annihilates that flux.
+    mesh = _mesh(n)
+    basis = boundary_basis(mesh)
+    q = np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles)
+    fwd = Forward(mesh, q, 1.0, basis)
+    lam = fwd.ntd("ntd").matrix
+    expected = _solve_route(fwd).matrix
+    scale = np.abs(expected).max()
+    assert np.abs(lam - expected).max() <= 1e-11 * scale
+    alternating = np.where(np.arange(basis.dim) % 2 == 0, 1.0, -1.0)
+    assert np.abs(lam @ alternating).max() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("refuse", ["pivots", "block"])
+def test_forced_fallback_gives_the_solve_route(monkeypatch, refuse):
+    # A bordered factorization refused by the pivot guard on its A part, or
+    # with a block refused, falls back to A alone and solves for Lambda.
+    mesh = _mesh(12)
+    basis = boundary_basis(mesh)
+    q = np.random.default_rng(5).uniform(0.5, 2.0, mesh.n_triangles)
+    expected = _solve_route(Forward(mesh, q, 2.0, basis)).matrix
+    if refuse == "pivots":
+        monkeypatch.setattr(fem, "SYMMETRIC_PIVOT_RTOL", 1.0)
+    else:
+        monkeypatch.setattr(fem, "_trailing_block", lambda *args: None)
+    fwd = Forward(mesh, q, 2.0, basis)
+    with counting() as tally:
+        lam = fwd.ntd("ntd").matrix
+    assert (tally["ntd.trailing"], tally["ntd.solved"]) == (0, 1)
+    # pivots: the bordered attempt, then partial pivoting on A; block: the
+    # bordered factorization, then A alone in the same order
+    assert tally["factorizations"] == 2
+    assert fwd.system.ntd is None
+    if refuse == "block":
+        assert np.array_equal(lam, expected)
+    else:
+        assert np.abs(lam - expected).max() <= 1e-11 * np.abs(expected).max()
+
+
+def test_bordered_system_solves_nothing():
+    mesh = _mesh(8)
+    loads = basis_load_matrix(mesh, boundary_basis(mesh))
+    system = HelmholtzSystem(mesh, 1.0, 1.0, border=loads)
+    assert system.ntd.shape == (loads.shape[1],) * 2
+    with pytest.raises(InvalidParameterError, match="solves nothing"):
+        system.solve(np.ones(mesh.n_vertices))
+    with pytest.raises(InvalidParameterError, match="solves nothing"):
+        system.solve_many(loads)
+    with pytest.raises(InvalidParameterError, match="solves nothing"):
+        d_of_q(mesh, 1.0, 1.0, system=system)
+
+
+def test_small_basis_takes_the_solve_route():
+    # one panel of loads or fewer: no bordered factorization
+    mesh = _mesh(8)
+    basis = boundary_basis(mesh, SOLVE_PANEL)
+    with counting() as tally:
+        Forward(mesh, 1.0, 1.0, basis).ntd("ntd")
+    assert dict(tally) == {"factorizations": 1, "ntd.solved": 1}
