@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -44,11 +45,29 @@ RESIDUAL_RTOL = 1e-10
 #: factorization anywhere near that guard is redone with partial pivoting and
 #: judged by it.  Over 690 wavenumbers at the first five resonances of meshes
 #: n = 8, 16 and 32 (q = 1 and a random q), the 168 whose partial-pivoting
-#: ratio fell below ``PIVOT_RTOL`` had static ratios up to 4e-13 in the
-#: meshes' vertex order (1e-11 in SuperLU's minimum-degree order); 979 such
-#: wavenumbers over more meshes, seeds and resonances reached 3e-10.
+#: ratio fell below ``PIVOT_RTOL`` had static ratios up to 1.7e-12 in the
+#: meshes' vertex order and up to 7.6e-10 with the flagged boundary last
+#: (all of it, the top, bottom and right, or a stretch without a corner);
+#: 979 such wavenumbers over more meshes, seeds and resonances reached
+#: 6.6e-10 and 7.6e-10.  SuperLU's minimum-degree order reached 1e-11 and
+#: 3e-10.
 SYMMETRIC_PIVOT_RTOL = 1e-9
-#: Seed of the right side ``[0; h]`` that checks a bordered factorization.
+#: Normwise backward error ``|A u - b| / (|A| |u| + |b|)`` above which a
+#: solve gets one step of iterative refinement.  Static pivots can let the
+#: factors of an indefinite matrix grow; a solve shows it in its backward
+#: error, and the step restores it.  On meshes n = 4 to 24 (k = 1, random q)
+#: the NtD matrices solved for and those read off trailing blocks then agreed
+#: to 6.3e-14 relative over 1500 cases, against 1.0e-13 with the threshold
+#: at twice this; at n = 128 about one basis solve in twenty-five exceeds it.
+REFINE_BERR = float(np.finfo(float).eps)
+#: Element growth ``max_i sum_k |L_ik| |U_ki| / max_i |(LU)_ii|`` of a
+#: trailing block above which the NtD matrix is solved for instead of read
+#: off it.  On those meshes, blocks grown at most 210-fold gave matrices
+#: within 6.1e-14 of twice-refined solves, blocks grown 400- to 1300-fold up
+#: to 7e-13 off.  At n = 128, k = 1, 78 of 80 compare systems grew at most
+#: 29-fold and two 121- and 124-fold.
+TAIL_GROWTH_MAX = 100.0
+#: Seed of the load combination ``h`` that checks a trailing-block NtD matrix.
 _CHECK_SEED = 20171122
 #: Columns per triangular-solve panel of ``solve_many``: the panel of right
 #: sides stays in cache while the factors stream past it.
@@ -211,13 +230,14 @@ _tally: ContextVar[Optional[Counter]] = ContextVar("helmono_tally", default=None
 @contextmanager
 def counting():
     """Count, inside the block, the sparse factorizations made and the routes
-    :meth:`ntd.Forward.ntd` took; yields the :class:`collections.Counter`.
+    :meth:`HelmholtzSystem.ntd` took; yields the :class:`collections.Counter`.
 
-    Keys: ``factorizations`` (every SuperLU factorization, including one a
-    pivot guard refused and had redone), ``ntd.trailing`` (a Neumann-to-
-    Dirichlet matrix read off a bordered factorization) and ``ntd.solved``
-    (one computed from solves with the system).  The tally belongs to the
-    calling context, so the counts are those of the block alone.
+    Keys: ``factorizations`` (every SuperLU factorization :func:`factorize`
+    made, including one a pivot guard refused and had redone),
+    ``ntd.trailing`` (a Neumann-to-Dirichlet matrix read off the trailing
+    block of the factors) and ``ntd.solved`` (one computed from solves).  The
+    tally belongs to the calling context, so the counts are those of the
+    block alone.
     """
     tally = Counter()
     token = _tally.set(tally)
@@ -239,36 +259,25 @@ def _splu(matrix: sp.csc_matrix, **options) -> spla.SuperLU:
     return spla.splu(matrix, **options)
 
 
-def _pivots(pivots: np.ndarray, same_permutations: bool) -> tuple[float, float, Optional[int]]:
+def _pivots(lu: spla.SuperLU) -> tuple[float, float, Optional[int]]:
     """Smallest and largest pivot magnitude, and the number of negative
     pivots when the row and column permutations coincide (else None).
 
-    The pivots are the diagonal of ``SuperLU.U``.  Reading that attribute
-    makes scipy build CSC copies of both ``L`` and ``U`` and keep them for
-    the factorization's lifetime (about 10 MB at ``n = 128``), so each
-    factorization reads it once.
+    The pivots are the diagonal of ``lu.U``.  Reading that attribute makes
+    scipy build CSC copies of both ``L`` and ``U`` and keep them for the
+    factorization's lifetime (about 12 MB at ``n = 128``); later reads of
+    ``lu.L`` and ``lu.U`` return the same copies.
     """
+    pivots = lu.U.diagonal()
     magnitudes = np.abs(pivots)
-    negative = int((pivots < 0.0).sum()) if same_permutations else None
+    negative = (int((pivots < 0.0).sum())
+                if np.array_equal(lu.perm_r, lu.perm_c) else None)
     return float(magnitudes.min()), float(magnitudes.max()), negative
 
 
-def _check_residual(matrix: sp.spmatrix, matrix_norm: float, b: np.ndarray,
-                    u: np.ndarray) -> None:
-    """Refuse a solution ``u`` of ``matrix u = b`` (columns of a block each on
-    their own) whose residual exceeds ``RESIDUAL_RTOL`` of its scale."""
-    r = matrix @ u - b
-    scale = matrix_norm * np.linalg.norm(u, axis=0) + np.linalg.norm(b, axis=0)
-    bad = np.linalg.norm(r, axis=0) > RESIDUAL_RTOL * np.maximum(scale, 1e-300)
-    if np.any(bad):
-        raise SolverError(
-            f"direct solve residual exceeded {RESIDUAL_RTOL:g} of scale"
-        )
-
-
 class _Ordered:
-    """Solves with a matrix through the factorization of its rows and columns
-    taken in ``order``."""
+    """Solves with a matrix through the factorization ``lu`` of its rows and
+    columns taken in ``order``."""
 
     def __init__(self, lu: spla.SuperLU, order: np.ndarray):
         self.lu, self.order = lu, order
@@ -281,85 +290,32 @@ class _Ordered:
 
 
 class Factorization(NamedTuple):
-    """What :func:`factorize` keeps.
+    """What :func:`factorize` returns: ``lu`` solves with the matrix (its
+    ``solve`` takes vectors and column blocks), ``negative`` is the number of
+    negative eigenvalues of the matrix, or None."""
 
-    ``lu`` solves with the matrix (its ``solve`` takes vectors and column
-    blocks); it is None when only the border's block was kept.  ``negative``
-    is the number of negative eigenvalues of the matrix, or None.  ``ntd`` is
-    ``B^T A^{-1} B`` for the border ``B``, or None without a border or when
-    the bordered factorization was not kept.
-    """
-
-    lu: Optional[object]
+    lu: object
     negative: Optional[int]
-    ntd: Optional[np.ndarray]
 
 
-def _trailing_block(lu: spla.SuperLU, up: sp.csc_matrix, bordered: sp.csc_matrix,
-                    n: int) -> Optional[np.ndarray]:
-    """``B^T A^{-1} B`` read off the factorization ``lu`` of the bordered
-    matrix, whose ``U`` factor is ``up``, or None when the block cannot be
-    trusted to ``RESIDUAL_RTOL``.
+def factorize(matrix: sp.csc_matrix, where: str,
+              order: Optional[np.ndarray] = None) -> Factorization:
+    """Sparse LU of a symmetric matrix, refused when it is near singular.
 
-    The first ``n`` unknowns eliminated are those of ``A``, so the trailing
-    blocks of the factors multiply to the Schur complement ``-B^T A^{-1} B``.
-    They are an unpivoted LU of it: a tail pivot small against the entries it
-    divides shows as element growth, ``max(|L_tt| |U_tt|)`` far above the
-    block's largest entry, and the block is refused when the rounding that
-    growth allows could exceed ``RESIDUAL_RTOL``.  A kept block is checked
-    against one solve with the bordered matrix, of ``[0; h]`` for a
-    fixed-seed ``h``: its residual over every row, then
-    ``|Lambda z_t + h| <= RESIDUAL_RTOL (|Lambda| |z_t| + |h|)`` for its
-    trailing part ``z_t = -Lambda^{-1} h``.
+    The first attempt runs SuperLU in symmetric mode on the rows and columns
+    taken in ``order`` (None keeps them as they are), with no further
+    reordering and diagonal pivots, so the row and column permutations
+    coincide.  It is kept when its smallest pivot magnitude exceeds
+    ``SYMMETRIC_PIVOT_RTOL`` times the largest; its ``lu`` is then an
+    ``_Ordered`` solver when an order was given.  Otherwise the matrix is
+    refactored with partial pivoting, and that factorization must clear
+    ``PIVOT_RTOL``.  ``where`` names the system in error messages.
 
-    Raises
-    ------
-    SolverError
-        If either check fails.
-    """
-    low_t = lu.L[n:, n:].toarray()  # built with ``up``: no second copy
-    up_t = up[n:, n:].toarray()
-    ntd = -(low_t @ up_t)
-    growth = (np.abs(low_t) @ np.abs(up_t)).max()
-    if np.finfo(float).eps * growth > RESIDUAL_RTOL * np.abs(ntd).max():
-        return None
-    h = np.random.default_rng(_CHECK_SEED).standard_normal(ntd.shape[0])
-    rhs = np.concatenate([np.zeros(n), h])
-    z = lu.solve(rhs)
-    _check_residual(bordered, spla.norm(bordered, 1), rhs, z)
-    tail = z[n:]
-    scale = np.linalg.norm(ntd, 1) * np.linalg.norm(tail) + np.linalg.norm(h)
-    if np.linalg.norm(ntd @ tail + h) > RESIDUAL_RTOL * scale:
-        raise SolverError(f"bordered block residual exceeded {RESIDUAL_RTOL:g} of scale")
-    return ntd
-
-
-def factorize(matrix: sp.csc_matrix, where: str, order: Optional[np.ndarray] = None,
-              border: Optional[sp.spmatrix] = None) -> Factorization:
-    """Sparse LU of a symmetric matrix ``A``, refused when it is near singular.
-
-    The first attempt runs SuperLU in symmetric mode on ``A`` with its rows
-    and columns taken in ``order`` (None keeps them as they are), with no
-    further reordering and diagonal pivots, so the row and column
-    permutations coincide.  It is kept when its smallest pivot magnitude
-    exceeds ``SYMMETRIC_PIVOT_RTOL`` times the largest.  Otherwise ``A``
-    itself is refactored with partial pivoting, and that factorization must
-    clear ``PIVOT_RTOL``.  ``where`` names the system in error messages.
-
-    With ``border``, an ``(n, m)`` matrix ``B``, the first attempt factors the
-    bordered matrix ``K = [[A, B], [B^T, 0]]`` instead, its ``m`` multiplier
-    unknowns last, and the pivot guard reads the pivots of the ``A`` part.
-    When the multipliers stayed last, the trailing block of its factors gives
-    ``B^T A^{-1} B`` (see :func:`_trailing_block`) with no solve with ``A``,
-    and only that block is kept: solving with ``A`` through ``K`` would
-    cancel through ``(B^T A^{-1} B)^{-1}``.  A block that cannot be trusted
-    falls back to factoring ``A`` alone, whose solves then give it.
-
-    The negative count is that of the pivots of ``A`` (of its part of
-    ``K``), or None when the row and column permutations differ.  With equal
-    permutations the factorization is a congruence (``U = D L^T``, SuperLU
-    runs without equilibration), so by Sylvester's law of inertia the count
-    is the number of negative eigenvalues of ``A``.
+    The negative count is that of the pivots, or None when the row and
+    column permutations differ.  With equal permutations the factorization is
+    a congruence (``U = D L^T``, SuperLU runs without equilibration), so by
+    Sylvester's law of inertia the count is the number of negative
+    eigenvalues of the matrix.
 
     Raises
     ------
@@ -368,37 +324,21 @@ def factorize(matrix: sp.csc_matrix, where: str, order: Optional[np.ndarray] = N
         smallest pivot magnitude is at or below ``PIVOT_RTOL`` times the
         largest.
     """
-    n = matrix.shape[0]
-    target = (matrix if border is None
-              else sp.bmat([[matrix, border], [border.T, None]], format="csc"))
-    if order is not None:
-        full = np.concatenate([order, np.arange(n, target.shape[0])])
-        target = target[full][:, full].tocsc()
+    target = matrix if order is None else matrix[order][:, order].tocsc()
     try:
         lu = _splu(target, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
     except RuntimeError:  # an exactly zero pivot: let partial pivoting judge
-        if border is not None:  # unless the pivot was the border's
-            return factorize(matrix, where, order)
+        pass
     else:
-        up = lu.U
-        same = np.array_equal(lu.perm_r, lu.perm_c)
-        small, large, negative = _pivots(up.diagonal()[:n], same)
+        small, large, negative = _pivots(lu)
         if small > SYMMETRIC_PIVOT_RTOL * large:
-            if border is None:
-                return Factorization(lu if order is None else _Ordered(lu, order),
-                                     negative, None)
-            if same and (lu.perm_c[n:] == np.arange(n, target.shape[0])).all():
-                ntd = _trailing_block(lu, up, target, n)
-                if ntd is not None:
-                    return Factorization(None, negative, ntd)
-            return factorize(matrix, where, order)
+            return Factorization(lu if order is None else _Ordered(lu, order), negative)
     try:
         lu = _splu(matrix)
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise ResonanceError(f"factorization failed {where}: {exc}", 0.0, 0.0) from exc
-    small, large, negative = _pivots(lu.U.diagonal(),
-                                     np.array_equal(lu.perm_r, lu.perm_c))
+    small, large, negative = _pivots(lu)
     threshold = PIVOT_RTOL * large
     if small <= threshold:
         raise ResonanceError(
@@ -407,35 +347,32 @@ def factorize(matrix: sp.csc_matrix, where: str, order: Optional[np.ndarray] = N
             small,
             threshold,
         )
-    return Factorization(lu, negative, None)
+    return Factorization(lu, negative)
 
 
 class HelmholtzSystem:
     """Factorized Galerkin system ``(S - k^2 M_q) u = b`` for one ``(q, k)``.
 
     Factorizing once and solving for many right-hand sides is the workhorse
-    behind trace operators, which need one solve per basis function.  The
-    factorization comes from :func:`factorize`, with the vertices in the
-    mesh's nested-dissection order (:attr:`Mesh.vertex_order`): SuperLU's
-    symmetric mode when its pivots are safely away from zero, otherwise
-    partial pivoting with the resonance guard below.  ``solve_many`` runs the
+    behind trace operators.  The factorization comes from :func:`factorize`,
+    with the vertices in the mesh's :attr:`~helmono.mesh.Mesh.vertex_order`,
+    or with ``sigma_last`` in its :attr:`~helmono.mesh.Mesh.sigma_last_order`
+    (the vertices of the flagged boundary edges last): SuperLU's symmetric
+    mode when its pivots are safely away from zero, otherwise partial
+    pivoting with the resonance guard below.  ``solve_many`` runs the
     triangular solves in panels of ``SOLVE_PANEL`` columns, densifying sparse
     loads one panel at a time, and can keep only some rows of the solutions;
+    a solve whose backward error exceeds ``REFINE_BERR`` is refined once, and
     every solve's residual is checked over all rows against
-    ``RESIDUAL_RTOL``.  ``negative_pivots`` is the number of negative
-    eigenvalues of the matrix, read from the factorization's pivots; it is
-    None when the row and column permutations differ, which partial pivoting
-    usually leaves them.
-
-    With ``border``, the ``(n_vertices, m)`` sparse basis loads ``B``, the
-    system factors the bordered matrix ``[[A, B], [B^T, 0]]`` and keeps only
-    ``ntd = B^T A^{-1} B``, read off the trailing block of its factors: no
-    solve per load, and the system then solves nothing (``solve`` and
-    ``solve_many`` refuse).  When :func:`factorize` falls back to ``A`` alone,
-    ``ntd`` is None and the system solves as without a border.  With
-    ``mass``, the unweighted mass matrix is assembled before the
-    factorization, while no factor occupies memory, and kept as ``mass`` for
-    :func:`spectral.d_of_q`'s window check; otherwise ``mass`` is None.
+    ``RESIDUAL_RTOL``.  ``ntd`` gives ``B^T A^{-1} B`` for boundary loads
+    ``B``; in the ``sigma_last`` order it reads it off the trailing block of
+    the factors, with no solve per load.  ``negative_pivots`` is the number
+    of negative eigenvalues of the matrix, read from the factorization's
+    pivots; it is None when the row and column permutations differ, which
+    partial pivoting usually leaves them.  With ``mass``, the unweighted mass
+    matrix is assembled before the factorization, while no factor occupies
+    memory, and kept as ``mass`` for :func:`spectral.d_of_q`'s window check;
+    otherwise ``mass`` is None.
 
     Raises
     ------
@@ -447,7 +384,7 @@ class HelmholtzSystem:
     """
 
     def __init__(self, mesh: Mesh, q: CoefficientLike, k: float, *,
-                 border: Optional[sp.spmatrix] = None, mass: bool = False):
+                 sigma_last: bool = False, mass: bool = False):
         if not (k > 0.0 and np.isfinite(k)):
             raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
         q = as_coefficient(mesh, q)
@@ -457,19 +394,33 @@ class HelmholtzSystem:
         self.q = q
         self.k = float(k)
         self.mass = assemble_mass(mesh) if mass else None
-        self.stiffness = assemble_stiffness(mesh)
-        self.weighted_mass = assemble_weighted_mass(mesh, q)
-        self.matrix = (self.stiffness - (k * k) * self.weighted_mass).tocsc()
-        self._lu, self.negative_pivots, self.ntd = factorize(
-            self.matrix, f"at k={k:.17g}", mesh.vertex_order, border)
+        self.matrix = (assemble_stiffness(mesh)
+                       - (k * k) * assemble_weighted_mass(mesh, q)).tocsc()
+        order = mesh.sigma_last_order if sigma_last else mesh.vertex_order
+        self._lu, self.negative_pivots = factorize(self.matrix, f"at k={k:.17g}", order)
+        self._tail = int(np.count_nonzero(mesh.sigma_tail)) if sigma_last else 0
         self._matrix_norm = spla.norm(self.matrix, 1)
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            raise InvalidParameterError(
-                "a bordered system keeps only its NtD block and solves nothing")
+        """Solve ``A u = b`` (a vector or a block of columns), refine the
+        columns whose backward error exceeds ``REFINE_BERR`` once, and refuse
+        a residual above ``RESIDUAL_RTOL`` of its scale."""
         u = self._lu.solve(b)
-        _check_residual(self.matrix, self._matrix_norm, b, u)
+        r = self.matrix @ u
+        r -= b
+        scale = np.maximum(self._matrix_norm * np.linalg.norm(u, axis=0)
+                           + np.linalg.norm(b, axis=0), 1e-300)
+        refine = np.linalg.norm(r, axis=0) > REFINE_BERR * scale
+        if u.ndim == 1 and refine:
+            u -= self._lu.solve(r)
+            r = self.matrix @ u
+            r -= b
+        elif u.ndim == 2 and refine.any():
+            cols = np.flatnonzero(refine)
+            u[:, cols] -= self._lu.solve(np.asfortranarray(r[:, cols]))
+            r[:, cols] = self.matrix @ u[:, cols] - b[:, cols]
+        if np.any(np.linalg.norm(r, axis=0) > RESIDUAL_RTOL * scale):
+            raise SolverError(f"direct solve residual exceeded {RESIDUAL_RTOL:g} of scale")
         return u
 
     def solve(self, load: NodalField) -> NodalField:
@@ -509,3 +460,76 @@ class HelmholtzSystem:
             u[:, panel] = solution if rows is None else solution[rows]
         return u
 
+    def ntd(self, loads: sp.spmatrix) -> np.ndarray:
+        """``loads^T A^{-1} loads`` for a sparse load block, unsymmetrized.
+
+        When the factorization kept the ``sigma_last`` order and the loads
+        vanish off the flagged boundary, the trailing ``g x g`` blocks of the
+        factors are an unpivoted LU of the Schur complement ``C`` of the
+        other vertices; ``A^{-1}`` restricted to the boundary is ``C^{-1}``,
+        so the matrix is ``B^T C^{-1} B`` for the boundary rows ``B`` of the
+        loads: two dense triangular solves of size ``g``, no solve per load.
+        One solve of ``loads h`` (fixed-seed ``h``) checks it: that solve's
+        own residual, then
+        ``|Lambda h - loads^T u| <= RESIDUAL_RTOL (|Lambda| |h| + |loads^T u|)``.
+        Otherwise, and when the block grew more than ``TAIL_GROWTH_MAX``-fold
+        (an unpivoted LU of an indefinite block can), the boundary rows of the
+        solutions are solved for.  Each call counts its route in
+        :func:`counting` (``ntd.trailing`` or ``ntd.solved``).
+
+        Raises
+        ------
+        SolverError
+            If a residual check fails.
+        """
+        loads = loads.tocsc()
+        if loads.shape[0] != self.mesh.n_vertices:
+            raise InvalidParameterError("load block must be (n_vertices, m)")
+        rows = np.unique(loads.indices)
+        ntd = self._read_off_tail(loads, rows)
+        if ntd is None:
+            count("ntd.solved")
+            return loads[rows].toarray().T @ self.solve_many(loads, rows)
+        count("ntd.trailing")
+        h = np.random.default_rng(_CHECK_SEED).standard_normal(loads.shape[1])
+        traces = loads.T @ self._solve(loads @ h)
+        scale = np.linalg.norm(ntd, 1) * np.linalg.norm(h) + np.linalg.norm(traces)
+        if np.linalg.norm(ntd @ h - traces) > RESIDUAL_RTOL * scale:
+            raise SolverError(
+                f"trailing-block residual exceeded {RESIDUAL_RTOL:g} of scale")
+        return ntd
+
+    def _read_off_tail(self, loads: sp.csc_matrix,
+                       rows: np.ndarray) -> Optional[np.ndarray]:
+        """``B^T C^{-1} B`` from the trailing blocks of the factors, or None
+        when the factorization did not keep the ``sigma_last`` order, some of
+        ``rows`` lie before its tail, or the block grew more than
+        ``TAIL_GROWTH_MAX``-fold."""
+        if not (self._tail and isinstance(self._lu, _Ordered)):
+            return None
+        lu, order = self._lu.lu, self._lu.order
+        start = order.size - self._tail
+        inside = np.zeros(order.size, dtype=bool)
+        inside[order[start:]] = True
+        kept = (np.array_equal(lu.perm_r, lu.perm_c)
+                and np.array_equal(lu.perm_c[start:], np.arange(start, order.size)))
+        if not (kept and inside[rows].all()):
+            return None
+        low, up = lu.L[start:, start:], lu.U[start:, start:]
+        # With U = D L^T the diagonal of |L| |U| bounds all its entries.  It
+        # is summed a few rows at a time, and a factor is made dense only
+        # once the block is kept, one at a time, to keep the memory small.
+        growth = diagonal = 0.0
+        for part in np.array_split(np.arange(self._tail), max(1, self._tail // 64)):
+            rows_, cols = low[part].toarray(), up[:, part].toarray()
+            growth = max(growth, np.einsum("ij,ji->i", np.abs(rows_), np.abs(cols)).max())
+            diagonal = max(diagonal, np.abs(np.einsum("ij,ji->i", rows_, cols)).max())
+        if growth > TAIL_GROWTH_MAX * diagonal:
+            return None
+        b = loads[order[start:]]
+        low = low.toarray()
+        y = sla.solve_triangular(low, b.toarray(), lower=True, unit_diagonal=True,
+                                 overwrite_b=True, check_finite=False)
+        del low
+        y = sla.solve_triangular(up.toarray(), y, overwrite_b=True, check_finite=False)
+        return b.toarray().T @ y

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BasisMismatchError, InvalidParameterError, ResonanceError
-from .fem import CoefficientLike, HelmholtzSystem, as_coefficient
+from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_weighted_mass
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, Forward, SymOp, tb_from_solutions
 from .spectral import count_negative, count_negative_stack, d_of_q, one_blas_thread
@@ -94,7 +94,8 @@ def identity_residual(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     u1 = sys1.solve(load)
     u2 = sys2.solve(load)
     boundary_term = load @ (u2 - u1)
-    interior_term = (k * k) * (u1 @ ((sys1.weighted_mass - sys2.weighted_mass) @ u1))
+    weighted = assemble_weighted_mass(mesh, sys1.q) - assemble_weighted_mass(mesh, sys2.q)
+    interior_term = (k * k) * (u1 @ (weighted @ u1))
     w = u2 - u1
     energy_term = w @ (sys2.matrix @ w)
     scale = abs(boundary_term) + abs(interior_term) + abs(energy_term)
@@ -103,20 +104,22 @@ def identity_residual(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     return abs(boundary_term + interior_term - energy_term) / scale
 
 
-def _defect_system(mesh: Mesh, q: CoefficientLike, k: float):
-    """The plain :class:`HelmholtzSystem` of ``(q, k)``, with its mass matrix,
-    and ``d_of_q`` read from its inertia.
+def _defect_system(mesh: Mesh, q: CoefficientLike, k: float, sigma_last: bool = False):
+    """The :class:`HelmholtzSystem` of ``(q, k)``, with its mass matrix, and
+    ``d_of_q`` read from its inertia.
 
     When the system cannot be factored, ``d_of_q``'s sweep runs first, so a
     near-resonant configuration reports its ambiguous count before the
     resonance, as when the count came first.
     """
     try:
-        system = HelmholtzSystem(mesh, q, k, mass=True)
+        system = HelmholtzSystem(mesh, q, k, sigma_last=sigma_last, mass=True)
     except ResonanceError:
         d_of_q(mesh, q, k)
         raise
-    return system, d_of_q(mesh, q, k, system=system)
+    d = d_of_q(mesh, q, k, system=system)
+    system.mass = None  # only d_of_q's window check reads it
+    return system, d
 
 
 def monotonicity_check(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
@@ -132,10 +135,12 @@ def monotonicity_check(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     q2 = as_coefficient(mesh, q2)
     if not (q1.values <= q2.values).all():
         raise InvalidParameterError("coefficients are not ordered: q1 <= q2 fails")
-    # One factorization at a time: d(q2) needs solves, so a plain one, released
-    # before the bordered ones that give both operators without solves.
-    d2 = _defect_system(mesh, q2, k)[1]
-    lam2 = Forward(mesh, q2, k, basis).ntd("ntd_q2")
+    # One factorization per coefficient, each with the flagged boundary last
+    # so its operator needs no solves; the q2 system, which also gives d(q2),
+    # is released before q1 is factored.
+    system, d2 = _defect_system(mesh, q2, k, sigma_last=True)
+    lam2 = Forward(mesh, q2, k, basis, system).ntd("ntd_q2")
+    del system
     lam1 = Forward(mesh, q1, k, basis).ntd("ntd_q1")
     return leq_d(lam1, lam2, d2, tol)
 
@@ -292,9 +297,10 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
             )
         system, d_max = _defect_system(mesh, 1.0, k)
 
-    # The measured operator needs no solutions: it is read off a bordered
-    # factorization, made before the background solutions exist, while the
-    # least memory is in use.  The probes read every row of those solutions.
+    # The measured operator needs no solutions: it is read off the trailing
+    # block of its factorization, made before the background solutions
+    # exist, while the least memory is in use.  The probes read every row of
+    # those solutions.
     lam_q = Forward(mesh, q, k, basis).ntd("ntd_measured")
     background = Forward(mesh, 1.0, k, basis, system)
     del system

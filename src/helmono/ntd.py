@@ -31,12 +31,10 @@ import scipy.sparse as sp
 
 from .errors import BasisMismatchError, EigenSolverError, InvalidParameterError, SolverError
 from .fem import (
-    SOLVE_PANEL,
     CoefficientLike,
     HelmholtzSystem,
     assemble_region_mass,
     boundary_load_matrix,
-    count,
 )
 from .mesh import Mesh, Region
 
@@ -237,18 +235,16 @@ class Forward:
     Holds the sparse basis loads and their boundary rows: the vertices of the
     flagged boundary edges, where some load is nonzero.  Every other row of a
     solution pairs with zero loads when traces are read back.  ``(q, k)`` is
-    factored on first use, in the form that use needs:
+    factored once, on first use, in the order that use favours:
 
-    * ``system`` (and ``solutions()``, which solves with it) is the plain
-      :class:`HelmholtzSystem`, factored once; ``system`` may be given, when
-      the caller already factored it;
-    * ``ntd()`` without solutions, while no plain system exists and the
-      basis has more than ``SOLVE_PANEL`` functions, factors the bordered
-      system instead and reads the matrix off its trailing block, with no
-      solve per basis function.  That factorization is not kept, unless it
-      fell back to the plain one, which then solves for it.  With one panel
-      of loads or fewer the bordered factorization saves nothing: the plain
-      system solves for them.
+    * ``solutions()`` first: the mesh's fill-reducing vertex order, which
+      keeps the solves over every row cheapest;
+    * ``ntd()`` without solutions first: the flagged boundary's vertices
+      last (``sigma_last``), so the matrix is read off the trailing block of
+      the factors with no solve per basis function.
+
+    Either system serves both uses.  ``system`` may be given, when the caller
+    already factored it.
     """
 
     def __init__(self, mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
@@ -259,12 +255,15 @@ class Forward:
         self.rows = np.unique(self.loads.indices)
         self._system = system
 
+    def _factored(self, sigma_last: bool) -> HelmholtzSystem:
+        if self._system is None:
+            self._system = HelmholtzSystem(self.mesh, self.q, self.k, sigma_last=sigma_last)
+        return self._system
+
     @property
     def system(self) -> HelmholtzSystem:
-        """The factorized plain system of ``(q, k)``."""
-        if self._system is None:
-            self._system = HelmholtzSystem(self.mesh, self.q, self.k)
-        return self._system
+        """The factorized system of ``(q, k)``."""
+        return self._factored(False)
 
     def solutions(self) -> np.ndarray:
         """Nodal solutions for every basis flux, one column per basis function."""
@@ -275,28 +274,18 @@ class Forward:
 
         Entry ``(i, j)`` is the boundary integral of basis flux ``i`` against
         the trace of the solution driven by basis flux ``j``.  Given the full
-        ``solutions()``, their boundary rows are read.  Otherwise the matrix
-        is read off a bordered factorization when no plain system exists (see
-        the class), and else only the boundary rows of the solutions are
-        solved for.  Symmetric up to roundoff (checked, then symmetrized
-        exactly).
+        ``solutions()``, their boundary rows are read; otherwise the system
+        gives it (:meth:`HelmholtzSystem.ntd`).  Symmetric up to roundoff
+        (checked, then symmetrized exactly).
         """
-        if solutions is not None:
-            if solutions.shape != self.loads.shape:
-                raise InvalidParameterError(
-                    f"expected solutions of shape {self.loads.shape}, got {solutions.shape}"
-                )
-            boundary = solutions[self.rows]
+        if solutions is None:
+            raw = self._factored(True).ntd(self.loads)
+        elif solutions.shape != self.loads.shape:
+            raise InvalidParameterError(
+                f"expected solutions of shape {self.loads.shape}, got {solutions.shape}"
+            )
         else:
-            if self._system is None and self.loads.shape[1] > SOLVE_PANEL:
-                bordered = HelmholtzSystem(self.mesh, self.q, self.k, border=self.loads)
-                if bordered.ntd is not None:
-                    count("ntd.trailing")
-                    return make_symop(bordered.ntd, self.basis.basis_id, label, self.k)
-                self._system = bordered
-            count("ntd.solved")
-            boundary = self.system.solve_many(self.loads, self.rows)
-        raw = self.loads[self.rows].toarray().T @ boundary
+            raw = self.loads[self.rows].toarray().T @ solutions[self.rows]
         return make_symop(raw, self.basis.basis_id, label, self.k)
 
 

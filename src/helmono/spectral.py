@@ -14,13 +14,11 @@ different data so each can cross-check the others:
 * the sweep: ``d_of_q`` alone computes the top eigenvalues of the Neumann
   pencil until one falls below zero (the ``dq`` subcommand);
 * the inertia: ``d_of_q(..., system=...)`` reads the negative pivots of an
-  already factorized plain :class:`~helmono.fem.HelmholtzSystem` of
-  ``(q, k)`` (Sylvester's law of inertia) and checks the window with the one
-  eigenvalue nearest zero.  Negative-contrast ``reconstruct`` uses it on the
-  background system it solves with anyway, ``monotonicity_check`` on a plain
-  ``q2`` system (its operators come from bordered factorizations, which
-  solve nothing) and positive-contrast ``reconstruct`` on the constant
-  ``max q`` system;
+  already factorized :class:`~helmono.fem.HelmholtzSystem` of ``(q, k)``
+  (Sylvester's law of inertia) and checks the window with the one eigenvalue
+  nearest zero.  ``monotonicity_check`` and negative-contrast
+  ``reconstruct`` use it on a forward system they factor anyway, and
+  positive-contrast ``reconstruct`` on the constant ``max q`` system;
 * the compact part: ``count_K_eigs_above_one``, from its own pencil (the
   ``dq`` subcommand reports whether it agrees with the sweep).
 * ``count_negative`` counts negative eigenvalues of a dense symmetric matrix,
@@ -57,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, InvalidParameterError, SpectralAmbiguityError
-from .fem import Coefficient, CoefficientLike, HelmholtzSystem, _Ordered, as_coefficient, \
+from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, \
     assemble_mass, assemble_stiffness, assemble_weighted_mass, factorize
 from .mesh import Mesh
 
@@ -187,10 +185,9 @@ def _shift_invert(a: sp.spmatrix, b: sp.spmatrix, sigma_upper: float,
     negative definite, so :func:`fem.factorize` keeps its symmetric-mode
     factorization.
     """
-    shifted = (a - sigma_upper * b).tocsr()[order][:, order].tocsc()
-    lu = factorize(shifted, f"at shift {sigma_upper:.17g}").lu
+    lu = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}", order).lu
     n = a.shape[0]
-    return spla.LinearOperator((n, n), matvec=_Ordered(lu, order).solve, dtype=float)
+    return spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
 
 
 def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
@@ -367,7 +364,7 @@ def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None
         count is not meaningful (the configuration is numerically resonant).
     InvalidParameterError
         If ``tol`` is not positive and finite, or ``system`` belongs to
-        another mesh, coefficient or wavenumber, or is a bordered system.
+        another mesh, coefficient or wavenumber.
     """
     _check_tol(tol)
     if system is not None:
@@ -375,8 +372,6 @@ def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None
         if not (system.mesh is mesh and system.k == float(k)
                 and np.array_equal(system.q.values, coeff.values)):
             raise InvalidParameterError("system was factored for another (mesh, q, k)")
-        if system.ntd is not None:
-            raise InvalidParameterError("a bordered system solves nothing; d_of_q needs a plain one")
         if system.negative_pivots is not None:
             tol_eff = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
             nearest = -_nearest_zero(system)

@@ -197,8 +197,8 @@ def test_monotonicity_check_verdict(tmp_path):
 @pytest.mark.parametrize("refuse_symmetric", [False, True])
 def test_manifest_counts_factorizations_and_ntd_routes(tmp_path, monkeypatch,
                                                        refuse_symmetric):
-    # d(q2) from a plain factorization, both operators off bordered ones; a
-    # refused symmetric factorization shows as factorizations redone with
+    # one factorization per coefficient, both operators off trailing blocks;
+    # a refused symmetric factorization shows as factorizations redone with
     # partial pivoting and operators solved for
     from helmono import fem
 
@@ -209,7 +209,7 @@ def test_manifest_counts_factorizations_and_ntd_routes(tmp_path, monkeypatch,
     assert run(tmp_path, text, "monotonicity-check") == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
     stats = [ln for ln in manifest if ln.startswith("stat.")]
-    expected = (6, 0, 2) if refuse_symmetric else (3, 2, 0)
+    expected = (4, 0, 2) if refuse_symmetric else (2, 2, 0)
     assert stats == ["stat.blas_one_thread = " + stats[0].split(" = ")[1],
                      f"stat.factorizations = {expected[0]}",
                      f"stat.ntd.trailing = {expected[1]}",
@@ -218,7 +218,7 @@ def test_manifest_counts_factorizations_and_ntd_routes(tmp_path, monkeypatch,
 
 def test_resonance_of_the_smaller_coefficient_exits_3(tmp_path, capsys):
     # q2 = 1.5 is not resonant at k*, so d(q2) is counted; q1 = 1 is, and its
-    # bordered factorization reports it like the plain one did
+    # factorization reports it
     out = tmp_path / "out"
     text = base_cfg(out, n=8, k=K_STAR_N8, **{"coefficient2.background": 1.5})
     assert run(tmp_path, text, "monotonicity-check") == 3

@@ -195,8 +195,10 @@ def test_region_flags_read_only():
         region.triangle_flags[0] = True
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 40])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 40, 50])
 def test_vertex_order_is_a_deterministic_permutation(n):
+    # minimum degree up to n = 44, nested dissection above; the corner of
+    # largest index comes last either way
     mesh = build_unit_square_mesh(n)
     order = mesh.vertex_order
     assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
@@ -204,26 +206,45 @@ def test_vertex_order_is_a_deterministic_permutation(n):
     assert mesh.vertex_order is order
     with pytest.raises(ValueError):
         order[0] = 0
-    # the four corners of the square come last
-    corners = {0, n, n * (n + 1), (n + 1) ** 2 - 1}
-    assert set(order[-4:].tolist()) == corners
+    assert order[-1] == (n + 1) ** 2 - 1
 
 
-def test_vertex_order_stops_on_coincident_vertices():
+@pytest.mark.parametrize("selector", ["all", "top", "bottom + left",
+                                      lambda x, y: (y < 1e-9) & (abs(x - 0.5) < 0.2)])
+def test_sigma_last_order_ends_with_the_flagged_boundary(selector):
+    # the flagged vertices and the corner that ends the vertex order come
+    # last, corners among them at the very end
+    mesh = mark_sigma(build_unit_square_mesh(12), selector)
+    order = mesh.sigma_last_order
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
+    tail = set(np.unique(mesh.boundary_edges[mesh.sigma_flags]).tolist()) | {168}
+    assert np.flatnonzero(mesh.sigma_tail).tolist() == sorted(tail)
+    assert set(order[-len(tail):].tolist()) == tail
+    corners = {0, 12, 156, 168} & tail
+    assert set(order[-len(corners):].tolist()) == corners
+    # the other vertices keep their relative order
+    position = np.argsort(mesh.vertex_order)
+    assert (np.diff(position[order[:-len(tail)]]) > 0).all()
+
+
+def test_nested_dissection_stops_on_coincident_vertices():
     # no cut separates vertices at one point: the bisection ends at its level
     # cap with a permutation all the same
+    from helmono.mesh import _nested_dissection
+
     vertices = np.zeros((12, 2))
     vertices[:3] = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    triangles = np.array([[0, 1, 2]])
-    boundary = np.array([[0, 1], [1, 2], [2, 0]])
-    mesh = Mesh(vertices, triangles, boundary, np.zeros(3, dtype=bool))
+    mesh = Mesh(vertices, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]),
+                np.zeros(3, dtype=bool))
+    order = _nested_dissection(mesh.vertices, *mesh._edges())
+    assert np.array_equal(np.sort(order), np.arange(12))
     assert np.array_equal(np.sort(mesh.vertex_order), np.arange(12))
 
 
-@pytest.mark.parametrize("n", [48, 64, 96, 128])
+@pytest.mark.parametrize("n", [16, 24, 32, 44, 45, 64, 96, 128])
 def test_vertex_order_fill_near_minimum_degree(n):
-    # A symmetric-mode factorization in the nested-dissection order has at
-    # most 5% more nonzeros than in SuperLU's minimum-degree order.
+    # A symmetric-mode factorization in the mesh's vertex order has at most
+    # 5% more nonzeros than in SuperLU's minimum-degree order.
     import scipy.sparse.linalg as spla
 
     from helmono import assemble_stiffness, assemble_weighted_mass
@@ -232,6 +253,6 @@ def test_vertex_order_fill_near_minimum_degree(n):
     matrix = (assemble_stiffness(mesh) - assemble_weighted_mass(mesh, 2.0)).tocsc()
     order = mesh.vertex_order
     options = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    nested = spla.splu(matrix[order][:, order].tocsc(), permc_spec="NATURAL", **options)
+    ordered = spla.splu(matrix[order][:, order].tocsc(), permc_spec="NATURAL", **options)
     degree = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", **options)
-    assert nested.L.nnz + nested.U.nnz <= 1.05 * (degree.L.nnz + degree.U.nnz)
+    assert ordered.L.nnz + ordered.U.nnz <= 1.05 * (degree.L.nnz + degree.U.nnz)

@@ -498,11 +498,11 @@ def test_larger_alpha_never_accepts_more(n, corner, size, value, alpha1, ratio):
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(6, 12), k=st.floats(0.5, 5.0), seed=st.integers(0, 2**32 - 1),
-       segments=st.sampled_from([17, 20]))
+       segments=st.integers(1, 24))
 def test_ordered_coefficients_pass_the_monotonicity_check(n, k, seed, segments):
     # q1 <= q2 gives Lambda(q1) <=_d Lambda(q2) with d = d(q2), away from the
-    # resonances of either coefficient; both operators are read off bordered
-    # factorizations (more than SOLVE_PANEL basis functions).
+    # resonances of either coefficient; one factorization per coefficient,
+    # its operator read off the trailing block or, where that grew, solved.
     mesh = _mesh(n)
     rng = np.random.default_rng(seed)
     q1 = rng.uniform(0.3, 2.0, mesh.n_triangles)
@@ -512,5 +512,5 @@ def test_ordered_coefficients_pass_the_monotonicity_check(n, k, seed, segments):
     basis = boundary_basis(mesh, segments)
     with counting() as tally:
         result = monotonicity_check(mesh, q1, q2, k, basis)
-    assert tally["ntd.trailing"] == 2
+    assert tally["ntd.trailing"] + tally["ntd.solved"] == 2
     assert result.verdict, result

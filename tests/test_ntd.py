@@ -31,7 +31,7 @@ from helmono import (
 )
 from helmono import d_of_q, fem
 from helmono.errors import BasisMismatchError, InvalidParameterError, SolverError
-from helmono.fem import SOLVE_PANEL, counting
+from helmono.fem import counting
 from helmono.ntd import SYMMETRY_RTOL
 
 
@@ -354,9 +354,9 @@ def test_make_symop_does_not_overflow_near_the_largest_double():
                                                    (24, "bottom", 5)])
 def test_forward_ntd_paths_agree_bitwise(n, selector, segments, monkeypatch):
     # Forward.ntd() and the frozen ntd_matrix give the same bits; boundary
-    # rows read from the full solutions agree to roundoff (a basis of more
-    # than SOLVE_PANEL functions reads ntd() off a bordered factorization,
-    # not from solves); reading rows solves nothing
+    # rows read from the full solutions agree to roundoff (ntd() reads the
+    # matrix off the trailing block of the factors, not from solves); reading
+    # rows solves nothing
     mesh = _mesh(n, selector)
     basis = boundary_basis(mesh, segments)
     q = np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles)
@@ -408,26 +408,39 @@ def _solve_route(fwd, label="ntd"):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(5, 20), k=st.floats(0.3, 6.0), seed=st.integers(0, 2**32 - 1),
        selector=st.sampled_from(["all", "bottom + right", "left + top"]),
-       segments=st.one_of(st.none(), st.integers(SOLVE_PANEL + 1, 80)))
-def test_trailing_block_matches_the_solve_route(n, k, seed, selector, segments):
-    # Lambda read off the bordered factorization equals
-    # loads[rows].T @ solutions()[rows] to 1e-11 relative; segments=None is
-    # one basis function per edge, the worst conditioned basis.  On the
-    # closed loop that basis makes Lambda singular (the next test).
+       segments=st.one_of(st.none(), st.integers(1, 80)))
+def test_ntd_routes_agree(n, k, seed, selector, segments):
+    # Lambda from a fresh forward map (read off the trailing block, or solved
+    # for when the block grew) equals loads[rows].T @ solutions()[rows] to
+    # 1e-11 relative; segments=None is one basis function per edge, the
+    # worst conditioned basis, and singular on the closed loop.
     mesh = _mesh(n, selector)
-    edges = int(mesh.sigma_flags.sum())
-    assume(edges > SOLVE_PANEL and (segments is None or segments <= edges))
-    assume(not (selector == "all" and segments is None))
+    assume(segments is None or segments <= int(mesh.sigma_flags.sum()))
     q = np.random.default_rng(seed).uniform(0.3, 3.0, mesh.n_triangles)
     assume(abs(nearest_neumann_eigenvalue(mesh, q, k)) > 1e-2)
     basis = boundary_basis(mesh, segments)
     fwd = Forward(mesh, q, k, basis)
     with counting() as tally:
-        block = fwd.ntd("ntd").matrix
-    assert (tally["ntd.trailing"], tally["ntd.solved"]) == (1, 0)
+        lam = fwd.ntd("ntd").matrix
+    assert tally["ntd.trailing"] + tally["ntd.solved"] == 1
     u = fwd.solutions()
     solved = fwd.loads[fwd.rows].toarray().T @ u[fwd.rows]
-    assert np.abs(block - solved).max() <= 1e-11 * np.abs(solved).max()
+    assert np.abs(lam - solved).max() <= 1e-11 * np.abs(solved).max()
+
+
+@pytest.mark.parametrize("n, selector, segments", [(8, "all", None), (24, "top", 5),
+                                                   (64, "all", 128)])
+def test_fresh_forward_map_reads_the_trailing_block(n, selector, segments):
+    # no solve per basis function: one factorization, the flagged boundary
+    # last, and only the check solve
+    mesh = _mesh(n, selector)
+    q = np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles)
+    fwd = Forward(mesh, q, 1.0, boundary_basis(mesh, segments))
+    with counting() as tally:
+        fwd.ntd("ntd")
+    assert dict(tally) == {"factorizations": 1, "ntd.trailing": 1}
+    tail = np.unique(mesh.boundary_edges[mesh.sigma_flags])
+    assert set(fwd.system._lu.order[-tail.size:].tolist()) == set(tail.tolist())
 
 
 @pytest.mark.parametrize("n", [8, 13, 64])
@@ -447,10 +460,11 @@ def test_one_function_per_edge_of_a_closed_loop(n):
     assert np.abs(lam @ alternating).max() <= 1e-11 * scale
 
 
-@pytest.mark.parametrize("refuse", ["pivots", "block"])
+@pytest.mark.parametrize("refuse", ["pivots", "growth"])
 def test_forced_fallback_gives_the_solve_route(monkeypatch, refuse):
-    # A bordered factorization refused by the pivot guard on its A part, or
-    # with a block refused, falls back to A alone and solves for Lambda.
+    # A factorization refused by the symmetric pivot guard is redone with
+    # partial pivoting, and a trailing block refused for its growth is not
+    # read: either way Lambda is solved for.
     mesh = _mesh(12)
     basis = boundary_basis(mesh)
     q = np.random.default_rng(5).uniform(0.5, 2.0, mesh.n_triangles)
@@ -458,38 +472,56 @@ def test_forced_fallback_gives_the_solve_route(monkeypatch, refuse):
     if refuse == "pivots":
         monkeypatch.setattr(fem, "SYMMETRIC_PIVOT_RTOL", 1.0)
     else:
-        monkeypatch.setattr(fem, "_trailing_block", lambda *args: None)
+        monkeypatch.setattr(fem, "TAIL_GROWTH_MAX", 0.0)
     fwd = Forward(mesh, q, 2.0, basis)
     with counting() as tally:
         lam = fwd.ntd("ntd").matrix
     assert (tally["ntd.trailing"], tally["ntd.solved"]) == (0, 1)
-    # pivots: the bordered attempt, then partial pivoting on A; block: the
-    # bordered factorization, then A alone in the same order
-    assert tally["factorizations"] == 2
-    assert fwd.system.ntd is None
-    if refuse == "block":
-        assert np.array_equal(lam, expected)
-    else:
-        assert np.abs(lam - expected).max() <= 1e-11 * np.abs(expected).max()
+    # pivots: the symmetric attempt, then partial pivoting
+    assert tally["factorizations"] == (2 if refuse == "pivots" else 1)
+    assert np.abs(lam - expected).max() <= 1e-11 * np.abs(expected).max()
+    if refuse == "growth":
+        assert np.array_equal(lam, _solve_route(fwd).matrix)
 
 
-def test_bordered_system_solves_nothing():
+def test_trailing_block_is_checked_against_a_solve(monkeypatch):
+    # a matrix read off the trailing block that does not reproduce a solve
+    # of the combined loads is refused
     mesh = _mesh(8)
-    loads = basis_load_matrix(mesh, boundary_basis(mesh))
-    system = HelmholtzSystem(mesh, 1.0, 1.0, border=loads)
-    assert system.ntd.shape == (loads.shape[1],) * 2
-    with pytest.raises(InvalidParameterError, match="solves nothing"):
-        system.solve(np.ones(mesh.n_vertices))
-    with pytest.raises(InvalidParameterError, match="solves nothing"):
-        system.solve_many(loads)
-    with pytest.raises(InvalidParameterError, match="solves nothing"):
-        d_of_q(mesh, 1.0, 1.0, system=system)
+    loads = basis_load_matrix(mesh, boundary_basis(mesh, 6))
+    system = HelmholtzSystem(mesh, 1.0, 1.0, sigma_last=True)
+    read = system._read_off_tail
+    monkeypatch.setattr(system, "_read_off_tail",
+                        lambda *args: read(*args) * (1.0 + 1e-6))
+    with pytest.raises(SolverError, match="trailing-block residual"):
+        system.ntd(loads)
 
 
-def test_small_basis_takes_the_solve_route():
-    # one panel of loads or fewer: no bordered factorization
-    mesh = _mesh(8)
-    basis = boundary_basis(mesh, SOLVE_PANEL)
-    with counting() as tally:
-        Forward(mesh, 1.0, 1.0, basis).ntd("ntd")
-    assert dict(tally) == {"factorizations": 1, "ntd.solved": 1}
+def test_sigma_last_system_solves_like_the_plain_one():
+    mesh = _mesh(16, "top")
+    q = np.random.default_rng(3).uniform(0.5, 2.0, mesh.n_triangles)
+    plain = HelmholtzSystem(mesh, q, 3.0)
+    last = HelmholtzSystem(mesh, q, 3.0, sigma_last=True)
+    assert last.negative_pivots == plain.negative_pivots is not None
+    assert d_of_q(mesh, q, 3.0, system=last) == d_of_q(mesh, q, 3.0, system=plain)
+    load = np.random.default_rng(4).standard_normal(mesh.n_vertices)
+    u = plain.solve(load)
+    assert np.abs(last.solve(load) - u).max() <= 1e-10 * np.abs(u).max()
+
+
+def test_one_refinement_step_restores_a_grown_solve(monkeypatch):
+    # n = 23 with this q: the static pivots grow, the plain solves' NtD
+    # matrix is 4e-12 off and one refinement step brings it within 5e-14
+    mesh = _mesh(23)
+    loads = basis_load_matrix(mesh, boundary_basis(mesh, 4))
+    q = np.random.default_rng(5).uniform(0.5, 2.0, mesh.n_triangles)
+    system = HelmholtzSystem(mesh, q, 1.0)
+    b = loads.toarray()
+    x = system.solve_many(loads)
+    for _ in range(2):
+        x -= system._lu.solve(system.matrix @ x - b)
+    reference = b.T @ x
+    scale = np.abs(reference).max()
+    assert np.abs(b.T @ system.solve_many(loads) - reference).max() <= 5e-14 * scale
+    monkeypatch.setattr(fem, "REFINE_BERR", np.inf)
+    assert np.abs(b.T @ system.solve_many(loads) - reference).max() > 1e-12 * scale

@@ -75,9 +75,9 @@ def test_sweep_factors_the_shifted_pencil_once(monkeypatch):
     # doubles its count once; both steps share one factorization.
     calls = []
 
-    def counting(matrix, where):
+    def counting(matrix, where, *args):
         calls.append(where)
-        return factorize(matrix, where)
+        return factorize(matrix, where, *args)
 
     factorize = spectral.factorize
     monkeypatch.setattr(spectral, "factorize", counting)
@@ -153,9 +153,9 @@ def test_d_from_system_without_pivot_signs_takes_the_sweep(monkeypatch):
     assert system.negative_pivots is None
     calls = []
 
-    def counting(matrix, where):
+    def counting(matrix, where, *args):
         calls.append(where)
-        return factorize(matrix, where)
+        return factorize(matrix, where, *args)
 
     factorize = spectral.factorize
     monkeypatch.setattr(spectral, "factorize", counting)
