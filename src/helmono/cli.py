@@ -559,6 +559,8 @@ def main(argv=None) -> int:
         if tally["factorizations"]:
             stats += [(name, tally[name])
                       for name in ("factorizations", "ntd.trailing", "ntd.solved")]
+        if tally["counts.dense"]:
+            stats += [(name, tally[name]) for name in ("counts.dense", "counts.certified")]
         seed = cfg.get_int("seed", 0)
         write_manifest(
             outdir / "manifest.txt",

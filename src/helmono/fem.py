@@ -235,9 +235,11 @@ def counting():
     Keys: ``factorizations`` (every SuperLU factorization :func:`factorize`
     made, including one a pivot guard refused and had redone),
     ``ntd.trailing`` (a Neumann-to-Dirichlet matrix read off the trailing
-    block of the factors) and ``ntd.solved`` (one computed from solves).  The
-    tally belongs to the calling context, so the counts are those of the
-    block alone.
+    block of the factors), ``ntd.solved`` (one computed from solves), and
+    from :func:`monotone.reconstruct`, ``counts.dense`` (pixel matrices whose
+    eigenvalues were computed) and ``counts.certified`` (sweep steps at which
+    a pixel's rejection was certified instead).  The tally belongs to the
+    calling context, so the counts are those of the block alone.
     """
     tally = Counter()
     token = _tally.set(tally)
@@ -247,11 +249,13 @@ def counting():
         _tally.reset(token)
 
 
-def count(name: str) -> None:
-    """Add one to ``name`` in the tally of the enclosing :func:`counting` block."""
+def count(name: str, n: int = 1) -> None:
+    """Add ``n`` to ``name`` in the tally of the enclosing :func:`counting`
+    block.  Threads do not inherit the block, so pool workers' counts are
+    added by the thread that waits for them."""
     tally = _tally.get()
     if tally is not None:
-        tally[name] += 1
+        tally[name] += n
 
 
 def _splu(matrix: sp.csc_matrix, **options) -> spla.SuperLU:
@@ -369,10 +373,11 @@ class HelmholtzSystem:
     the factors, with no solve per load.  ``negative_pivots`` is the number
     of negative eigenvalues of the matrix, read from the factorization's
     pivots; it is None when the row and column permutations differ, which
-    partial pivoting usually leaves them.  With ``mass``, the unweighted mass
-    matrix is assembled before the factorization, while no factor occupies
-    memory, and kept as ``mass`` for :func:`spectral.d_of_q`'s window check;
-    otherwise ``mass`` is None.
+    partial pivoting usually leaves them.  The stiffness part is the mesh's
+    shared, read-only :attr:`~helmono.mesh.Mesh.stiffness`.  With ``mass``,
+    the unweighted mass matrix is assembled before the factorization, while
+    no factor occupies memory, and kept as ``mass`` for
+    :func:`spectral.d_of_q`'s window check; otherwise ``mass`` is None.
 
     Raises
     ------
@@ -394,8 +399,7 @@ class HelmholtzSystem:
         self.q = q
         self.k = float(k)
         self.mass = assemble_mass(mesh) if mass else None
-        self.matrix = (assemble_stiffness(mesh)
-                       - (k * k) * assemble_weighted_mass(mesh, q)).tocsc()
+        self.matrix = (mesh.stiffness - (k * k) * assemble_weighted_mass(mesh, q)).tocsc()
         order = mesh.sigma_last_order if sigma_last else mesh.vertex_order
         self._lu, self.negative_pivots = factorize(self.matrix, f"at k={k:.17g}", order)
         self._tail = int(np.count_nonzero(mesh.sigma_tail)) if sigma_last else 0

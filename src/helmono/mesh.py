@@ -115,6 +115,21 @@ class Mesh:
         return bary
 
     @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """The stiffness matrix :func:`helmono.fem.assemble_stiffness` of
+        this mesh; read-only.
+
+        It depends on the geometry alone, so it is assembled on first use and
+        kept with the mesh, and every system and pencil of the mesh shares it.
+        """
+        from .fem import assemble_stiffness  # fem builds on this module
+
+        s = assemble_stiffness(self)
+        for part in (s.data, s.indices, s.indptr):
+            part.setflags(write=False)
+        return s
+
+    @cached_property
     def vertex_order(self) -> np.ndarray:
         """Elimination order of the vertices for sparse factorizations;
         read-only.

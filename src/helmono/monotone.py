@@ -23,10 +23,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import BasisMismatchError, InvalidParameterError, ResonanceError
-from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_weighted_mass
+from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_weighted_mass, count
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, Forward, SymOp, tb_from_solutions
-from .spectral import count_negative, count_negative_stack, d_of_q, one_blas_thread
+from .spectral import RejectionCertificate, checked_stack, count_negative, count_negative_stack, \
+    d_of_q, one_blas_thread
 
 _SWEEP_CAP = 20
 #: Pixel matrices per stacked count.  Each worker builds its stack itself, so
@@ -208,33 +209,51 @@ class ReconstructionResult:
         return np.where(self.ambiguous, 128, vals).astype(int)
 
 
-def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, d_max: int,
-                  tol: Optional[float], threads: int):
-    def count(start: int) -> list:
-        chunk = tbs[start:start + PIXEL_STACK]
-        stack = np.empty((len(chunk),) + diff.shape)
-        for j, tb in enumerate(chunk):
-            # bit for bit diff - alpha * tb, with no temporary per pixel
-            np.multiply(tb, -alpha, out=stack[j])
-            stack[j] += diff
-        return count_negative_stack(stack, tol)
+def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, tol: Optional[float],
+                  threads: int, certified: Optional[np.ndarray] = None) -> list:
+    """The :class:`~helmono.spectral.CountResult` of every pixel matrix
+    ``diff - alpha T_B``, in pixel order, or None for a ``certified`` pixel:
+    its matrix is built and checked (:func:`~helmono.spectral.checked_stack`)
+    but not counted.
 
-    starts = range(0, len(tbs), PIXEL_STACK)
+    Stacks of up to :data:`PIXEL_STACK` matrices, the counted ones first, are
+    built and handled by a pool of ``threads`` workers.  The number of dense
+    counts is added to the ``counts.dense`` tally of :func:`fem.counting`.
+    """
+    pixels = np.arange(len(tbs))
+    if certified is None:
+        certified = np.zeros(len(tbs), dtype=bool)
+    chunks = [(part[start:start + PIXEL_STACK], counted)
+              for part, counted in ((pixels[~certified], True), (pixels[certified], False))
+              for start in range(0, part.size, PIXEL_STACK)]
+
+    def run(chunk) -> list:
+        members, counted = chunk
+        stack = np.empty((members.size,) + diff.shape)
+        for j, p in enumerate(members):
+            # bit for bit diff - alpha * tb, with no temporary per pixel
+            np.multiply(tbs[p], -alpha, out=stack[j])
+            stack[j] += diff
+        if counted:
+            return count_negative_stack(stack, tol)
+        checked_stack(stack)
+        return [None] * members.size
+
     # One BLAS thread per count: each stack's eigenvalues are then the same
     # bits whichever worker, and whatever OPENBLAS_NUM_THREADS, computes them.
     with one_blas_thread() as capped:
-        workers = min(threads, len(starts)) if capped else 1
+        workers = min(threads, len(chunks)) if capped else 1
         if workers > 1:
             with ThreadPoolExecutor(workers) as pool:
-                stacks = list(pool.map(count, starts))
+                done = list(pool.map(run, chunks))
         else:
-            stacks = [count(start) for start in starts]
-    counts = [c for stack in stacks for c in stack]
-    negative = np.array([c.negative for c in counts], dtype=int)
-    indeterminate = np.array([c.indeterminate for c in counts], dtype=int)
-    tols = np.array([c.tol for c in counts])
-    mask = negative <= d_max
-    return negative, indeterminate, mask, float(tols.max())
+            done = [run(chunk) for chunk in chunks]
+    counts = [None] * len(tbs)
+    for (members, _), results in zip(chunks, done):
+        for p, c in zip(members, results):
+            counts[p] = c
+    count("counts.dense", int((~certified).sum()))
+    return counts
 
 
 def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
@@ -261,11 +280,20 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
       ``params["sweep_stable"]`` False.
 
     An explicit ``alpha`` must be positive and finite, as in
-    :func:`inclusion_test`.  The pixel counts run in stacks of
-    :data:`PIXEL_STACK` under a one-thread limit on both OpenBLAS copies,
+    :func:`inclusion_test`; each pixel then gets one dense count.  The sweep
+    builds a :class:`~helmono.spectral.RejectionCertificate` per pixel once,
+    and at each step counts densely only the pixels it does not certify as
+    rejected (most pixels, rejected by a wide margin at every step).  The
+    reported step's certified pixels are then counted as well, so the
+    counts, tolerance and mask returned are those of a dense count of every
+    pixel at that step.  Every pixel matrix of every step is checked for
+    finiteness and symmetry, counted or not.  The dense counts run in stacks
+    of :data:`PIXEL_STACK` under a one-thread limit on both OpenBLAS copies,
     spread over a pool of ``threads`` workers (``threads=1`` counts on the
     calling thread); the result is bit for bit the same for every
-    ``threads`` and BLAS setting.
+    ``threads`` and BLAS setting.  The numbers of dense counts and of
+    certified rejections go to the ``counts.dense`` and ``counts.certified``
+    tallies of :func:`fem.counting`.
 
     Returns per-pixel verdicts plus the parameters that produced them.
     """
@@ -316,42 +344,57 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
 
     sweep_history = None
     if alpha is not None:
-        negative, indeterminate, mask, tol_used = _pixel_counts(
-            diff, tbs, float(alpha), d_max, tol, threads
-        )
         alpha_used = float(alpha)
+        counts = _pixel_counts(diff, tbs, alpha_used, tol, threads)
     else:
+        # Most pixels are rejected at every step by a wide margin; their
+        # certificates prove it from a small compression, and only the other
+        # pixels are counted densely.  The reported step is then completed,
+        # so its counts are those of a dense count of every pixel.
+        with one_blas_thread():
+            certificates = [RejectionCertificate(diff, tb) for tb in tbs]
         sweep_history = []
-        outcomes = []
+        steps = []
         chosen = None
+        certified_total = 0
         for m in range(_SWEEP_CAP + 1):
             a = 2.0 ** (-m)
-            outcome = _pixel_counts(diff, tbs, a, d_max, tol, threads)
-            outcomes.append((a, outcome))
-            sweep_history.append((a, int(outcome[2].sum())))
+            certified = np.array([c.rejects(a, d_max, tol) for c in certificates])
+            certified_total += int(certified.sum())
+            step_counts = _pixel_counts(diff, tbs, a, tol, threads, certified)
+            mask = np.array([c is not None and c.negative <= d_max for c in step_counts])
+            steps.append((a, step_counts, mask))
+            sweep_history.append((a, int(mask.sum())))
             if m >= 1:
-                prev_mask = outcomes[m - 1][1][2]
-                if prev_mask.any() and np.array_equal(prev_mask, outcome[2]):
+                prev_mask = steps[m - 1][2]
+                if prev_mask.any() and np.array_equal(prev_mask, mask):
                     chosen = m - 1
                     break
         stable = chosen is not None
         if not stable:
-            chosen = len(outcomes) - 1
-        alpha_used, (negative, indeterminate, mask, tol_used) = outcomes[chosen]
+            chosen = len(steps) - 1
+        alpha_used, counts, _ = steps[chosen]
+        missing = [p for p, c in enumerate(counts) if c is None]
+        filled = _pixel_counts(diff, [tbs[p] for p in missing], alpha_used, tol, threads)
+        for p, c in zip(missing, filled):
+            counts[p] = c
+        count("counts.certified", certified_total - len(missing))
+    negative = np.array([c.negative for c in counts], dtype=int)
+    indeterminate = np.array([c.indeterminate for c in counts], dtype=int)
 
     params = {
         "k": float(k),
         "alpha": alpha_used,
         "d_max": int(d_max),
         "basis_dim": basis.dim,
-        "tol": tol_used,
+        "tol": max(c.tol for c in counts),
         "contrast": contrast,
     }
     if sweep_history is not None:
         params["sweep_stable"] = stable
     return ReconstructionResult(
         grid=grid,
-        mask=mask,
+        mask=negative <= d_max,
         negative_counts=negative,
         indeterminate_counts=indeterminate,
         params=params,

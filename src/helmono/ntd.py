@@ -85,6 +85,11 @@ def boundary_basis(mesh: Mesh, segments: Optional[int] = None) -> BoundaryBasis:
     ``m`` and ``2m`` segments are nested across refinements of the same
     domain.
 
+    One function per edge of a closed loop (``segments=None`` with every
+    edge flagged, or as many segments as edges) is orthonormal in boundary
+    L2 but not independent as loads: the flux alternating edge by edge puts
+    zero load on every vertex, so ``Lambda`` is singular.
+
     Raises
     ------
     InvalidParameterError

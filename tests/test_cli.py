@@ -335,6 +335,28 @@ def test_reconstruct_negative_sweep(tmp_path):
     assert len(sweep) >= 2
 
 
+def test_reconstruct_on_a_refined_nested_basis_accepts_no_more(tmp_path):
+    # basis.segments 8 and 16 are nested; at a fixed alpha and count
+    # tolerance the finer basis rejects at least the pixels the coarser does,
+    # here also two outside the inclusion that the coarser accepts
+    rows = {}
+    for segments in (8, 16):
+        out = tmp_path / f"segments{segments}"
+        text = base_cfg(out, **{"grid.nx": 4, "grid.ny": 4, "basis.segments": segments,
+                                "coefficient.inclusion": "0.25 0.25 0.75 0.5 2.0",
+                                "alpha.policy": "fixed", "alpha.value": 0.1,
+                                "tol.count": 1e-9})
+        assert run(tmp_path, text, "reconstruct") == 0
+        lines = (out / "reconstruct.csv").read_text().splitlines()[1:]
+        rows[segments] = [(int(f[7]), int(f[8]), f[9] == "true")
+                          for f in (line.split(",") for line in lines)]
+    pairs = [(c, f) for c, f in zip(rows[8], rows[16]) if c[1] == 0 and f[1] == 0]
+    assert len(pairs) >= 8
+    assert all(f[0] >= c[0] for c, f in pairs)
+    assert not any(f[2] and not c[2] for c, f in pairs)
+    assert any(c[2] and not f[2] for c, f in pairs)  # pixels outside the inclusion
+
+
 def test_reconstruct_fixed_alpha_must_be_positive(tmp_path, capsys):
     out = tmp_path / "out"
     text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2,
@@ -354,6 +376,27 @@ def test_reconstruct_threads_equivalent(tmp_path):
     a, b = outs
     assert (a / "reconstruct.csv").read_bytes() == (b / "reconstruct.csv").read_bytes()
     assert (a / "mask.pgm").read_bytes() == (b / "mask.pgm").read_bytes()
+
+
+def test_manifest_counts_dense_and_certified_pixel_counts_for_any_threads(tmp_path):
+    # The tally is kept on the calling thread, so the pool's counts show too;
+    # a pixel of a sweep step is counted densely or certified, and a fixed
+    # alpha certifies nothing.
+    stats = {}
+    for name, threads, more in (("serial", "1", {}), ("pool", "2", {}),
+                                ("fixed", "2", {"alpha.policy": "fixed",
+                                                "alpha.value": 0.25})):
+        out = tmp_path / name
+        text = base_cfg(out, **{"grid.nx": 4, "grid.ny": 4, "contrast": "negative",
+                                "coefficient.inclusion": "0.25 0.25 0.5 0.5 0.5"}, **more)
+        assert run(tmp_path, text, "reconstruct", "--threads", threads) == 0
+        manifest = read_kv(out / "manifest.txt")
+        stats[name] = (int(manifest["stat.counts.dense"]),
+                       int(manifest["stat.counts.certified"]))
+    steps = len((tmp_path / "serial" / "sweep.csv").read_text().splitlines()) - 1
+    assert stats["serial"] == stats["pool"]
+    assert sum(stats["serial"]) == 16 * steps and stats["serial"][1] > 0
+    assert stats["fixed"] == (16, 0)
 
 
 def _artifacts(out):

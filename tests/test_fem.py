@@ -49,6 +49,35 @@ def test_stiffness_exact_symmetry():
     assert (s != s.T).nnz == 0
 
 
+def test_stiffness_assembled_once_per_mesh_and_shared_read_only(monkeypatch):
+    from helmono import fem, spectral
+
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh)
+        return assemble_stiffness(mesh)
+
+    monkeypatch.setattr(fem, "assemble_stiffness", counted)
+    mesh = _mesh(8)
+    first = HelmholtzSystem(mesh, 1.0, 1.0)
+    second = HelmholtzSystem(mesh, Coefficient.constant(mesh, 2.0), 1.5, sigma_last=True)
+    spectral.d_of_q(mesh, 1.0, 1.0)
+    spectral.count_K_eigs_above_one(mesh, 1.0, 1.0)
+    assert len(calls) == 1
+    s = mesh.stiffness
+    with pytest.raises(ValueError):
+        s.data[0] = 0.0
+    fresh = assemble_stiffness(mesh)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(s, part), getattr(fresh, part))
+    for system, q, k in ((first, 1.0, 1.0), (second, 2.0, 1.5)):
+        expected = (fresh - (k * k) * assemble_weighted_mass(mesh, q)).tocsc()
+        assert (system.matrix != expected).nnz == 0
+    HelmholtzSystem(mark_sigma(build_unit_square_mesh(8), "all"), 1.0, 1.0)
+    assert len(calls) == 2
+
+
 def test_assembly_rejects_degenerate_triangle():
     from helmono import Mesh
 

@@ -31,7 +31,7 @@ from helmono import (
 )
 from helmono.errors import BasisMismatchError, InvalidParameterError
 from helmono.fem import counting
-from helmono.spectral import count_negative_stack
+from helmono.spectral import checked_stack, count_negative_stack
 
 
 def _mesh(n, selector="all"):
@@ -347,8 +347,11 @@ def _same_result(a, b):
 
 
 def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
-    # threads=1 counts every (pixel, alpha) on the calling thread; a pool of
-    # two counts each of them exactly once, to the same bits.
+    # An explicit alpha counts every pixel once.  The sweep counts no
+    # (pixel, alpha) twice and fewer than pixels * steps in all (certified
+    # rejections are not counted), but every pixel of the reported step.
+    # threads=1 counts on the calling thread; a pool of two counts the same
+    # matrices off it, to the same bits.
     seen = _recording_stack_counts(monkeypatch)
     mesh = _mesh(16)
     basis = boundary_basis(mesh)
@@ -361,16 +364,67 @@ def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
         serial = reconstruct(mesh, q, 1.0, basis, grid, threads=1, **kwargs)
         steps = len(serial.sweep) if serial.sweep else 1
         assert steps > 1 or "alpha" in kwargs
-        assert len(seen) == pixels * steps
+        if "alpha" in kwargs:
+            assert len(seen) == pixels
+        else:
+            assert len(seen) < pixels * steps
         assert {thread for thread, _ in seen} == {threading.get_ident()}
         matrices = sorted(m for _, m in seen)
         assert len(set(matrices)) == len(matrices)
+        if "alpha" not in kwargs:
+            seen.clear()
+            reported = reconstruct(mesh, q, 1.0, basis, grid, threads=1,
+                                   contrast="negative", alpha=serial.params["alpha"])
+            assert len(seen) == pixels
+            assert {m for _, m in seen} <= set(matrices)
+            assert np.array_equal(reported.negative_counts, serial.negative_counts)
+            assert np.array_equal(reported.indeterminate_counts,
+                                  serial.indeterminate_counts)
+            assert reported.params["tol"] == serial.params["tol"]
         seen.clear()
         pooled = reconstruct(mesh, q, 1.0, basis, grid, threads=2, **kwargs)
         assert sorted(m for _, m in seen) == matrices
         if spectral._openblas_thread_calls() is not None:
             assert threading.get_ident() not in {thread for thread, _ in seen}
         _same_result(pooled, serial)
+
+
+def test_reconstruct_checks_every_pixel_matrix_of_every_step(monkeypatch):
+    # Certified pixels are not counted, but their matrices pass the same
+    # finiteness and symmetry checks as the counted ones, at every step.
+    checked = []
+
+    def recorder(stack):
+        checked.extend(m.tobytes() for m in stack)
+        return checked_stack(stack)
+
+    monkeypatch.setattr(spectral, "checked_stack", recorder)
+    monkeypatch.setattr(monotone, "checked_stack", recorder)
+    mesh = _mesh(16)
+    grid = pixel_grid(mesh, 4, 4)
+    inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
+    q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
+    with counting() as tally:
+        result = reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid,
+                             contrast="negative", threads=2)
+    steps = len(result.sweep)
+    assert len(set(checked)) == len(grid.regions) * steps
+    assert tally["counts.certified"] > 0
+    assert tally["counts.dense"] + tally["counts.certified"] == len(grid.regions) * steps
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("entry, message", [(np.inf, "finite"), (1e-6, "not symmetric")])
+def test_certified_pixel_matrices_are_checked(threads, entry, message):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6))
+    diff = 0.5 * a + 0.5 * a.T
+    tbs = [np.eye(6) for _ in range(6)]
+    tbs[4] = tbs[4].copy()
+    tbs[4][0, 5] += entry
+    certified = np.ones(6, dtype=bool)
+    with pytest.raises(InvalidParameterError, match=message):
+        monotone._pixel_counts(diff, tbs, 0.5, None, threads, certified)
 
 
 def test_reconstruct_counts_serially_without_the_blas_limit(monkeypatch):
@@ -494,6 +548,32 @@ def test_larger_alpha_never_accepts_more(n, corner, size, value, alpha1, ratio):
     decided = (low.indeterminate_counts == 0) & (high.indeterminate_counts == 0)
     assert not (high.mask & ~low.mask & decided).any()
     assert (high.negative_counts[decided] >= low.negative_counts[decided]).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([8, 12]), corner=st.tuples(_unit, _unit),
+       size=st.tuples(st.floats(0.25, 0.6), st.floats(0.25, 0.6)),
+       contrast=st.sampled_from(["positive", "negative"]), shift=st.floats(0.2, 2.0),
+       alpha=st.floats(1e-3, 0.5), segments=st.integers(1, 8))
+def test_refining_a_nested_basis_never_accepts_more(n, corner, size, contrast, shift,
+                                                     alpha, segments):
+    # The bases of m and 2m segments are nested, so every operator on the
+    # coarse one is a compression P^T X P (P an isometry) of the same one on
+    # the fine one; by Cauchy interlacing the negative count can only grow
+    # with the basis: more boundary data never accepts more pixels.
+    mesh = _mesh(n)
+    grid = pixel_grid(mesh, 3, 3)
+    x0, y0 = (c * (1.0 - s) for c, s in zip(corner, size))
+    inclusion = rect_region(mesh, (x0, y0, x0 + size[0], y0 + size[1]))
+    value = 1.0 + shift if contrast == "positive" else 1.0 / (1.0 + shift)
+    q = Coefficient.constant(mesh, 1.0).with_region(inclusion, value)
+    coarse, fine = (reconstruct(mesh, q, 1.0, boundary_basis(mesh, m), grid,
+                                contrast=contrast, alpha=alpha, tol=1e-9)
+                    for m in (segments, 2 * segments))
+    assert coarse.params["d_max"] == fine.params["d_max"]
+    decided = (coarse.indeterminate_counts == 0) & (fine.indeterminate_counts == 0)
+    assert not (fine.mask & ~coarse.mask & decided).any()
+    assert (fine.negative_counts[decided] >= coarse.negative_counts[decided]).all()
 
 
 @settings(max_examples=20, deadline=None)

@@ -593,3 +593,55 @@ def test_one_blas_thread_limits_scipys_copy_without_numpys_calls(monkeypatch):
         assert get() == before
     finally:
         put(original)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), rank=st.integers(0, 16), seed=st.integers(0, 2**32 - 1),
+       diff_scale=st.floats(1e-6, 10.0), alpha=st.floats(1e-3, 1e3), d=st.integers(0, 6),
+       tol=st.none() | st.floats(1e-12, 1e-2))
+def test_certified_rejection_holds_in_the_dense_count(n, rank, seed, diff_scale, alpha,
+                                                      d, tol):
+    # Cauchy interlacing: a certified pixel matrix has d + 1 eigenvalues
+    # below the window, so its dense count exceeds d with none of them
+    # indeterminate.  Ranks below the Krylov size make the basis break down.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * diff_scale
+    diff = 0.5 * a + 0.5 * a.T
+    g = rng.standard_normal((n, min(rank, n)))
+    t = g @ g.T
+    t = 0.5 * t + 0.5 * t.T
+    if not spectral.RejectionCertificate(diff, t).rejects(alpha, d, tol):
+        return
+    matrix = diff - alpha * t
+    counts = count_negative(matrix, tol)
+    w = np.linalg.eigvalsh(matrix)
+    assert counts.negative > d
+    assert (w < -1.5 * counts.tol).sum() > d
+
+
+def test_certificate_on_a_low_rank_probe():
+    # diff = 0 and a rank-3 PSD probe: the Krylov space breaks down after
+    # four columns and holds the probe's range, so the three negative
+    # eigenvalues of -alpha t are exact Ritz values and the fourth is zero.
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((30, 3))
+    t = g @ g.T
+    t = 0.5 * t + 0.5 * t.T
+    assert spectral._krylov_basis(t, spectral.CERTIFICATE_DIM).shape == (30, 4)
+    certificate = spectral.RejectionCertificate(np.zeros((30, 30)), t)
+    assert certificate.rejects(0.5, 2)
+    assert certificate.rejects(0.5, 2, tol=1e-6)
+    assert not certificate.rejects(0.5, 3)
+    assert count_negative(-0.5 * t).negative == 3
+
+
+def test_certificate_declines_non_finite_input_and_refuses_bad_tolerances():
+    t = np.eye(4)
+    diff = np.zeros((4, 4))
+    diff[0, 0] = np.inf
+    assert not spectral.RejectionCertificate(diff, t).rejects(1.0, 0)
+    certificate = spectral.RejectionCertificate(np.zeros((4, 4)), t)
+    assert certificate.rejects(1.0, 0)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="tolerance"):
+            certificate.rejects(1.0, 0, tol)
