@@ -514,41 +514,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to the flat key-value configuration file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.dir)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="workers counting reconstruct's pixel stacks, the "
                             "only parallelism: every subcommand runs under a "
-                            "one-thread BLAS limit (at least 1; default: "
-                            "HELM_MONO_THREADS or CPU count); never changes "
-                            "an output byte")
+                            "one-thread BLAS limit (at least 1; default: the "
+                            "CPU count); never changes an output byte")
         p.add_argument("--dump-matrices", action="store_true",
                        help="also dump system matrix and load vectors (debug)")
     return parser
-
-
-def _threads(value) -> int:
-    """The thread cap: ``--threads``, else HELM_MONO_THREADS, else the CPU
-    count; rejects a cap below 1 or a non-integer HELM_MONO_THREADS."""
-    if value is None:
-        env = os.environ.get("HELM_MONO_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"HELM_MONO_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise ConfigError("thread cap must be at least 1")
-    return value
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        args.threads = _threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError("thread cap must be at least 1")
         cfg = _load_config(args.config)
         outdir = _out_dir(cfg, args)
         # Parallelism comes from the --threads pool alone: no BLAS pool of
@@ -560,7 +541,8 @@ def main(argv=None) -> int:
             stats += [(name, tally[name])
                       for name in ("factorizations", "ntd.trailing", "ntd.solved")]
         if tally["counts.dense"]:
-            stats += [(name, tally[name]) for name in ("counts.dense", "counts.certified")]
+            stats += [(name, tally[name])
+                      for name in ("counts.dense", "counts.certified", "pixels.undecided")]
         seed = cfg.get_int("seed", 0)
         write_manifest(
             outdir / "manifest.txt",

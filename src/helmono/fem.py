@@ -237,8 +237,9 @@ def counting():
     ``ntd.trailing`` (a Neumann-to-Dirichlet matrix read off the trailing
     block of the factors), ``ntd.solved`` (one computed from solves), and
     from :func:`monotone.reconstruct`, ``counts.dense`` (pixel matrices whose
-    eigenvalues were computed) and ``counts.certified`` (sweep steps at which
-    a pixel's rejection was certified instead).  The tally belongs to the
+    eigenvalues were computed), ``counts.certified`` (sweep steps at which
+    a pixel's rejection was certified instead) and ``pixels.undecided``
+    (reported pixels whose verdict is undecided).  The tally belongs to the
     calling context, so the counts are those of the block alone.
     """
     tally = Counter()

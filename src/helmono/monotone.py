@@ -9,9 +9,10 @@ scatterer region ``B`` inside the support ``D`` of a positive contrast forces
 ``alpha T_B <=_d Lambda(q) - Lambda(1)``.  Pixels of a reconstruction grid
 are accepted or rejected by exactly that test.
 
-Every verdict is a :class:`ComparisonResult` carrying the raw counts, the
-tolerance used and the defect allowance, so a verdict can always be audited
-against the counts that produced it.
+Every pixel, operator pair and certificate is decided by one rule,
+:meth:`~helmono.spectral.CountResult.verdict`.  A :class:`ComparisonResult`
+carries the raw counts, the tolerance used and the defect allowance, so a
+verdict can always be audited against the counts that produced it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ PIXEL_STACK = 4
 class ComparisonResult:
     """Outcome of one ``A <=_d B`` test.
 
-    ``verdict`` is True exactly when the negative count fits the allowance
-    and no eigenvalue was indeterminate at the tolerance used.
+    ``verdict`` is True exactly when the count's
+    :meth:`~helmono.spectral.CountResult.verdict` at ``d_allowed`` is True,
+    so an undecided count reads False.
     """
 
     negative_count: int
@@ -69,7 +71,7 @@ def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> Comparison
         indeterminate_count=counts.indeterminate,
         d_allowed=int(d),
         tol=counts.tol,
-        verdict=(counts.negative <= d and counts.indeterminate == 0),
+        verdict=counts.verdict(d) is True,
     )
 
 
@@ -150,9 +152,9 @@ def inclusion_test(lam_q: SymOp, lam_1: SymOp, tb: SymOp, alpha: float,
                    d_max: int, tol: Optional[float] = None) -> ComparisonResult:
     """Test ``alpha T_B <=_d  lam_q - lam_1`` for one probing region.
 
-    The verdict is the pixel acceptance criterion of the reconstruction:
     :func:`leq_d` counts the negative eigenvalues of
-    ``lam_q - lam_1 - alpha T_B``.
+    ``lam_q - lam_1 - alpha T_B``; on the same matrix the verdict is True
+    exactly where :func:`reconstruct`'s pixel verdict is True.
     """
     _check_alpha(alpha)
     return leq_d(tb.scaled(alpha), lam_q - lam_1, d_max, tol)
@@ -167,18 +169,20 @@ def _check_alpha(alpha) -> None:
 class ReconstructionResult:
     """Pixelwise verdicts of a reconstruction run.
 
-    ``mask[i]`` is True where the pixel passed (accepted as part of the
-    scatterer); indeterminate counts are carried separately so ambiguous
-    pixels can be rendered as such.  ``params`` records the run parameters
-    (k, alpha, d_max, basis_dim, tol, contrast, and ``sweep_stable`` when
-    the sweep ran); ``sweep`` lists the ``(alpha, accepted_count)`` history
-    when the contrast-step sweep ran.
+    ``mask[i]`` is True where the pixel's count has at most ``d_max``
+    eigenvalues below ``-tol``; ``verdicts[i]`` is its
+    :meth:`~helmono.spectral.CountResult.verdict` at ``d_max`` (None when
+    undecided), equal to ``mask[i]`` wherever decided.  ``params`` records
+    the run parameters (k, alpha, d_max, basis_dim, tol, contrast, and
+    ``sweep_stable`` when the sweep ran); ``sweep`` lists the
+    ``(alpha, accepted_count)`` history when the sweep ran.
     """
 
     grid: PixelGrid
     mask: np.ndarray
     negative_counts: np.ndarray
     indeterminate_counts: np.ndarray
+    verdicts: tuple
     params: dict
     sweep: Optional[list] = field(default=None)
 
@@ -189,24 +193,18 @@ class ReconstructionResult:
 
     @property
     def ambiguous(self) -> np.ndarray:
-        """Pixels whose verdict the near-threshold eigenvalues could flip.
-
-        An indeterminate eigenvalue sits within half a tolerance of the count
-        threshold, so it may or may not belong to the negative count.  The
-        verdict is only uncertain when resolving all of them one way or the
-        other crosses ``d_max``; a pixel rejected by a wide margin stays
-        rejected no matter how they fall.
-        """
-        d_max = self.params["d_max"]
-        neg, ind = self.negative_counts, self.indeterminate_counts
-        certain_accept = neg + ind <= d_max
-        certain_reject = neg - ind > d_max
-        return ~(certain_accept | certain_reject)
+        """Pixels whose verdict is undecided."""
+        return np.array([v is None for v in self.verdicts], dtype=bool)
 
     def pixel_values(self) -> np.ndarray:
-        """Image values per pixel: 255 accepted, 0 rejected, 128 ambiguous."""
-        vals = np.where(self.mask, 255, 0)
-        return np.where(self.ambiguous, 128, vals).astype(int)
+        """Image values per pixel: 255 accepted, 0 rejected, 128 undecided."""
+        values = {True: 255, False: 0, None: 128}
+        return np.array([values[v] for v in self.verdicts], dtype=int)
+
+
+def _accepted(counts: list, d_max: int) -> np.ndarray:
+    """reconstruct's mask, ``negative <= d_max``; a certified rejection (None) fails."""
+    return np.array([c is not None and c.negative <= d_max for c in counts], dtype=bool)
 
 
 def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, tol: Optional[float],
@@ -291,9 +289,10 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     of :data:`PIXEL_STACK` under a one-thread limit on both OpenBLAS copies,
     spread over a pool of ``threads`` workers (``threads=1`` counts on the
     calling thread); the result is bit for bit the same for every
-    ``threads`` and BLAS setting.  The numbers of dense counts and of
-    certified rejections go to the ``counts.dense`` and ``counts.certified``
-    tallies of :func:`fem.counting`.
+    ``threads`` and BLAS setting.  The numbers of dense counts, of
+    certified rejections and of undecided pixels go to the ``counts.dense``,
+    ``counts.certified`` and ``pixels.undecided`` tallies of
+    :func:`fem.counting`.
 
     Returns per-pixel verdicts plus the parameters that produced them.
     """
@@ -362,7 +361,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
             certified = np.array([c.rejects(a, d_max, tol) for c in certificates])
             certified_total += int(certified.sum())
             step_counts = _pixel_counts(diff, tbs, a, tol, threads, certified)
-            mask = np.array([c is not None and c.negative <= d_max for c in step_counts])
+            mask = _accepted(step_counts, d_max)
             steps.append((a, step_counts, mask))
             sweep_history.append((a, int(mask.sum())))
             if m >= 1:
@@ -379,8 +378,8 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         for p, c in zip(missing, filled):
             counts[p] = c
         count("counts.certified", certified_total - len(missing))
-    negative = np.array([c.negative for c in counts], dtype=int)
-    indeterminate = np.array([c.indeterminate for c in counts], dtype=int)
+    verdicts = tuple(c.verdict(d_max) for c in counts)
+    count("pixels.undecided", verdicts.count(None))
 
     params = {
         "k": float(k),
@@ -394,9 +393,10 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         params["sweep_stable"] = stable
     return ReconstructionResult(
         grid=grid,
-        mask=negative <= d_max,
-        negative_counts=negative,
-        indeterminate_counts=indeterminate,
+        mask=_accepted(counts, d_max),
+        negative_counts=np.array([c.negative for c in counts], dtype=int),
+        indeterminate_counts=np.array([c.indeterminate for c in counts], dtype=int),
+        verdicts=verdicts,
         params=params,
         sweep=sweep_history,
     )

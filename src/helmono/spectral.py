@@ -25,11 +25,12 @@ different data so each can cross-check the others:
   the primitive behind every "less-or-equal up to a finite-dimensional defect"
   verdict; ``count_negative_stack`` does the same for a stack of matrices in
   one ``eigvalsh`` call, and a :class:`RejectionCertificate` proves from a
-  small Krylov compression that such a count would exceed a given defect.
+  small Krylov compression that such a count's verdict would be a rejection.
 
 Counts refuse to guess: an eigenvalue inside the tolerance window around the
 decision threshold raises :class:`SpectralAmbiguityError` (for the pencils) or
-is reported in a separate indeterminate tally (for ``count_negative``).
+is reported in a separate indeterminate tally (for ``count_negative``), which
+:meth:`CountResult.verdict` turns into accept, reject or undecided.
 
 Determinism: iterative solves (ARPACK shift-invert) always start from the same
 vector, drawn from a fixed-seed generator, so repeated runs are bit-identical;
@@ -174,13 +175,26 @@ class CountResult(NamedTuple):
     """Outcome of a signed eigenvalue count.
 
     ``negative`` eigenvalues lie strictly below ``-tol``; ``indeterminate``
-    ones sit inside the half-width window around the ``-tol`` threshold and
-    make the count unreliable at this tolerance.
+    ones sit inside the open window of half-width ``tol/2`` around that
+    threshold, on either side of it; ``certain`` ones lie at or below
+    ``-1.5 tol``, below the window, and are negative at any resolution of it.
     """
 
     negative: int
     indeterminate: int
     tol: float
+    certain: int
+
+    def verdict(self, d: int) -> Optional[bool]:
+        """At most ``d`` negative eigenvalues?  True however the window's
+        eigenvalues fall, False when the ``certain`` ones alone exceed ``d``,
+        None (undecided) otherwise: the one place a count meets an allowance.
+        """
+        if self.certain + self.indeterminate <= d:
+            return True
+        if self.certain > d:
+            return False
+        return None
 
 
 def _deterministic_start(n: int) -> np.ndarray:
@@ -460,17 +474,19 @@ def _count_from(w: np.ndarray, tol: Optional[float]) -> CountResult:
         tol_eff = float(tol)
     else:
         tol_eff = TOL_FACTOR * (float(np.abs(w).max()) if w.size else 0.0)
-    negative = int((w < -tol_eff).sum())
-    indeterminate = int((np.abs(w + tol_eff) < 0.5 * tol_eff).sum())
-    return CountResult(negative=negative, indeterminate=indeterminate, tol=tol_eff)
+    below = w < -tol_eff
+    return CountResult(negative=int(below.sum()),
+                       indeterminate=int((np.abs(w + tol_eff) < 0.5 * tol_eff).sum()),
+                       tol=tol_eff, certain=int((below & (w <= -1.5 * tol_eff)).sum()))
 
 
 def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResult:
     """Count eigenvalues of a dense symmetric matrix below ``-tol``.
 
     Eigenvalues inside the open window of half-width ``tol/2`` around the
-    ``-tol`` threshold are tallied separately as indeterminate; callers treat
-    any indeterminacy as "no verdict".  The default tolerance is
+    ``-tol`` threshold are tallied separately as indeterminate, and those
+    below it as certain; :meth:`CountResult.verdict` decides from the two
+    whether the count fits an allowance.  The default tolerance is
     ``1e-8 * max|eigenvalue|`` (zero for the zero matrix, which therefore has
     no negative and no indeterminate eigenvalues).  A non-finite entry is
     rejected, since no comparison with it could fail.  The eigenvalues are
@@ -531,9 +547,9 @@ def checked_stack(stack: np.ndarray) -> np.ndarray:
 
 
 class RejectionCertificate:
-    """Proof, without the full spectrum, that ``diff - alpha t`` fails the
-    count: more than ``d`` of its eigenvalues lie below the indeterminate
-    window of :func:`count_negative`.
+    """Proof, without the full spectrum, that the count of ``diff - alpha t``
+    has the verdict False at allowance ``d``: more than ``d`` of its
+    eigenvalues lie below the indeterminate window of :func:`count_negative`.
 
     ``t`` (symmetric) is compressed once onto an orthonormal Krylov basis
     ``Q`` of at most :data:`CERTIFICATE_DIM` columns, started from the
@@ -546,9 +562,9 @@ class RejectionCertificate:
     ``-1.5 tau - CERTIFICATE_MARGIN b``, with ``b = |diff|_F + alpha |t|_F``
     and ``tau`` the explicit ``tol`` or ``TOL_FACTOR b`` (no smaller than the
     default tolerance ``TOL_FACTOR max|lambda|``), the matrix has ``d + 1``
-    eigenvalues below ``-1.5 tol``: each is negative and none indeterminate,
-    so the count exceeds ``d`` and :func:`count_negative`'s verdict, and
-    ``leq_d``'s, is a rejection.  The margin covers the rounding of the
+    eigenvalues below ``-1.5 tol``: its count has ``certain > d``, so
+    ``count_negative(diff - alpha t, tol).verdict(d)`` is False, as is
+    ``leq_d``'s verdict.  The margin covers the rounding of the
     compressions and of the dense eigenvalues.  A basis whose Gram matrix is
     off the identity by more than the margin, or non-finite input, certifies
     nothing.
@@ -566,7 +582,8 @@ class RejectionCertificate:
 
     def rejects(self, alpha: float, d: int, tol: Optional[float] = None) -> bool:
         """Whether ``diff - alpha t`` certainly has more than ``d`` eigenvalues
-        below the window; False means only that this basis does not show it."""
+        below the window, so that its count's ``verdict(d)`` is False; False
+        means only that this basis does not show it."""
         _check_tol(tol)
         if self._diff.shape[0] <= d:
             return False

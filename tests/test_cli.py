@@ -392,11 +392,34 @@ def test_manifest_counts_dense_and_certified_pixel_counts_for_any_threads(tmp_pa
         assert run(tmp_path, text, "reconstruct", "--threads", threads) == 0
         manifest = read_kv(out / "manifest.txt")
         stats[name] = (int(manifest["stat.counts.dense"]),
-                       int(manifest["stat.counts.certified"]))
+                       int(manifest["stat.counts.certified"]),
+                       int(manifest["stat.pixels.undecided"]))
+        assert stats[name][2] == (read_pgm(out / "mask.pgm") == 128).sum()
     steps = len((tmp_path / "serial" / "sweep.csv").read_text().splitlines()) - 1
     assert stats["serial"] == stats["pool"]
-    assert sum(stats["serial"]) == 16 * steps and stats["serial"][1] > 0
-    assert stats["fixed"] == (16, 0)
+    dense, certified, _ = stats["serial"]
+    assert dense + certified == 16 * steps and certified > 0
+    assert stats["fixed"][:2] == (16, 0)
+
+
+def test_reconstruct_rejects_pixels_whose_window_sits_above_the_threshold(tmp_path):
+    # Pixels 34 and 37 report alpha 0.5 with eigenvalues about -1.5e-4,
+    # -2.8e-7 and -1.34e-9 against a tol of about 1.48e-9 and d_max 1: two
+    # lie below the window, so either side of it the count exceeds d_max.
+    out = tmp_path / "out"
+    text = base_cfg(out, n=64, **{"basis.segments": 256, "grid.nx": 8, "grid.ny": 8,
+                                  "contrast": "negative",
+                                  "coefficient.inclusion": "0.375 0.5 0.625 0.75 0.35"})
+    assert run(tmp_path, text, "reconstruct", "--threads", "1") == 0
+    assert read_kv(out / "params.txt")["alpha"] == "0.5"
+    rows = [line.split(",") for line in
+            (out / "reconstruct.csv").read_text().splitlines()[1:]]
+    mask = read_pgm(out / "mask.pgm").ravel()
+    for p in (34, 37):
+        assert rows[p][7:] == ["2", "1", "false"]
+        assert mask[p] == 0
+    assert all(mask[p] == (255 if row[9] == "true" else 0)
+               for p, row in enumerate(rows) if mask[p] != 128)
 
 
 def _artifacts(out):
@@ -482,15 +505,11 @@ def test_reconstruct_records_whether_the_sweep_settled(tmp_path, capsys):
     assert "sweep_stable" not in read_kv(out / "params.txt")
 
 
-def test_thread_env_fallback(tmp_path, monkeypatch, capsys):
+def test_threads_below_one_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
-    monkeypatch.setenv("HELM_MONO_THREADS", "2")
-    assert run(tmp_path, base_cfg(out, n=4), "mesh") == 0
-    monkeypatch.setenv("HELM_MONO_THREADS", "0")
-    assert run(tmp_path, base_cfg(out, n=4), "mesh") == 2
-    monkeypatch.setenv("HELM_MONO_THREADS", "many")
-    assert run(tmp_path, base_cfg(out, n=4), "mesh") == 2
-    capsys.readouterr()
+    assert run(tmp_path, base_cfg(out, n=4), "mesh", "--threads", "0") == 2
+    assert "thread cap must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_flag_overrides_config_dir(tmp_path):

@@ -61,6 +61,18 @@ def test_leq_d_two_negatives():
     assert leq_d(zero, b, 2).verdict
 
 
+def test_leq_d_accepts_when_every_window_eigenvalue_lies_below_the_threshold():
+    # -1.2 tol sits inside the window, below -tol: it is negative and the
+    # count is 1 however it falls, so d = 1 accepts and d = 0 is undecided.
+    tol = 1e-6
+    zero = _op(np.zeros((3, 3)))
+    b = _op(np.diag([-1.2 * tol, 1.0, 2.0]))
+    accepted = leq_d(zero, b, 1, tol)
+    assert (accepted.negative_count, accepted.indeterminate_count) == (1, 1)
+    assert accepted.verdict
+    assert not leq_d(zero, b, 0, tol).verdict
+
+
 def test_leq_d_guards():
     a = _op(np.eye(3))
     b = _op(np.eye(3), basis_id="other")
@@ -305,9 +317,8 @@ def test_reconstruct_negative_contrast_sweep():
 
 @pytest.mark.parametrize("contrast, value", [("positive", 2.0), ("negative", 0.5)])
 def test_reconstruct_counts_match_inclusion_test(contrast, value):
-    # reconstruct and the library test share the probe and the count, so every
-    # pixel gets the same negative count; the verdicts may differ only where
-    # an eigenvalue was indeterminate (the two paths' acceptance rules)
+    # reconstruct and the library test share the probe, the count and the
+    # verdict rule, so every pixel gets the same count and the same verdict
     mesh = _mesh(16)
     basis = boundary_basis(mesh, 16)
     grid = pixel_grid(mesh, 4, 4)
@@ -323,8 +334,8 @@ def test_reconstruct_counts_match_inclusion_test(contrast, value):
         test = inclusion_test(upper, lower, tb_from_solutions(mesh, region, 1.0, basis, u1),
                               alpha, d_max)
         assert result.negative_counts[p] == test.negative_count
-        if result.indeterminate_counts[p] == 0:
-            assert bool(result.mask[p]) == test.verdict
+        assert test.verdict == (result.pixel_values()[p] == 255)
+        assert result.mask[p] == (test.negative_count <= d_max)
 
 
 def _recording_stack_counts(monkeypatch):
@@ -495,18 +506,28 @@ def test_reconstruct_contrast_preconditions():
 
 
 def test_pixel_values_mapping():
-    grid = PixelGrid(nx=3, ny=1, boxes=np.zeros((3, 4)), regions=[None] * 3)
+    # At d_max = 1: pixel 0 certainly accepted; pixel 1 undecided (its window
+    # eigenvalues straddle -tol); pixel 2 rejected, as two eigenvalues lie
+    # below the window whether or not its third, above -tol, is counted (a
+    # rejected pixel of a negative-contrast sweep); pixel 3 accepted, as its
+    # window eigenvalue below -tol leaves one negative eigenvalue either way.
+    tol, d_max = 1.48e-9, 1
+    eigenvalues = ([-1.0, 0.0, 1.0], [-1.2 * tol, -0.8 * tol, 1.0],
+                   [-1.5e-4, -2.8e-7, -1.34e-9], [-1.2 * tol, 1.0, 2.0])
+    counts = [count_negative(np.diag(w), tol) for w in eigenvalues]
+    assert [(c.negative, c.indeterminate, c.certain) for c in counts] == [
+        (1, 0, 1), (1, 2, 0), (2, 1, 2), (1, 1, 0)]
+    negative = np.array([c.negative for c in counts])
     result = ReconstructionResult(
-        grid=grid,
-        mask=np.array([True, False, False]),
-        negative_counts=np.array([0, 1, 9]),
-        indeterminate_counts=np.array([0, 2, 1]),
-        params={"d_max": 1},
+        grid=PixelGrid(nx=4, ny=1, boxes=np.zeros((4, 4)), regions=[None] * 4),
+        mask=negative <= d_max,
+        negative_counts=negative,
+        indeterminate_counts=np.array([c.indeterminate for c in counts]),
+        verdicts=tuple(c.verdict(d_max) for c in counts),
+        params={"d_max": d_max},
     )
-    # pixel 0 certainly accepted, pixel 1 undecided (1 +- 2 straddles d_max),
-    # pixel 2 certainly rejected
-    assert result.pixel_values().tolist() == [255, 128, 0]
-    assert result.ambiguous.tolist() == [False, True, False]
+    assert result.pixel_values().tolist() == [255, 128, 0, 255]
+    assert result.ambiguous.tolist() == [False, True, False, False]
 
 
 def test_reconstruct_flags_a_sweep_without_a_stable_pair():
@@ -545,7 +566,7 @@ def test_larger_alpha_never_accepts_more(n, corner, size, value, alpha1, ratio):
     q = Coefficient.constant(mesh, 1.0).with_region(inclusion, value)
     low, high = (reconstruct(mesh, q, 1.0, basis, grid, alpha=a, tol=1e-9)
                  for a in (alpha1, alpha1 * ratio))
-    decided = (low.indeterminate_counts == 0) & (high.indeterminate_counts == 0)
+    decided = ~low.ambiguous & ~high.ambiguous
     assert not (high.mask & ~low.mask & decided).any()
     assert (high.negative_counts[decided] >= low.negative_counts[decided]).all()
 
@@ -571,7 +592,7 @@ def test_refining_a_nested_basis_never_accepts_more(n, corner, size, contrast, s
                                 contrast=contrast, alpha=alpha, tol=1e-9)
                     for m in (segments, 2 * segments))
     assert coarse.params["d_max"] == fine.params["d_max"]
-    decided = (coarse.indeterminate_counts == 0) & (fine.indeterminate_counts == 0)
+    decided = ~coarse.ambiguous & ~fine.ambiguous
     assert not (fine.mask & ~coarse.mask & decided).any()
     assert (fine.negative_counts[decided] >= coarse.negative_counts[decided]).all()
 

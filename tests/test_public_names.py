@@ -20,7 +20,8 @@ ALLOWED = {
     "basis_solutions": "the frozen acceptance suite (criterion 6) builds its Grams from it",
     "is_resonance": "the frozen acceptance suite (criterion 3) flags resonances with it",
     "inclusion_test": "the single-region form of reconstruct's pixel test, for library "
-                      "callers probing any region; reconstruct counts the same matrices",
+                      "callers probing any region; it counts the same matrix and its "
+                      "verdict is True exactly where reconstruct's CountResult.verdict is",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.\w+)*")

@@ -287,13 +287,15 @@ def test_count_negative_rejects_non_finite(where, value):
 
 
 def _reference_count(a, tol, sym=None):
-    """The count as symmetrize-then-eigvalsh, with the 1e-8 default tolerance
-    and the half-width window around -tol; ``sym`` defaults to (a + a.T)/2."""
+    """The count as symmetrize-then-eigvalsh, with the 1e-8 default tolerance,
+    the half-width window around -tol and the eigenvalues below it;
+    ``sym`` defaults to (a + a.T)/2."""
     w = np.linalg.eigvalsh(0.5 * (a + a.T) if sym is None else sym)
     tol_eff = float(tol) if tol is not None else 1e-8 * (
         float(np.abs(w).max()) if w.size else 0.0)
     return (int((w < -tol_eff).sum()),
-            int((np.abs(w + tol_eff) < 0.5 * tol_eff).sum()), tol_eff)
+            int((np.abs(w + tol_eff) < 0.5 * tol_eff).sum()), tol_eff,
+            int(((w < -tol_eff) & (w <= -1.5 * tol_eff)).sum()))
 
 
 @st.composite
@@ -510,6 +512,20 @@ def test_count_negative_indeterminate_band():
     # the eigenvalue at exactly -tol is flagged, not silently counted
     assert result.indeterminate == 1
     assert result.negative == 1
+    assert result.certain == 1
+
+
+@pytest.mark.parametrize("eigenvalues, tol, split, verdicts", [
+    # below the window, inside it below -tol, inside it above -tol
+    ([-1.0, -1.2e-6, -0.8e-6, 1.0], 1e-6, (2, 2, 1), [False, None, None, True]),
+    # a rejected pixel of a negative-contrast sweep: two eigenvalues below the
+    # window, so counted or not the third leaves more than one negative
+    ([-1.5e-4, -2.8e-7, -1.34e-9, 0.3, 2.0], 1.48e-9, (2, 1, 2), [False, False, None, True]),
+])
+def test_verdict_of_a_count_split_at_the_threshold(eigenvalues, tol, split, verdicts):
+    counts = count_negative(np.diag(eigenvalues), tol=tol)
+    assert (counts.negative, counts.indeterminate, counts.certain) == split
+    assert [counts.verdict(d) for d in range(4)] == verdicts
 
 
 def test_spectrum_deterministic_iterative_path():
@@ -615,6 +631,7 @@ def test_certified_rejection_holds_in_the_dense_count(n, rank, seed, diff_scale,
     matrix = diff - alpha * t
     counts = count_negative(matrix, tol)
     w = np.linalg.eigvalsh(matrix)
+    assert counts.verdict(d) is False
     assert counts.negative > d
     assert (w < -1.5 * counts.tol).sum() > d
 
