@@ -6,7 +6,7 @@ leaves a run manifest there.  Domain failures map to distinct exit codes:
 
 * 2 -- configuration problems (unknown keys, missing values, bad types)
 * 3 -- resonant configuration (the forward operator is singular)
-* 4 -- ambiguous eigenvalue count at the requested tolerance
+* 4 -- ambiguous eigenvalue count at the requested tolerance, undecided comparison
 * 5 -- violated precondition of a library operation
 
 Outputs are deterministic: rerunning a subcommand with the same configuration
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, HelmonoError, InvalidParameterError
+from .errors import ConfigError, HelmonoError, InvalidParameterError, SpectralAmbiguityError
 from .fem import Coefficient, counting
 from .io import (
     fmt,
@@ -48,8 +48,8 @@ from .ntd import (
     project_onto_basis,
 )
 from .spectral import (
+    _at_zero,
     count_K_eigs_above_one,
-    d_of_q,
     nearest_neumann_eigenvalue,
     neumann_eigenvalues,
     one_blas_thread,
@@ -93,54 +93,34 @@ class Config:
             )
         return value
 
-    def get_float(self, key: str, default=_REQUIRED):
+    def _parsed(self, key: str, default, parse, message: str):
+        """``parse`` of the key's value, or ``default`` when it is absent."""
         entry = self._fetch(key, default)
         if entry is None:
             return default
         value, lineno = entry
         try:
-            return float(value)
+            return parse(value)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: key '{key}': not a number: {value!r}") from exc
+            raise ConfigError(f"line {lineno}: key '{key}': {message} {value!r}") from exc
+
+    def get_float(self, key: str, default=_REQUIRED):
+        return self._parsed(key, default, float, "not a number:")
 
     def get_int(self, key: str, default=_REQUIRED):
-        entry = self._fetch(key, default)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: key '{key}': not an integer: {value!r}") from exc
+        return self._parsed(key, default, int, "not an integer:")
 
     def get_floats(self, key: str, count=None, default=_REQUIRED):
-        entry = self._fetch(key, default)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            vals = [float(v) for v in value.split()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"line {lineno}: key '{key}': expected numbers, got {value!r}"
-            ) from exc
-        if count is not None and len(vals) != count:
-            raise ConfigError(
-                f"line {lineno}: key '{key}': expected {count} numbers, got {len(vals)}"
-            )
+        vals = self._parsed(key, default, lambda v: [float(x) for x in v.split()],
+                            "expected numbers, got")
+        if vals is not default and count is not None and len(vals) != count:
+            raise ConfigError(f"line {self.lineno(key)}: key '{key}': expected {count} "
+                              f"numbers, got {len(vals)}")
         return vals
 
     def get_ints(self, key: str, default=_REQUIRED):
-        entry = self._fetch(key, default)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            return [int(v) for v in value.split()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"line {lineno}: key '{key}': expected integers, got {value!r}"
-            ) from exc
+        return self._parsed(key, default, lambda v: [int(x) for x in v.split()],
+                            "expected integers, got")
 
     def lineno(self, key: str) -> int:
         return self._entries[key][1]
@@ -270,10 +250,13 @@ def cmd_dq(cfg: Config, args, outdir: Path) -> None:
     q = _build_coefficient(cfg, mesh)
     k = _wavenumber(cfg)
     tol = _count_tol(cfg)
-    d = d_of_q(mesh, q, k, tol)
+    zero = _at_zero(mesh, q, k, tol)
+    d = zero.decided()
     via_k = count_K_eigs_above_one(mesh, q, k, tol)
     text = (
         f"d_of_q = {d}\n"
+        f"nearest_eigenvalue = {fmt(zero.nearest)}\n"
+        f"tol = {fmt(zero.tol)}\n"
         f"count_K_eigs_above_one = {via_k}\n"
         f"agree = {'true' if d == via_k else 'false'}\n"
     )
@@ -356,16 +339,20 @@ def cmd_monotonicity_check(cfg: Config, args, outdir: Path) -> None:
     k = _wavenumber(cfg)
     basis = _build_basis(cfg, mesh)
     result = monotonicity_check(mesh, q1, q2, k, basis, _count_tol(cfg))
+    verdict = ("true" if result.verdict else "false") if result.decided else "undecided"
     text = (
         f"negative_count = {result.negative_count}\n"
         f"indeterminate_count = {result.indeterminate_count}\n"
         f"d_allowed = {result.d_allowed}\n"
         f"tol = {fmt(result.tol)}\n"
-        f"verdict = {'true' if result.verdict else 'false'}\n"
+        f"verdict = {verdict}\n"
     )
     (outdir / "comparison.txt").write_text(text)
     print(text, end="")
     _note(outdir / "comparison.txt")
+    if not result.decided:
+        raise SpectralAmbiguityError(f"undecided comparison: {result.indeterminate_count}"
+                                     f" eigenvalue(s) in the window around -{fmt(result.tol)}")
 
 
 def cmd_localize(cfg: Config, args, outdir: Path) -> None:
@@ -537,12 +524,11 @@ def main(argv=None) -> int:
         with one_blas_thread() as capped, counting() as tally:
             _COMMANDS[args.command](cfg, args, outdir)
         stats = [("blas_one_thread", "true" if capped else "false")]
-        if tally["factorizations"]:
-            stats += [(name, tally[name])
-                      for name in ("factorizations", "ntd.trailing", "ntd.solved")]
-        if tally["counts.dense"]:
-            stats += [(name, tally[name])
-                      for name in ("counts.dense", "counts.certified", "pixels.undecided")]
+        for group in (("factorizations", "ntd.trailing", "ntd.solved"),
+                      ("defect.inertia", "defect.sweep"),
+                      ("counts.dense", "counts.certified", "pixels.undecided")):
+            if any(tally[name] for name in group):
+                stats += [(name, tally[name]) for name in group]
         seed = cfg.get_int("seed", 0)
         write_manifest(
             outdir / "manifest.txt",

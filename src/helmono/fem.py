@@ -235,8 +235,10 @@ def counting():
     Keys: ``factorizations`` (every SuperLU factorization :func:`factorize`
     made, including one a pivot guard refused and had redone),
     ``ntd.trailing`` (a Neumann-to-Dirichlet matrix read off the trailing
-    block of the factors), ``ntd.solved`` (one computed from solves), and
-    from :func:`monotone.reconstruct`, ``counts.dense`` (pixel matrices whose
+    block of the factors), ``ntd.solved`` (one computed from solves),
+    ``defect.inertia`` and ``defect.sweep`` (the route a :func:`spectral.d_of_q`
+    count or nearest eigenvalue took), and from
+    :func:`monotone.reconstruct`, ``counts.dense`` (pixel matrices whose
     eigenvalues were computed), ``counts.certified`` (sweep steps at which
     a pixel's rejection was certified instead) and ``pixels.undecided``
     (reported pixels whose verdict is undecided).  The tally belongs to the

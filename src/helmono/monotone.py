@@ -41,8 +41,9 @@ class ComparisonResult:
     """Outcome of one ``A <=_d B`` test.
 
     ``verdict`` is True exactly when the count's
-    :meth:`~helmono.spectral.CountResult.verdict` at ``d_allowed`` is True,
-    so an undecided count reads False.
+    :meth:`~helmono.spectral.CountResult.verdict` at ``d_allowed`` is True;
+    ``decided`` is False when that verdict is None (undecided), where
+    ``verdict`` reads False.
     """
 
     negative_count: int
@@ -50,6 +51,7 @@ class ComparisonResult:
     d_allowed: int
     tol: float
     verdict: bool
+    decided: bool
 
 
 def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> ComparisonResult:
@@ -66,12 +68,14 @@ def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> Comparison
     if a.k != b.k:
         raise BasisMismatchError(f"operators at different wavenumbers: {a.k} vs {b.k}")
     counts = count_negative(b.matrix - a.matrix, tol)
+    verdict = counts.verdict(d)
     return ComparisonResult(
         negative_count=counts.negative,
         indeterminate_count=counts.indeterminate,
         d_allowed=int(d),
         tol=counts.tol,
-        verdict=counts.verdict(d) is True,
+        verdict=verdict is True,
+        decided=verdict is not None,
     )
 
 
@@ -111,8 +115,8 @@ def _defect_system(mesh: Mesh, q: CoefficientLike, k: float, sigma_last: bool = 
     """The :class:`HelmholtzSystem` of ``(q, k)``, with its mass matrix, and
     ``d_of_q`` read from its inertia.
 
-    When the system cannot be factored, ``d_of_q``'s sweep runs first, so a
-    near-resonant configuration reports its ambiguous count before the
+    When the system cannot be factored, ``d_of_q`` runs first on its own, so
+    a near-resonant configuration reports its ambiguous count before the
     resonance, as when the count came first.
     """
     try:

@@ -7,25 +7,22 @@ Three counting problems drive the monotonicity machinery:
   Neumann eigenvalues of ``Laplacian + k^2 q``.
 * ``count_K_eigs_above_one`` counts eigenvalues above one of the compact-part
   pencil ``M_{1 + k^2 q} v = mu (S + M) v`` (the ``H^1`` Gram on the right).
-
-``d(q)`` has three routes, equal in exact arithmetic and computed from
-different data so each can cross-check the others:
-
-* the sweep: ``d_of_q`` alone computes the top eigenvalues of the Neumann
-  pencil until one falls below zero (the ``dq`` subcommand);
-* the inertia: ``d_of_q(..., system=...)`` reads the negative pivots of an
-  already factorized :class:`~helmono.fem.HelmholtzSystem` of ``(q, k)``
-  (Sylvester's law of inertia) and checks the window with the one eigenvalue
-  nearest zero.  ``monotonicity_check`` and negative-contrast
-  ``reconstruct`` use it on a forward system they factor anyway, and
-  positive-contrast ``reconstruct`` on the constant ``max q`` system;
-* the compact part: ``count_K_eigs_above_one``, from its own pencil (the
-  ``dq`` subcommand reports whether it agrees with the sweep).
 * ``count_negative`` counts negative eigenvalues of a dense symmetric matrix,
   the primitive behind every "less-or-equal up to a finite-dimensional defect"
   verdict; ``count_negative_stack`` does the same for a stack of matrices in
   one ``eigvalsh`` call, and a :class:`RejectionCertificate` proves from a
   small Krylov compression that such a count's verdict would be a rejection.
+
+``d_of_q``, ``is_resonance`` and ``nearest_neumann_eigenvalue`` share one
+route: the symmetric-mode factorization of ``S - k^2 M_q`` in the
+:class:`~helmono.fem.HelmholtzSystem` of ``(q, k)``, given or factored for
+the call.  Its negative pivots are the pencil's positive eigenvalues
+(Sylvester's law of inertia), one shift-invert eigenvalue at zero on its
+factors is the eigenvalue nearest zero, and one window,
+``TOL_FACTOR * (k^2 max(q, 0) + 1)`` unless given, decides resonance.  A
+matrix that refuses that factorization, or whose factors have no pivot
+signs, takes a sweep of the top pencil eigenvalues in the same window.
+``count_K_eigs_above_one`` sweeps its own pencil: an independent cross-check.
 
 Counts refuse to guess: an eigenvalue inside the tolerance window around the
 decision threshold raises :class:`SpectralAmbiguityError` (for the pencils) or
@@ -56,14 +53,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigenSolverError, InvalidParameterError, SpectralAmbiguityError
+from .errors import EigenSolverError, InvalidParameterError, ResonanceError, SpectralAmbiguityError
 from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, \
-    assemble_mass, assemble_weighted_mass, factorize
+    assemble_mass, assemble_weighted_mass, count, factorize
 from .mesh import Mesh
 
 #: Problems at or below this many unknowns are solved densely.
 DENSE_CUTOFF = 1200
-#: Default count tolerance: this factor times the largest computed |eigenvalue|.
+#: Default count tolerance: this factor times the largest computed |eigenvalue|,
+#: or for the Neumann pencil its upper bound ``k^2 max(q, 0) + 1``.
 TOL_FACTOR = 1e-8
 #: Eigenpair residuals are checked against this factor times the matrix scale.
 RESIDUAL_FACTOR = 1e-8
@@ -116,11 +114,6 @@ def _blas_thread_calls():
     )
 
 
-def _openblas_thread_calls():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
-    return _blas_thread_calls()[0]
-
-
 # The thread counts are settings of the whole process, so the record of the
 # blocks holding them is one too.
 _CAP_LOCK = threading.Lock()
@@ -137,8 +130,8 @@ def one_blas_thread():
     restores them (also on an exception).  A copy without the thread-count
     calls runs unchanged; without numpy's the block yields False.
     """
-    numpy_calls = _openblas_thread_calls()
-    calls = [c for c in (numpy_calls, _blas_thread_calls()[1]) if c is not None]
+    numpy_calls, scipy_calls = _blas_thread_calls()
+    calls = [c for c in (numpy_calls, scipy_calls) if c is not None]
     with _CAP_LOCK:
         if _cap["depth"] == 0:
             _cap["saved"] = [(put, get()) for get, put in calls]
@@ -364,23 +357,63 @@ def _nearest_zero(system: HelmholtzSystem) -> float:
     return float(w[np.argmin(np.abs(w))])
 
 
+class _AtZero(NamedTuple):
+    """The Neumann pencil of ``(q, k)`` around zero: ``d`` eigenvalues lie
+    above ``tol`` and ``nearest`` is the one nearest zero."""
+
+    d: int
+    nearest: float
+    tol: float
+
+    @property
+    def resonant(self) -> bool:
+        return abs(self.nearest) <= self.tol
+
+    def decided(self) -> int:
+        if self.resonant:
+            raise SpectralAmbiguityError(
+                f"Neumann eigenvalue(s) within {self.tol:.3e} of zero, the nearest "
+                f"{self.nearest:.3e}", offending=(self.nearest,))
+        return self.d
+
+
+def _at_zero(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None,
+             system: Optional[HelmholtzSystem] = None) -> _AtZero:
+    """The pencil around zero from ``system`` or from
+    ``HelmholtzSystem(mesh, q, k, mass=True)``: ``d`` from its negative
+    pivots, ``nearest`` from :func:`_nearest_zero` on its factors.  A matrix
+    that cannot be factored (also ``q = 0``: ``S`` is singular) or a
+    factorization without pivot signs takes :func:`_sweep_down` instead, in
+    the same window.  The route is counted in :func:`fem.counting`."""
+    _check_tol(tol)
+    coeff = _validated(mesh, q, k)
+    if system is not None and not (system.mesh is mesh and system.k == float(k)
+                                   and np.array_equal(system.q.values, coeff.values)):
+        raise InvalidParameterError("system was factored for another (mesh, q, k)")
+    tol = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
+    if system is None and coeff.values.any():
+        try:
+            system = HelmholtzSystem(mesh, coeff, k, mass=True)
+        except ResonanceError:
+            pass
+    if system is not None and system.negative_pivots is not None:
+        count("defect.inertia")
+        return _AtZero(system.negative_pivots, -_nearest_zero(system), tol)
+    count("defect.sweep")
+    a, m, sigma_upper = _neumann_pencil(mesh, coeff, k)
+    values, _ = _sweep_down(a, m, sigma_upper, 0.0, tol, mesh.vertex_order)
+    return _AtZero(int((values > tol).sum()), float(values[np.argmin(np.abs(values))]), tol)
+
+
 def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None, *,
            system: Optional[HelmholtzSystem] = None) -> int:
-    """Number of positive Neumann eigenvalues of ``Laplacian + k^2 q``.
-
-    Without ``system`` the top eigenvalues of the pencil are computed until
-    one falls below the window; the default ``tol`` is ``TOL_FACTOR`` times
-    the largest magnitude among them.
+    """Number of positive Neumann eigenvalues of ``Laplacian + k^2 q``, read
+    from the negative pivots of ``S - k^2 M_q`` (see the module notes).
 
     ``system`` is the factorized :class:`HelmholtzSystem` of the same
-    ``(mesh, q, k)``.  Its matrix ``S - k^2 M_q`` has as many negative
-    eigenvalues as the pencil has positive ones, and when its factorization
-    has pivot signs (``negative_pivots``) the count is read from them.  The
-    window is then checked on the one pencil eigenvalue nearest zero, found
-    with that factorization; as no sweep values exist, the default ``tol`` is
-    ``TOL_FACTOR * (k^2 max(q, 0) + 1)``, the upper spectral bound the sweep
-    shifts to.  A factorization without pivot signs (partial pivoting) falls
-    back to the sweep.
+    ``(mesh, q, k)``; without it one is factored for the call.  The default
+    ``tol`` is ``TOL_FACTOR * (k^2 max(q, 0) + 1)``, the factor times an
+    upper bound of the spectrum.
 
     Raises
     ------
@@ -391,30 +424,7 @@ def d_of_q(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None
         If ``tol`` is not positive and finite, or ``system`` belongs to
         another mesh, coefficient or wavenumber.
     """
-    _check_tol(tol)
-    if system is not None:
-        coeff = _validated(mesh, q, k)
-        if not (system.mesh is mesh and system.k == float(k)
-                and np.array_equal(system.q.values, coeff.values)):
-            raise InvalidParameterError("system was factored for another (mesh, q, k)")
-        if system.negative_pivots is not None:
-            tol_eff = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
-            nearest = -_nearest_zero(system)
-            if abs(nearest) <= tol_eff:
-                raise SpectralAmbiguityError(
-                    f"Neumann eigenvalue {nearest:.3e} within {tol_eff:.3e} of zero",
-                    offending=(nearest,),
-                )
-            return system.negative_pivots
-    a, m, sigma_upper = _neumann_pencil(mesh, q, k)
-    values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol, mesh.vertex_order)
-    near = values[np.abs(values) <= tol_eff]
-    if near.size:
-        raise SpectralAmbiguityError(
-            f"{near.size} Neumann eigenvalue(s) within {tol_eff:.3e} of zero",
-            offending=tuple(near),
-        )
-    return int((values > tol_eff).sum())
+    return _at_zero(mesh, q, k, tol, system).decided()
 
 
 def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
@@ -448,24 +458,21 @@ def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
 def is_resonance(mesh: Mesh, q: CoefficientLike, k: float,
                  tol: Optional[float] = None) -> bool:
     """Whether some discrete Neumann eigenvalue of ``(q, k)`` lies within
-    ``tol`` of zero, i.e. the forward problem is (numerically) unsolvable."""
-    _check_tol(tol)
-    a, m, sigma_upper = _neumann_pencil(mesh, q, k)
-    values, tol_eff = _sweep_down(a, m, sigma_upper, 0.0, tol, mesh.vertex_order)
-    return bool((np.abs(values) <= tol_eff).any())
+    ``tol`` of zero, i.e. the forward problem is (numerically) unsolvable:
+    exactly when :func:`d_of_q` would raise, with the same default ``tol``
+    and from the same factorization."""
+    return _at_zero(mesh, q, k, tol).resonant
 
 
 def nearest_neumann_eigenvalue(mesh: Mesh, q: CoefficientLike, k: float) -> float:
-    """The signed Neumann eigenvalue of smallest magnitude.
+    """The signed Neumann eigenvalue of smallest magnitude, from the
+    factorization :func:`d_of_q` counts with.
 
     Measures how close the configuration is to a discrete resonance; scanning
     it over a wavenumber range and watching for sign changes brackets the
     resonances of the discretization.
     """
-    a, m, sigma_upper = _neumann_pencil(mesh, q, k)
-    # A zero tolerance makes the sweep stop at the first negative eigenvalue.
-    values, _ = _sweep_down(a, m, sigma_upper, 0.0, 0.0, mesh.vertex_order)
-    return float(values[np.argmin(np.abs(values))])
+    return _at_zero(mesh, q, k).nearest
 
 
 def _count_from(w: np.ndarray, tol: Optional[float]) -> CountResult:

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from helmono import boundary_basis, build_unit_square_mesh, leq_d, make_symop, mark_sigma, ntd_matrix
+from helmono import assemble_mass, assemble_stiffness, boundary_basis, build_unit_square_mesh, \
+    leq_d, make_symop, mark_sigma, ntd_matrix
 from helmono import cli, spectral
 from helmono.cli import main
 from helmono.errors import ConfigError, InvalidParameterError, SpectralAmbiguityError
@@ -57,8 +59,9 @@ def test_mesh_command_writes_mesh_and_manifest(tmp_path):
 @pytest.mark.parametrize("numpy_calls", [True, False])
 def test_manifest_says_whether_the_blas_limit_held(tmp_path, monkeypatch, numpy_calls):
     if not numpy_calls:
-        monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
-    held = spectral._openblas_thread_calls() is not None
+        found = spectral._blas_thread_calls()
+        monkeypatch.setattr(spectral, "_blas_thread_calls", lambda: (None, found[1]))
+    held = spectral._blas_thread_calls()[0] is not None
     out = tmp_path / "out"
     assert run(tmp_path, base_cfg(out, n=4), "mesh") == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
@@ -151,6 +154,31 @@ def test_dq_routes_agree(tmp_path):
     pairs = read_kv(out / "dq.txt")
     assert pairs["agree"] == "true"
     assert pairs["d_of_q"] == pairs["count_K_eigs_above_one"]
+    # the window and the eigenvalue nearest zero, from the counted factorization
+    assert float(pairs["tol"]) == 1e-8 * (4.0 * 1.5 + 1.0)
+    assert abs(float(pairs["nearest_eigenvalue"])) > float(pairs["tol"])
+    manifest = read_kv(out / "manifest.txt")
+    assert (manifest["stat.defect.inertia"], manifest["stat.defect.sweep"]) == ("1", "0")
+
+
+def test_dq_decides_in_the_window_of_monotonicity_check(tmp_path):
+    # The top pencil eigenvalue 2e-7 above zero at n = 8, q = 1: outside the
+    # window 1e-8 (k^2 + 1) ~ 1.1e-7 that monotonicity-check decides with.
+    # The compact-part count is independent and puts its eigenvalue, ~1.8e-8
+    # above one, below its own threshold 1 + tol, so the two disagree.
+    mesh = build_unit_square_mesh(8)
+    s, m = assemble_stiffness(mesh).toarray(), assemble_mass(mesh).toarray()
+    k = float(np.sqrt(np.sort(sla.eigh(s, m, eigvals_only=True))[1] + 2e-7))
+    out = tmp_path / "dq"
+    assert run(tmp_path, base_cfg(out, n=8, k=repr(k)), "dq") == 0
+    pairs = read_kv(out / "dq.txt")
+    assert (pairs["d_of_q"], pairs["count_K_eigs_above_one"], pairs["agree"]) == (
+        "2", "1", "false")
+    assert float(pairs["nearest_eigenvalue"]) == pytest.approx(2e-7, rel=1e-3)
+    compare = tmp_path / "compare"
+    text = base_cfg(compare, n=8, k=repr(k), **{"coefficient.background": 0.5})
+    assert run(tmp_path, text, "monotonicity-check") == 0
+    assert read_kv(compare / "comparison.txt")["d_allowed"] == "2"
 
 
 def test_resonance_scan_brackets_known_resonance(tmp_path):
@@ -209,11 +237,29 @@ def test_manifest_counts_factorizations_and_ntd_routes(tmp_path, monkeypatch,
     assert run(tmp_path, text, "monotonicity-check") == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
     stats = [ln for ln in manifest if ln.startswith("stat.")]
-    expected = (4, 0, 2) if refuse_symmetric else (2, 2, 0)
+    # d(q2) from the pivots, or from the sweep when they have no signs
+    expected = (4, 0, 2, 0, 1) if refuse_symmetric else (2, 2, 0, 1, 0)
     assert stats == ["stat.blas_one_thread = " + stats[0].split(" = ")[1],
                      f"stat.factorizations = {expected[0]}",
                      f"stat.ntd.trailing = {expected[1]}",
-                     f"stat.ntd.solved = {expected[2]}"]
+                     f"stat.ntd.solved = {expected[2]}",
+                     f"stat.defect.inertia = {expected[3]}",
+                     f"stat.defect.sweep = {expected[4]}"]
+
+
+def test_undecided_comparison_exits_4(tmp_path, capsys, monkeypatch):
+    # d(q2) = 1 here; one certainly negative eigenvalue and one inside the
+    # window leave the count on either side of it.
+    from helmono import monotone
+
+    undecided = spectral.CountResult(negative=2, indeterminate=1, tol=1e-6, certain=1)
+    monkeypatch.setattr(monotone, "count_negative", lambda matrix, tol=None: undecided)
+    out = tmp_path / "out"
+    text = base_cfg(out, n=8, **{"coefficient2.background": 1.5})
+    assert run(tmp_path, text, "monotonicity-check") == 4
+    assert "undecided comparison" in capsys.readouterr().err
+    pairs = read_kv(out / "comparison.txt")
+    assert (pairs["d_allowed"], pairs["verdict"]) == ("1", "undecided")
 
 
 def test_resonance_of_the_smaller_coefficient_exits_3(tmp_path, capsys):
@@ -550,6 +596,25 @@ def test_parse_config_text_details():
         parse_config_text("a = 1\nnonsense\n")
     with pytest.raises(ConfigError, match="empty key"):
         parse_config_text("= 3\n")
+
+
+def test_config_values_parse_with_line_precise_errors():
+    cfg = cli.Config(parse_config_text("a = 1.5\nb = x\nc = 3\nd = 1 2 3\ne = 1 x\n"))
+    assert (cfg.get_float("a"), cfg.get_int("c")) == (1.5, 3)
+    assert (cfg.get_floats("d", 3), cfg.get_ints("d")) == ([1.0, 2.0, 3.0], [1, 2, 3])
+    for get in (cfg.get_float, cfg.get_int, cfg.get_floats, cfg.get_ints):
+        assert get("absent", default=None) is None
+        with pytest.raises(ConfigError, match="missing required key 'absent'"):
+            get("absent")
+    for get, key, message in ((cfg.get_float, "b", "line 2: key 'b': not a number: 'x'"),
+                              (cfg.get_int, "a", "line 1: key 'a': not an integer: '1.5'"),
+                              (cfg.get_floats, "e", "line 5: key 'e': expected numbers, got '1 x'"),
+                              (cfg.get_ints, "e", "line 5: key 'e': expected integers, got '1 x'")):
+        with pytest.raises(ConfigError) as info:
+            get(key)
+        assert str(info.value) == message
+    with pytest.raises(ConfigError, match="line 4: key 'd': expected 2 numbers, got 3"):
+        cfg.get_floats("d", 2)
 
 
 def test_pgm_roundtrip_orientation(tmp_path):

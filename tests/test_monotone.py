@@ -57,7 +57,8 @@ def test_leq_d_two_negatives():
     diff = np.diag([-1.0, -1.0, 5.0, 7.0])
     zero = _op(np.zeros((4, 4)))
     b = _op(diff)
-    assert not leq_d(zero, b, 1).verdict
+    rejected = leq_d(zero, b, 1)
+    assert not rejected.verdict and rejected.decided
     assert leq_d(zero, b, 2).verdict
 
 
@@ -69,8 +70,9 @@ def test_leq_d_accepts_when_every_window_eigenvalue_lies_below_the_threshold():
     b = _op(np.diag([-1.2 * tol, 1.0, 2.0]))
     accepted = leq_d(zero, b, 1, tol)
     assert (accepted.negative_count, accepted.indeterminate_count) == (1, 1)
-    assert accepted.verdict
-    assert not leq_d(zero, b, 0, tol).verdict
+    assert accepted.verdict and accepted.decided
+    undecided = leq_d(zero, b, 0, tol)
+    assert not undecided.verdict and not undecided.decided
 
 
 def test_leq_d_guards():
@@ -395,7 +397,7 @@ def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
         seen.clear()
         pooled = reconstruct(mesh, q, 1.0, basis, grid, threads=2, **kwargs)
         assert sorted(m for _, m in seen) == matrices
-        if spectral._openblas_thread_calls() is not None:
+        if spectral._blas_thread_calls()[0] is not None:
             assert threading.get_ident() not in {thread for thread, _ in seen}
         _same_result(pooled, serial)
 
@@ -442,7 +444,8 @@ def test_reconstruct_counts_serially_without_the_blas_limit(monkeypatch):
     # Without the one-thread limit a pool would share the cores with BLAS
     # threads and its counts would follow the BLAS setting, so the counts
     # stay on the calling thread whatever ``threads`` asks.
-    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    found = spectral._blas_thread_calls()
+    monkeypatch.setattr(spectral, "_blas_thread_calls", lambda: (None, found[1]))
     seen = _recording_stack_counts(monkeypatch)
     mesh = _mesh(8)
     grid = pixel_grid(mesh, 4, 2)

@@ -71,8 +71,8 @@ def test_d_of_q_analytic_counts():
 
 
 def test_sweep_factors_the_shifted_pencil_once(monkeypatch):
-    # At k = 8 the first eight eigenvalues are all positive, so each sweep
-    # doubles its count once; both steps share one factorization.
+    # At k = 8 the first eight eigenvalues above one are all counted, so the
+    # sweep doubles its count once; both steps share one factorization.
     calls = []
 
     def counting(matrix, where, *args):
@@ -82,11 +82,8 @@ def test_sweep_factors_the_shifted_pencil_once(monkeypatch):
     factorize = spectral.factorize
     monkeypatch.setattr(spectral, "factorize", counting)
     mesh = build_unit_square_mesh(64)
-    assert d_of_q(mesh, 1.0, 8.0) == 8
-    assert len(calls) == 1
-    nearest_neumann_eigenvalue(mesh, 1.0, 8.0)
     assert count_K_eigs_above_one(mesh, 1.0, 8.0) == 8
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_d_of_q_small_constant():
@@ -129,7 +126,29 @@ def test_d_routes_agree(n, values, k):
     assume(abs(nearest_neumann_eigenvalue(mesh, q, k)) > 1e-3)
     d = d_of_q(mesh, q, k)
     assert d_of_q(mesh, q, k, system=HelmholtzSystem(mesh, q, k)) == d
+    # Two independent legs: the compact-part pencil's sweep, and the top
+    # d + 1 pencil eigenvalues (ARPACK at n = 36), d of them above the window.
     assert count_K_eigs_above_one(mesh, q, k) == d
+    tol = spectral.TOL_FACTOR * (k * k * max(q.max(), 0.0) + 1.0)
+    assert (neumann_eigenvalues(mesh, q, k, d + 1).values > tol).sum() == d
+
+
+def test_d_decided_near_a_resonance_in_one_window():
+    # The top eigenvalue 2e-7 above zero, outside the window
+    # 1e-8 (k^2 + 1) ~ 1.1e-7 every route shares: d = 2 with or without a
+    # factored system, and no resonance.
+    mesh = build_unit_square_mesh(8)
+    s = assemble_stiffness(mesh).toarray()
+    m = assemble_mass(mesh).toarray()
+    rho = np.sort(sla.eigh(s, m, eigvals_only=True))
+    k = float(np.sqrt(rho[1] + 2e-7))
+    tol = spectral.TOL_FACTOR * (k * k + 1.0)
+    assert d_of_q(mesh, 1.0, k) == 2
+    assert d_of_q(mesh, 1.0, k, system=HelmholtzSystem(mesh, 1.0, k, mass=True)) == 2
+    near = nearest_neumann_eigenvalue(mesh, 1.0, k)
+    assert near == pytest.approx(2e-7, rel=1e-3)
+    assert abs(near) > tol and not is_resonance(mesh, 1.0, k)
+    assert is_resonance(mesh, 1.0, k, 2.0 * near)
 
 
 @pytest.mark.parametrize("n", [8, 40])
@@ -159,8 +178,20 @@ def test_d_from_system_without_pivot_signs_takes_the_sweep(monkeypatch):
 
     factorize = spectral.factorize
     monkeypatch.setattr(spectral, "factorize", counting)
+    windows = []
+
+    def sweep(a, b, sigma_upper, threshold, tol, order):
+        windows.append(tol)
+        return sweep_down(a, b, sigma_upper, threshold, tol, order)
+
+    sweep_down = spectral._sweep_down
+    monkeypatch.setattr(spectral, "_sweep_down", sweep)
     assert d_of_q(mesh, q, 3.0, system=system) == d
     assert len(calls) == 1
+    # the window of the inertia route: the factor times k^2 max(q) + 1
+    assert windows == [spectral.TOL_FACTOR * (9.0 * 2.5 + 1.0)]
+    assert d_of_q(mesh, q, 3.0, 1e-6, system=system) == d
+    assert windows[1] == 1e-6
     for other_q, other_k, other_mesh in ((1.0, 3.0, mesh), (q, 2.0, mesh),
                                          (q, 3.0, build_unit_square_mesh(40))):
         with pytest.raises(InvalidParameterError, match="another"):
@@ -433,10 +464,10 @@ def test_count_negative_shapes():
         count_negative_stack(np.zeros((2, 3, 4)))
 
 
-@pytest.mark.skipif(spectral._openblas_thread_calls() is None,
+@pytest.mark.skipif(spectral._blas_thread_calls()[0] is None,
                     reason="numpy's OpenBLAS exports no thread-count calls")
 def test_one_blas_thread_restores_the_count_after_an_exception():
-    get, put = spectral._openblas_thread_calls()
+    get, put = spectral._blas_thread_calls()[0]
     original = get()
     put(2)
     try:
@@ -453,13 +484,13 @@ def test_one_blas_thread_restores_the_count_after_an_exception():
         put(original)
 
 
-@pytest.mark.skipif(spectral._openblas_thread_calls() is None,
+@pytest.mark.skipif(spectral._blas_thread_calls()[0] is None,
                     reason="numpy's OpenBLAS exports no thread-count calls")
 def test_one_blas_thread_holds_the_limit_while_any_block_is_open():
     # More threads than cores open and close blocks with a short switch
     # interval: a lost update of the open-block record would restore the old
     # count while some block is still open, or leave the limit in place.
-    get, put = spectral._openblas_thread_calls()
+    get, put = spectral._blas_thread_calls()[0]
     original = get()
     put(2)
     before = get()
@@ -488,9 +519,10 @@ def test_one_blas_thread_holds_the_limit_while_any_block_is_open():
 
 
 def test_one_blas_thread_without_the_thread_calls_changes_nothing(monkeypatch):
-    calls = spectral._openblas_thread_calls()
+    found = spectral._blas_thread_calls()
+    calls = found[0]
     before = calls[0]() if calls else None
-    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    monkeypatch.setattr(spectral, "_blas_thread_calls", lambda: (None, found[1]))
     with one_blas_thread() as capped:
         assert capped is False
         if calls:
@@ -598,9 +630,10 @@ def test_one_blas_thread_holds_scipys_limit_while_any_block_is_open():
 @pytest.mark.skipif(spectral._blas_thread_calls()[1] is None,
                     reason="scipy's OpenBLAS exports no thread-count calls")
 def test_one_blas_thread_limits_scipys_copy_without_numpys_calls(monkeypatch):
-    get, put = spectral._blas_thread_calls()[1]
+    found = spectral._blas_thread_calls()
+    get, put = found[1]
     original = get()
-    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    monkeypatch.setattr(spectral, "_blas_thread_calls", lambda: (None, found[1]))
     put(2)
     try:
         before = get()
