@@ -2,7 +2,8 @@
 
 Every subcommand reads one flat key-value configuration file (``key = value``
 per line, ``#`` comments), writes its artifacts into an output directory and
-leaves a run manifest there.  Domain failures map to distinct exit codes:
+leaves a run manifest there, also on exit 3 or 4 (with ``stat.exit_code``).
+Domain failures map to distinct exit codes:
 
 * 2 -- configuration problems (unknown keys, missing values, bad types)
 * 3 -- resonant configuration (the forward operator is singular)
@@ -24,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, HelmonoError, InvalidParameterError, SpectralAmbiguityError
+from .errors import ConfigError, HelmonoError, InvalidParameterError, ResonanceError, \
+    SpectralAmbiguityError
 from .fem import Coefficient, counting
 from .io import (
     fmt,
@@ -440,14 +442,13 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
     result = reconstruct(mesh, q, k, basis, grid, contrast=contrast, alpha=alpha,
                          tol=_count_tol(cfg), threads=args.threads)
 
+    # Certified pixels were never counted; result.negative_counts would count them.
     rows = []
-    for p in range(grid.nx * grid.ny):
+    for p, c in enumerate(result.counts):
         iy, ix = divmod(p, grid.nx)
         x0, y0, x1, y1 = grid.boxes[p]
-        rows.append((p, ix, iy, x0, y0, x1, y1,
-                     int(result.negative_counts[p]),
-                     int(result.indeterminate_counts[p]),
-                     bool(result.mask[p])))
+        cells = ("certified", "certified") if c is None else (c.negative, c.indeterminate)
+        rows.append((p, ix, iy, x0, y0, x1, y1, *cells, bool(result.mask[p])))
     write_table_csv(
         outdir / "reconstruct.csv",
         ["pixel", "ix", "iy", "x0", "y0", "x1", "y1",
@@ -456,13 +457,14 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
     )
     write_pgm(outdir / "mask.pgm", result.pixel_values().reshape(grid.ny, grid.nx))
     params = result.params
-    text = "".join(
-        f"{key} = {fmt(params[key]) if isinstance(params[key], float) else params[key]}\n"
-        for key in ("k", "alpha", "d_max", "basis_dim", "tol", "contrast")
-    )
+    text = ""
+    for key in ("k", "alpha", "d_max", "basis_dim", "tol", "contrast"):
+        v = params[key]
+        text += f"{key} = {fmt(v) if isinstance(v, float) else 'none' if v is None else v}\n"
     if result.sweep is not None:
         stable = params["sweep_stable"]
         text += f"sweep_stable = {'true' if stable else 'false'}\n"
+        text += f"certified = {sum(c is None for c in result.counts)}\n"
         if not stable:
             print(f"warning: the alpha sweep found no stable accepted set; "
                   f"reporting the smallest alpha {fmt(params['alpha'])}", file=sys.stderr)
@@ -514,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    failure = None
     try:
         if args.threads < 1:
             raise ConfigError("thread cap must be at least 1")
@@ -522,13 +525,17 @@ def main(argv=None) -> int:
         # Parallelism comes from the --threads pool alone: no BLAS pool of
         # either OpenBLAS copy competes with it for the cores.
         with one_blas_thread() as capped, counting() as tally:
-            _COMMANDS[args.command](cfg, args, outdir)
+            try:
+                _COMMANDS[args.command](cfg, args, outdir)
+            except (ResonanceError, SpectralAmbiguityError) as exc:
+                failure = exc  # a numerical outcome: the manifest explains it too
         stats = [("blas_one_thread", "true" if capped else "false")]
         for group in (("factorizations", "ntd.trailing", "ntd.solved"),
                       ("defect.inertia", "defect.sweep"),
                       ("counts.dense", "counts.certified", "pixels.undecided")):
             if any(tally[name] for name in group):
                 stats += [(name, tally[name]) for name in group]
+        stats += [("exit_code", failure.exit_code)] if failure else []
         seed = cfg.get_int("seed", 0)
         write_manifest(
             outdir / "manifest.txt",
@@ -538,6 +545,8 @@ def main(argv=None) -> int:
             [("total", time.perf_counter() - started)],
             stats,
         )
+        if failure is not None:
+            raise failure
     except HelmonoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

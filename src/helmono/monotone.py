@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .errors import BasisMismatchError, InvalidParameterError, ResonanceError
 from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_weighted_mass, count
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, Forward, SymOp, tb_from_solutions
-from .spectral import RejectionCertificate, checked_stack, count_negative, count_negative_stack, \
-    d_of_q, one_blas_thread
+from .spectral import RejectionCertificate, _at_zero, checked_stack, count_negative, \
+    count_negative_stack, d_of_q, one_blas_thread
 
 _SWEEP_CAP = 20
 #: Pixel matrices per stacked count.  Each worker builds its stack itself, so
@@ -115,14 +116,15 @@ def _defect_system(mesh: Mesh, q: CoefficientLike, k: float, sigma_last: bool = 
     """The :class:`HelmholtzSystem` of ``(q, k)``, with its mass matrix, and
     ``d_of_q`` read from its inertia.
 
-    When the system cannot be factored, ``d_of_q`` runs first on its own, so
-    a near-resonant configuration reports its ambiguous count before the
-    resonance, as when the count came first.
+    When the system cannot be factored, the count runs first from the
+    sweep, in ``d_of_q``'s window, without factoring the refused matrix
+    again, so a near-resonant configuration reports its ambiguous count
+    before the resonance, as when the count came first.
     """
     try:
         system = HelmholtzSystem(mesh, q, k, sigma_last=sigma_last, mass=True)
     except ResonanceError:
-        d_of_q(mesh, q, k)
+        _at_zero(mesh, q, k, factor=False).decided()
         raise
     d = d_of_q(mesh, q, k, system=system)
     system.mass = None  # only d_of_q's window check reads it
@@ -173,27 +175,39 @@ def _check_alpha(alpha) -> None:
 class ReconstructionResult:
     """Pixelwise verdicts of a reconstruction run.
 
-    ``mask[i]`` is True where the pixel's count has at most ``d_max``
+    ``counts[i]`` is pixel ``i``'s :class:`~helmono.spectral.CountResult`,
+    or None where the alpha sweep certified its rejection without a dense
+    count.  ``mask[i]`` is True where the count has at most ``d_max``
     eigenvalues below ``-tol``; ``verdicts[i]`` is its
     :meth:`~helmono.spectral.CountResult.verdict` at ``d_max`` (None when
-    undecided), equal to ``mask[i]`` wherever decided.  ``params`` records
-    the run parameters (k, alpha, d_max, basis_dim, tol, contrast, and
-    ``sweep_stable`` when the sweep ran); ``sweep`` lists the
-    ``(alpha, accepted_count)`` history when the sweep ran.
+    undecided, False when certified), equal to ``mask[i]`` wherever decided.
+    ``params`` records the run parameters (k, alpha, d_max, basis_dim, tol,
+    contrast, and ``sweep_stable`` when the sweep ran); ``sweep`` lists the
+    ``(alpha, accepted_count)`` history when the sweep ran.  On first access
+    ``negative_counts`` and ``indeterminate_counts`` count the certified
+    pixels, to the bits of an explicit-alpha run at ``params["alpha"]``.
     """
 
     grid: PixelGrid
     mask: np.ndarray
-    negative_counts: np.ndarray
-    indeterminate_counts: np.ndarray
+    counts: tuple
     verdicts: tuple
     params: dict
     sweep: Optional[list] = field(default=None)
+    _complete: Optional[Callable[[], list]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mask.setflags(write=False)
-        self.negative_counts.setflags(write=False)
-        self.indeterminate_counts.setflags(write=False)
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        counts = self._complete() if self._complete else self.counts
+        table = np.array([(c.negative, c.indeterminate) for c in counts], dtype=int)
+        table.setflags(write=False)
+        return table
+
+    negative_counts = property(lambda self: self._dense[:, 0])
+    indeterminate_counts = property(lambda self: self._dense[:, 1])
 
     @property
     def ambiguous(self) -> np.ndarray:
@@ -286,9 +300,10 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     builds a :class:`~helmono.spectral.RejectionCertificate` per pixel once,
     and at each step counts densely only the pixels it does not certify as
     rejected (most pixels, rejected by a wide margin at every step).  The
-    reported step's certified pixels are then counted as well, so the
-    counts, tolerance and mask returned are those of a dense count of every
-    pixel at that step.  Every pixel matrix of every step is checked for
+    reported step's certified pixels stay uncounted (``counts`` entry None,
+    verdict False) until ``negative_counts`` is read, and ``params["tol"]``
+    is the largest of the pixels counted at that step (the explicit ``tol``,
+    or None, if none was).  Every pixel matrix of every step is checked for
     finiteness and symmetry, counted or not.  The dense counts run in stacks
     of :data:`PIXEL_STACK` under a one-thread limit on both OpenBLAS copies,
     spread over a pool of ``threads`` workers (``threads=1`` counts on the
@@ -352,8 +367,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     else:
         # Most pixels are rejected at every step by a wide margin; their
         # certificates prove it from a small compression, and only the other
-        # pixels are counted densely.  The reported step is then completed,
-        # so its counts are those of a dense count of every pixel.
+        # pixels are counted densely.
         with one_blas_thread():
             certificates = [RejectionCertificate(diff, tb) for tb in tbs]
         sweep_history = []
@@ -377,20 +391,21 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         if not stable:
             chosen = len(steps) - 1
         alpha_used, counts, _ = steps[chosen]
-        missing = [p for p, c in enumerate(counts) if c is None]
-        filled = _pixel_counts(diff, [tbs[p] for p in missing], alpha_used, tol, threads)
-        for p, c in zip(missing, filled):
-            counts[p] = c
-        count("counts.certified", certified_total - len(missing))
-    verdicts = tuple(c.verdict(d_max) for c in counts)
+        count("counts.certified", certified_total)
+    verdicts = tuple(False if c is None else c.verdict(d_max) for c in counts)
     count("pixels.undecided", verdicts.count(None))
+
+    def complete() -> list:
+        missing = [p for p, c in enumerate(counts) if c is None]
+        filled = iter(_pixel_counts(diff, [tbs[p] for p in missing], alpha_used, tol, threads))
+        return [next(filled) if c is None else c for c in counts]
 
     params = {
         "k": float(k),
         "alpha": alpha_used,
         "d_max": int(d_max),
         "basis_dim": basis.dim,
-        "tol": max(c.tol for c in counts),
+        "tol": max((c.tol for c in counts if c is not None), default=tol),
         "contrast": contrast,
     }
     if sweep_history is not None:
@@ -398,9 +413,9 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     return ReconstructionResult(
         grid=grid,
         mask=_accepted(counts, d_max),
-        negative_counts=np.array([c.negative for c in counts], dtype=int),
-        indeterminate_counts=np.array([c.indeterminate for c in counts], dtype=int),
+        counts=tuple(counts),
         verdicts=verdicts,
         params=params,
         sweep=sweep_history,
+        _complete=complete if None in counts else None,
     )

@@ -378,20 +378,21 @@ class _AtZero(NamedTuple):
 
 
 def _at_zero(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = None,
-             system: Optional[HelmholtzSystem] = None) -> _AtZero:
+             system: Optional[HelmholtzSystem] = None, factor: bool = True) -> _AtZero:
     """The pencil around zero from ``system`` or from
     ``HelmholtzSystem(mesh, q, k, mass=True)``: ``d`` from its negative
     pivots, ``nearest`` from :func:`_nearest_zero` on its factors.  A matrix
     that cannot be factored (also ``q = 0``: ``S`` is singular) or a
     factorization without pivot signs takes :func:`_sweep_down` instead, in
-    the same window.  The route is counted in :func:`fem.counting`."""
+    the same window, as does ``factor=False`` (the caller's factorization of
+    it was refused).  The route is counted in :func:`fem.counting`."""
     _check_tol(tol)
     coeff = _validated(mesh, q, k)
     if system is not None and not (system.mesh is mesh and system.k == float(k)
                                    and np.array_equal(system.q.values, coeff.values)):
         raise InvalidParameterError("system was factored for another (mesh, q, k)")
     tol = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
-    if system is None and coeff.values.any():
+    if system is None and factor and coeff.values.any():
         try:
             system = HelmholtzSystem(mesh, coeff, k, mass=True)
         except ResonanceError:

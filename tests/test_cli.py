@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helmono import assemble_mass, assemble_stiffness, boundary_basis, build_unit_square_mesh, \
-    leq_d, make_symop, mark_sigma, ntd_matrix
+from helmono import Coefficient, assemble_mass, assemble_stiffness, boundary_basis, \
+    build_unit_square_mesh, leq_d, make_symop, mark_sigma, ntd_matrix, pixel_grid, \
+    reconstruct, rect_region
 from helmono import cli, spectral
 from helmono.cli import main
 from helmono.errors import ConfigError, InvalidParameterError, SpectralAmbiguityError
+from helmono.fem import counting
 from helmono.io import parse_config_text, write_pgm, write_symop_csv
 from support import read_pgm, read_symop_csv
 
@@ -260,6 +262,11 @@ def test_undecided_comparison_exits_4(tmp_path, capsys, monkeypatch):
     assert "undecided comparison" in capsys.readouterr().err
     pairs = read_kv(out / "comparison.txt")
     assert (pairs["d_allowed"], pairs["verdict"]) == ("1", "undecided")
+    # the manifest still explains the factorizations and routes taken
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert [ln for ln in manifest if ln.startswith("stat.")][1:] == [
+        "stat.factorizations = 2", "stat.ntd.trailing = 2", "stat.ntd.solved = 0",
+        "stat.defect.inertia = 1", "stat.defect.sweep = 0", "stat.exit_code = 4"]
 
 
 def test_resonance_of_the_smaller_coefficient_exits_3(tmp_path, capsys):
@@ -270,6 +277,8 @@ def test_resonance_of_the_smaller_coefficient_exits_3(tmp_path, capsys):
     assert run(tmp_path, text, "monotonicity-check") == 3
     assert "near-singular system" in capsys.readouterr().err
     assert not (out / "comparison.txt").exists()
+    manifest = read_kv(out / "manifest.txt")
+    assert (manifest["stat.defect.inertia"], manifest["stat.exit_code"]) == ("1", "3")
 
 
 def test_monotonicity_check_rejects_unordered(tmp_path, capsys):
@@ -286,6 +295,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key 'eigs.count'" in err
     assert "line 4" in err
+    assert out.is_dir() and not (out / "manifest.txt").exists()
 
 
 def test_duplicate_key_rejected(tmp_path, capsys):
@@ -448,10 +458,40 @@ def test_manifest_counts_dense_and_certified_pixel_counts_for_any_threads(tmp_pa
     assert stats["fixed"][:2] == (16, 0)
 
 
+def test_reconstruct_writes_certified_rows_without_counting_them(tmp_path):
+    # A pixel the sweep certified as rejected at the reported step gets no
+    # dense count: its row says certified and is never accepted, and the
+    # manifest's dense counts are the counted rows plus the other steps'.
+    out = tmp_path / "out"
+    text = base_cfg(out, **{"grid.nx": 4, "grid.ny": 4, "contrast": "negative",
+                            "coefficient.inclusion": "0.25 0.25 0.5 0.5 0.5"})
+    assert run(tmp_path, text, "reconstruct") == 0
+    rows = [line.split(",") for line in
+            (out / "reconstruct.csv").read_text().splitlines()[1:]]
+    certified = [row for row in rows if "certified" in row[7:9]]
+    assert certified and all(row[7:] == ["certified", "certified", "false"]
+                             for row in certified)
+    assert int(read_kv(out / "params.txt")["certified"]) == len(certified)
+    mesh = mark_sigma(build_unit_square_mesh(16), "all")
+    q = Coefficient.constant(mesh, 1.0).with_region(
+        rect_region(mesh, (0.25, 0.25, 0.5, 0.5)), 0.5)
+    with counting() as tally:
+        swept = reconstruct(mesh, q, 1.0, boundary_basis(mesh), pixel_grid(mesh, 4, 4),
+                            contrast="negative")
+    assert [p for p, c in enumerate(swept.counts) if c is None] == [
+        int(row[0]) for row in certified]
+    other_steps = tally["counts.dense"] - (len(rows) - len(certified))
+    assert other_steps > 0
+    manifest = read_kv(out / "manifest.txt")
+    assert int(manifest["stat.counts.dense"]) == len(rows) - len(certified) + other_steps
+
+
 def test_reconstruct_rejects_pixels_whose_window_sits_above_the_threshold(tmp_path):
     # Pixels 34 and 37 report alpha 0.5 with eigenvalues about -1.5e-4,
     # -2.8e-7 and -1.34e-9 against a tol of about 1.48e-9 and d_max 1: two
     # lie below the window, so either side of it the count exceeds d_max.
+    # The sweep certifies that rejection, so their rows say so; the dense
+    # count at the reported alpha gives the same verdict.
     out = tmp_path / "out"
     text = base_cfg(out, n=64, **{"basis.segments": 256, "grid.nx": 8, "grid.ny": 8,
                                   "contrast": "negative",
@@ -461,8 +501,15 @@ def test_reconstruct_rejects_pixels_whose_window_sits_above_the_threshold(tmp_pa
     rows = [line.split(",") for line in
             (out / "reconstruct.csv").read_text().splitlines()[1:]]
     mask = read_pgm(out / "mask.pgm").ravel()
+    mesh = mark_sigma(build_unit_square_mesh(64), "all")
+    q = Coefficient.constant(mesh, 1.0).with_region(
+        rect_region(mesh, (0.375, 0.5, 0.625, 0.75)), 0.35)
+    dense = reconstruct(mesh, q, 1.0, boundary_basis(mesh, 256), pixel_grid(mesh, 8, 8),
+                        contrast="negative", alpha=0.5)
     for p in (34, 37):
-        assert rows[p][7:] == ["2", "1", "false"]
+        assert rows[p][7:] == ["certified", "certified", "false"]
+        c = dense.counts[p]
+        assert (c.negative, c.indeterminate, c.verdict(dense.params["d_max"])) == (2, 1, False)
         assert mask[p] == 0
     assert all(mask[p] == (255 if row[9] == "true" else 0)
                for p, row in enumerate(rows) if mask[p] != 128)
@@ -537,6 +584,8 @@ def test_reconstruct_records_whether_the_sweep_settled(tmp_path, capsys):
     pairs = read_kv(out / "params.txt")
     assert pairs["sweep_stable"] == "false"
     assert pairs["alpha"] == "9.5367431640625e-07"
+    # every pixel certified at the reported step: no count gives a tolerance
+    assert (pairs["certified"], pairs["tol"]) == ("4", "none")
     warning = [ln for ln in capsys.readouterr().err.splitlines() if ln]
     assert len(warning) == 1 and warning[0].startswith("warning: ")
     out = tmp_path / "settled"

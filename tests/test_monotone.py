@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,8 @@ from helmono import (
     Forward,
     PixelGrid,
     ReconstructionResult,
+    assemble_mass,
+    assemble_stiffness,
     assemble_weighted_mass,
     boundary_basis,
     build_unit_square_mesh,
@@ -29,7 +32,7 @@ from helmono import (
     rect_region,
     tb_from_solutions,
 )
-from helmono.errors import BasisMismatchError, InvalidParameterError
+from helmono.errors import BasisMismatchError, InvalidParameterError, SpectralAmbiguityError
 from helmono.fem import counting
 from helmono.spectral import checked_stack, count_negative_stack
 
@@ -362,7 +365,8 @@ def _same_result(a, b):
 def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
     # An explicit alpha counts every pixel once.  The sweep counts no
     # (pixel, alpha) twice and fewer than pixels * steps in all (certified
-    # rejections are not counted), but every pixel of the reported step.
+    # rejections are not counted); reading its counts then counts exactly
+    # the reported step's certified pixels, to the bits of an explicit alpha.
     # threads=1 counts on the calling thread; a pool of two counts the same
     # matrices off it, to the same bits.
     seen = _recording_stack_counts(monkeypatch)
@@ -385,15 +389,24 @@ def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
         matrices = sorted(m for _, m in seen)
         assert len(set(matrices)) == len(matrices)
         if "alpha" not in kwargs:
+            certified = [p for p, c in enumerate(serial.counts) if c is None]
+            assert certified
+            seen.clear()
+            serial.negative_counts
+            assert len(seen) == len(certified)
+            assert {thread for thread, _ in seen} == {threading.get_ident()}
+            completed = {m for _, m in seen}
+            assert not completed & set(matrices)
             seen.clear()
             reported = reconstruct(mesh, q, 1.0, basis, grid, threads=1,
                                    contrast="negative", alpha=serial.params["alpha"])
             assert len(seen) == pixels
-            assert {m for _, m in seen} <= set(matrices)
+            assert {m for _, m in seen} <= set(matrices) | completed
             assert np.array_equal(reported.negative_counts, serial.negative_counts)
             assert np.array_equal(reported.indeterminate_counts,
                                   serial.indeterminate_counts)
-            assert reported.params["tol"] == serial.params["tol"]
+            assert reported.params["tol"] >= serial.params["tol"] == max(
+                c.tol for p, c in enumerate(reported.counts) if p not in certified)
         seen.clear()
         pooled = reconstruct(mesh, q, 1.0, basis, grid, threads=2, **kwargs)
         assert sorted(m for _, m in seen) == matrices
@@ -465,6 +478,55 @@ def test_reconstruct_rejects_bad_alpha(alpha):
         reconstruct(mesh, 1.0, 1.0, basis, grid, contrast="negative", alpha=alpha)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([8, 12]), corner=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       size=st.tuples(st.floats(0.25, 0.6), st.floats(0.25, 0.6)), shift=st.floats(0.2, 2.0))
+def test_sweep_counts_a_certified_pixel_only_when_its_count_is_read(threads, n, corner,
+                                                                    size, shift):
+    # The mask, the verdicts and the image need no dense count; reading the
+    # counts counts the certified pixels, to the bits of an explicit alpha,
+    # and each of those dense verdicts is the certified False.
+    mesh = _mesh(n)
+    basis = boundary_basis(mesh)
+    grid = pixel_grid(mesh, 3, 3)
+    x0, y0 = (c * (1.0 - s) for c, s in zip(corner, size))
+    inclusion = rect_region(mesh, (x0, y0, x0 + size[0], y0 + size[1]))
+    q = Coefficient.constant(mesh, 1.0).with_region(inclusion, 1.0 / (1.0 + shift))
+    swept = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative", threads=threads)
+    certified = [p for p, c in enumerate(swept.counts) if c is None]
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _recording_stack_counts(patch)
+        swept.mask, swept.verdicts, swept.ambiguous, swept.pixel_values()
+        assert seen == []
+        swept.indeterminate_counts, swept.negative_counts
+        assert len(seen) == len(certified)
+    dense = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative",
+                        alpha=swept.params["alpha"], threads=threads)
+    assert np.array_equal(swept.negative_counts, dense.negative_counts)
+    assert np.array_equal(swept.indeterminate_counts, dense.indeterminate_counts)
+    assert [c for c in swept.counts if c is not None] == [
+        c for p, c in enumerate(dense.counts) if p not in certified]
+    assert swept.params["tol"] == max(
+        (c.tol for p, c in enumerate(dense.counts) if p not in certified), default=None)
+    d_max = swept.params["d_max"]
+    for p in certified:
+        assert swept.verdicts[p] is False and dense.counts[p].verdict(d_max) is False
+
+
+@pytest.mark.parametrize("sigma_last", [False, True])
+def test_a_refused_factorization_is_not_redone_for_the_defect(sigma_last):
+    # At a resonance the system's symmetric and partial-pivoting
+    # factorizations are both refused; d(q) then sweeps at once, factoring
+    # only the shifted pencil: three factorizations in all.
+    mesh = _mesh(40)  # above DENSE_CUTOFF: the sweep factors
+    rho = spla.eigsh(assemble_stiffness(mesh).tocsc(), k=1, M=assemble_mass(mesh).tocsc(),
+                     sigma=np.pi ** 2, return_eigenvectors=False)[0]
+    with counting() as tally, pytest.raises(SpectralAmbiguityError):
+        monotone._defect_system(mesh, 1.0, float(np.sqrt(rho)), sigma_last=sigma_last)
+    assert (tally["factorizations"], tally["defect.sweep"]) == (3, 1)
+
+
 @pytest.mark.parametrize("threads", [0, -2, 1.5])
 def test_reconstruct_rejects_bad_threads(threads):
     mesh = _mesh(8)
@@ -524,8 +586,7 @@ def test_pixel_values_mapping():
     result = ReconstructionResult(
         grid=PixelGrid(nx=4, ny=1, boxes=np.zeros((4, 4)), regions=[None] * 4),
         mask=negative <= d_max,
-        negative_counts=negative,
-        indeterminate_counts=np.array([c.indeterminate for c in counts]),
+        counts=tuple(counts),
         verdicts=tuple(c.verdict(d_max) for c in counts),
         params={"d_max": d_max},
     )
