@@ -54,7 +54,6 @@ from .monotone import (
 )
 from .ntd import (
     BoundaryBasis,
-    Forward,
     LocalizedPotential,
     SymOp,
     basis_edge_values,
@@ -96,7 +95,7 @@ __all__ = [
     "count_K_eigs_above_one", "is_resonance", "nearest_neumann_eigenvalue",
     "count_negative",
     # ntd
-    "BoundaryBasis", "Forward", "SymOp", "LocalizedPotential", "boundary_basis",
+    "BoundaryBasis", "SymOp", "LocalizedPotential", "boundary_basis",
     "basis_load_matrix", "basis_solutions", "basis_edge_values",
     "project_onto_basis", "make_symop", "ntd_matrix", "tb_from_solutions",
     "gram_from_solutions", "localized_potential",

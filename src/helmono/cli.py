@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, HelmonoError, InvalidParameterError, ResonanceError, \
     SpectralAmbiguityError
-from .fem import Coefficient, counting
+from .fem import Coefficient, HelmholtzSystem, counting
 from .io import (
     fmt,
     parse_config_text,
@@ -43,10 +43,11 @@ from .io import (
 from .mesh import build_unit_square_mesh, empty_region, mark_sigma, pixel_grid, rect_region
 from .monotone import identity_residual, monotonicity_check, reconstruct
 from .ntd import (
-    Forward,
     basis_edge_values,
+    basis_load_matrix,
     boundary_basis,
     localized_potential,
+    ntd_matrix,
     project_onto_basis,
 )
 from .spectral import (
@@ -254,17 +255,23 @@ def cmd_dq(cfg: Config, args, outdir: Path) -> None:
     tol = _count_tol(cfg)
     zero = _at_zero(mesh, q, k, tol)
     d = zero.decided()
-    via_k = count_K_eigs_above_one(mesh, q, k, tol)
+    try:
+        via_k, undecided = count_K_eigs_above_one(mesh, q, k, tol), None
+    except SpectralAmbiguityError as exc:  # dq.txt says so, then the run exits 4
+        via_k, undecided = "undecided", exc
+    agree = "undecided" if undecided else "true" if d == via_k else "false"
     text = (
         f"d_of_q = {d}\n"
         f"nearest_eigenvalue = {fmt(zero.nearest)}\n"
         f"tol = {fmt(zero.tol)}\n"
         f"count_K_eigs_above_one = {via_k}\n"
-        f"agree = {'true' if d == via_k else 'false'}\n"
+        f"agree = {agree}\n"
     )
     (outdir / "dq.txt").write_text(text)
     print(text, end="")
     _note(outdir / "dq.txt")
+    if undecided:
+        raise undecided
 
 
 def cmd_resonance_scan(cfg: Config, args, outdir: Path) -> None:
@@ -301,12 +308,12 @@ def cmd_ntd(cfg: Config, args, outdir: Path) -> None:
     q = _build_coefficient(cfg, mesh)
     k = _wavenumber(cfg)
     basis = _build_basis(cfg, mesh)
-    forward = Forward(mesh, q, k, basis)
-    write_symop_csv(outdir / "ntd.csv", forward.ntd("ntd"))
+    system = HelmholtzSystem(mesh, q, k, sigma_last=True)
+    write_symop_csv(outdir / "ntd.csv", ntd_matrix(mesh, q, k, basis, system=system))
     _note(outdir / "ntd.csv")
     if args.dump_matrices:
-        write_sparse_csv(outdir / "system_matrix.csv", forward.system.matrix)
-        write_sparse_csv(outdir / "load_matrix.csv", forward.loads)
+        write_sparse_csv(outdir / "system_matrix.csv", system.matrix)
+        write_sparse_csv(outdir / "load_matrix.csv", basis_load_matrix(mesh, basis))
         _note(outdir / "system_matrix.csv")
         _note(outdir / "load_matrix.csv")
 
@@ -522,6 +529,7 @@ def main(argv=None) -> int:
             raise ConfigError("thread cap must be at least 1")
         cfg = _load_config(args.config)
         outdir = _out_dir(cfg, args)
+        seed = cfg.get_int("seed", 0)  # checked before any artifact is written
         # Parallelism comes from the --threads pool alone: no BLAS pool of
         # either OpenBLAS copy competes with it for the cores.
         with one_blas_thread() as capped, counting() as tally:
@@ -536,7 +544,6 @@ def main(argv=None) -> int:
             if any(tally[name] for name in group):
                 stats += [(name, tally[name]) for name in group]
         stats += [("exit_code", failure.exit_code)] if failure else []
-        seed = cfg.get_int("seed", 0)
         write_manifest(
             outdir / "manifest.txt",
             args.command,

@@ -540,3 +540,10 @@ class HelmholtzSystem:
         del low
         y = sla.solve_triangular(up.toarray(), y, overwrite_b=True, check_finite=False)
         return b.toarray().T @ y
+
+
+def check_system(system: HelmholtzSystem, mesh: Mesh, q: CoefficientLike, k: float) -> None:
+    """Refuse a ``system`` factored for another ``(mesh, q, k)``."""
+    if not (system.mesh is mesh and system.k == float(k)
+            and np.array_equal(system.q.values, as_coefficient(mesh, q).values)):
+        raise InvalidParameterError("system was factored for another (mesh, q, k)")

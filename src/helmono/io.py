@@ -34,17 +34,11 @@ def write_mesh_text(path, mesh: Mesh) -> None:
 
 
 def write_eigs_csv(path, values: Sequence[float]) -> None:
-    lines = ["index,value"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{fmt(v)}")
-    _write(path, "\n".join(lines) + "\n")
+    write_table_csv(path, ["index", "value"], enumerate(values))
 
 
 def write_vector_csv(path, vec: Sequence[float]) -> None:
-    lines = ["index,value"]
-    for i, v in enumerate(vec):
-        lines.append(f"{i},{fmt(v)}")
-    _write(path, "\n".join(lines) + "\n")
+    write_table_csv(path, ["index", "value"], enumerate(vec))
 
 
 def write_sparse_csv(path, matrix) -> None:

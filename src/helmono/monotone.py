@@ -27,7 +27,8 @@ import numpy as np
 from .errors import BasisMismatchError, InvalidParameterError, ResonanceError
 from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_weighted_mass, count
 from .mesh import Mesh, PixelGrid
-from .ntd import BoundaryBasis, Forward, SymOp, tb_from_solutions
+from .ntd import BoundaryBasis, SymOp, basis_load_matrix, basis_solutions, ntd_matrix, \
+    tb_from_solutions
 from .spectral import RejectionCertificate, _at_zero, checked_stack, count_negative, \
     count_negative_stack, d_of_q, one_blas_thread
 
@@ -96,9 +97,8 @@ def identity_residual(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     g = np.asarray(g, dtype=float)
     if g.shape != (basis.dim,):
         raise InvalidParameterError(f"flux coefficients must have shape ({basis.dim},)")
-    fwd1 = Forward(mesh, q1, k, basis)
-    sys1, sys2 = fwd1.system, Forward(mesh, q2, k, basis).system
-    load = fwd1.loads @ g
+    sys1, sys2 = HelmholtzSystem(mesh, q1, k), HelmholtzSystem(mesh, q2, k)
+    load = basis_load_matrix(mesh, basis) @ g
     u1 = sys1.solve(load)
     u2 = sys2.solve(load)
     boundary_term = load @ (u2 - u1)
@@ -148,9 +148,9 @@ def monotonicity_check(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
     # so its operator needs no solves; the q2 system, which also gives d(q2),
     # is released before q1 is factored.
     system, d2 = _defect_system(mesh, q2, k, sigma_last=True)
-    lam2 = Forward(mesh, q2, k, basis, system).ntd("ntd_q2")
+    lam2 = ntd_matrix(mesh, q2, k, basis, "ntd_q2", system=system)
     del system
-    lam1 = Forward(mesh, q1, k, basis).ntd("ntd_q1")
+    lam1 = ntd_matrix(mesh, q1, k, basis, "ntd_q1")
     return leq_d(lam1, lam2, d2, tol)
 
 
@@ -347,12 +347,10 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     # block of its factorization, made before the background solutions
     # exist, while the least memory is in use.  The probes read every row of
     # those solutions.
-    lam_q = Forward(mesh, q, k, basis).ntd("ntd_measured")
-    background = Forward(mesh, 1.0, k, basis, system)
+    lam_q = ntd_matrix(mesh, q, k, basis, "ntd_measured")
+    u1 = basis_solutions(mesh, 1.0, k, basis, system)
     del system
-    u1 = background.solutions()
-    lam1 = background.ntd("ntd_background", u1)
-    del background
+    lam1 = ntd_matrix(mesh, 1.0, k, basis, "ntd_background", solutions=u1)
     if contrast == "positive":
         diff = lam_q.matrix - lam1.matrix
     else:

@@ -3,9 +3,9 @@
 Everything downstream of the forward solver observes the domain through a
 finite orthonormal family of boundary fluxes supported on the instrumented
 part of the boundary.  This module builds those families (piecewise-constant
-per edge, optionally grouped into contiguous arc-length segments), assembles
-the forward map of one coefficient on such a family (:class:`Forward`), whose
-Galerkin Neumann-to-Dirichlet matrix is
+per edge, optionally grouped into contiguous arc-length segments), solves one
+coefficient's problem for every flux (:func:`basis_solutions`), assembles its
+Galerkin Neumann-to-Dirichlet matrix (:func:`ntd_matrix`)
 
     Lambda(q)[i, j] = integral_Sigma( b_i  trace(u^{(b_j)}) ) ds,
 
@@ -35,6 +35,7 @@ from .fem import (
     HelmholtzSystem,
     assemble_region_mass,
     boundary_load_matrix,
+    check_system,
 )
 from .mesh import Mesh, Region
 
@@ -234,76 +235,45 @@ def make_symop(raw: np.ndarray, basis_id: str, label: str, k: float,
                  k=float(k))
 
 
-class Forward:
-    """The forward map of one ``(q, k)`` on a boundary basis.
-
-    Holds the sparse basis loads and their boundary rows: the vertices of the
-    flagged boundary edges, where some load is nonzero.  Every other row of a
-    solution pairs with zero loads when traces are read back.  ``(q, k)`` is
-    factored once, on first use, in the order that use favours:
-
-    * ``solutions()`` first: the mesh's fill-reducing vertex order, which
-      keeps the solves over every row cheapest;
-    * ``ntd()`` without solutions first: the flagged boundary's vertices
-      last (``sigma_last``), so the matrix is read off the trailing block of
-      the factors with no solve per basis function.
-
-    Either system serves both uses.  ``system`` may be given, when the caller
-    already factored it.
-    """
-
-    def __init__(self, mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
-                 system: Optional[HelmholtzSystem] = None):
-        self.mesh, self.q, self.k = mesh, q, k
-        self.basis = basis
-        self.loads = basis_load_matrix(mesh, basis)
-        self.rows = np.unique(self.loads.indices)
-        self._system = system
-
-    def _factored(self, sigma_last: bool) -> HelmholtzSystem:
-        if self._system is None:
-            self._system = HelmholtzSystem(self.mesh, self.q, self.k, sigma_last=sigma_last)
-        return self._system
-
-    @property
-    def system(self) -> HelmholtzSystem:
-        """The factorized system of ``(q, k)``."""
-        return self._factored(False)
-
-    def solutions(self) -> np.ndarray:
-        """Nodal solutions for every basis flux, one column per basis function."""
-        return self.system.solve_many(self.loads)
-
-    def ntd(self, label: str, solutions: Optional[np.ndarray] = None) -> SymOp:
-        """Neumann-to-Dirichlet matrix ``loads.T @ solutions``.
-
-        Entry ``(i, j)`` is the boundary integral of basis flux ``i`` against
-        the trace of the solution driven by basis flux ``j``.  Given the full
-        ``solutions()``, their boundary rows are read; otherwise the system
-        gives it (:meth:`HelmholtzSystem.ntd`).  Symmetric up to roundoff
-        (checked, then symmetrized exactly).
-        """
-        if solutions is None:
-            raw = self._factored(True).ntd(self.loads)
-        elif solutions.shape != self.loads.shape:
-            raise InvalidParameterError(
-                f"expected solutions of shape {self.loads.shape}, got {solutions.shape}"
-            )
-        else:
-            raw = self.loads[self.rows].toarray().T @ solutions[self.rows]
-        return make_symop(raw, self.basis.basis_id, label, self.k)
-
-
-def basis_solutions(mesh: Mesh, q: CoefficientLike, k: float,
-                    basis: BoundaryBasis) -> np.ndarray:
-    """``Forward(mesh, q, k, basis).solutions()``."""
-    return Forward(mesh, q, k, basis).solutions()
+def basis_solutions(mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
+                    system: Optional[HelmholtzSystem] = None) -> np.ndarray:
+    """Nodal solutions for every basis flux, one column per basis function,
+    solved on ``system`` or on one factored in the mesh's vertex order (the
+    cheapest for solves over every row)."""
+    if system is None:
+        system = HelmholtzSystem(mesh, q, k)
+    else:
+        check_system(system, mesh, q, k)
+    return system.solve_many(basis_load_matrix(mesh, basis))
 
 
 def ntd_matrix(mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
-               label: str = "ntd") -> SymOp:
-    """``Forward(mesh, q, k, basis).ntd(label)``."""
-    return Forward(mesh, q, k, basis).ntd(label)
+               label: str = "ntd", *, system: Optional[HelmholtzSystem] = None,
+               solutions: Optional[np.ndarray] = None) -> SymOp:
+    """Neumann-to-Dirichlet matrix: entry ``(i, j)`` is the boundary integral
+    of basis flux ``i`` against the trace of the solution driven by flux
+    ``j``.  Read from the boundary rows of given :func:`basis_solutions`,
+    else by :meth:`HelmholtzSystem.ntd` on ``system`` or on one factored with
+    the flagged boundary last, off the trailing block of its factors with no
+    solve per flux.  Symmetric up to roundoff (checked, then symmetrized
+    exactly).  Refuses a ``system`` of another ``(mesh, q, k)``, mis-shaped
+    ``solutions``, or both at once (:class:`InvalidParameterError`)."""
+    if system is not None and solutions is not None:
+        raise InvalidParameterError("give the system or the solutions, not both")
+    loads = basis_load_matrix(mesh, basis)
+    if solutions is None:
+        if system is None:
+            system = HelmholtzSystem(mesh, q, k, sigma_last=True)
+        else:
+            check_system(system, mesh, q, k)
+        raw = system.ntd(loads)
+    elif solutions.shape != loads.shape:
+        raise InvalidParameterError(f"expected solutions of shape {loads.shape}, "
+                                    f"got {solutions.shape}")
+    else:
+        rows = np.unique(loads.indices)
+        raw = loads[rows].toarray().T @ solutions[rows]
+    return make_symop(raw, basis.basis_id, label, k)
 
 
 def gram_from_solutions(mesh: Mesh, region: Region, basis: BoundaryBasis,
@@ -383,7 +353,7 @@ def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
     if p and np.linalg.matrix_rank(v) < p:
         raise InvalidParameterError("excluded family has dependent columns")
 
-    solutions = Forward(mesh, q, k, basis).solutions()
+    solutions = basis_solutions(mesh, q, k, basis)
     g_b = gram_from_solutions(mesh, region_b, basis, solutions, label="gram_b", k=k).matrix
     g_d = gram_from_solutions(mesh, region_d, basis, solutions, label="gram_d", k=k).matrix
 

@@ -55,7 +55,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, InvalidParameterError, ResonanceError, SpectralAmbiguityError
 from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, \
-    assemble_mass, assemble_weighted_mass, count, factorize
+    assemble_mass, assemble_weighted_mass, check_system, count, factorize
 from .mesh import Mesh
 
 #: Problems at or below this many unknowns are solved densely.
@@ -388,9 +388,8 @@ def _at_zero(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = No
     it was refused).  The route is counted in :func:`fem.counting`."""
     _check_tol(tol)
     coeff = _validated(mesh, q, k)
-    if system is not None and not (system.mesh is mesh and system.k == float(k)
-                                   and np.array_equal(system.q.values, coeff.values)):
-        raise InvalidParameterError("system was factored for another (mesh, q, k)")
+    if system is not None:
+        check_system(system, mesh, coeff, k)
     tol = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
     if system is None and factor and coeff.values.any():
         try:

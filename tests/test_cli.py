@@ -183,6 +183,22 @@ def test_dq_decides_in_the_window_of_monotonicity_check(tmp_path):
     assert read_kv(compare / "comparison.txt")["d_allowed"] == "2"
 
 
+def test_dq_writes_an_undecided_cross_check_and_exits_4(tmp_path, capsys):
+    # k^2 = rho_1 (1 + 1e-7) at n = 8, q = 1: d_of_q decides 2, while the
+    # compact-part count finds an eigenvalue inside its own band around
+    # 1 + tol.  dq.txt says so and the run exits 4 with its manifest.
+    mesh = build_unit_square_mesh(8)
+    s, m = assemble_stiffness(mesh).toarray(), assemble_mass(mesh).toarray()
+    k = float(np.sqrt(np.sort(sla.eigh(s, m, eigvals_only=True))[1] * (1.0 + 1e-7)))
+    out = tmp_path / "out"
+    assert run(tmp_path, base_cfg(out, n=8, k=repr(k)), "dq") == 4
+    assert "decision point" in capsys.readouterr().err
+    pairs = read_kv(out / "dq.txt")
+    assert (pairs["d_of_q"], pairs["count_K_eigs_above_one"], pairs["agree"]) == (
+        "2", "undecided", "undecided")
+    assert read_kv(out / "manifest.txt")["stat.exit_code"] == "4"
+
+
 def test_resonance_scan_brackets_known_resonance(tmp_path):
     out = tmp_path / "out"
     text = base_cfg(out, n=8)
@@ -319,6 +335,13 @@ def test_missing_output_dir_rejected(tmp_path, capsys):
     cfg.write_text("mesh.n = 4\nk = 1\n")
     assert main(["mesh", str(cfg)]) == 2
     assert "output.dir" in capsys.readouterr().err
+
+
+def test_malformed_seed_is_refused_before_any_artifact(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(tmp_path, base_cfg(out, n=4, seed="abc"), "mesh") == 2
+    assert "key 'seed'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_ntd_at_resonance_exit_code(tmp_path, capsys):

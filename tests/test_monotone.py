@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from helmono import monotone, spectral
 from helmono import (
     Coefficient,
-    Forward,
     PixelGrid,
     ReconstructionResult,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
+    basis_solutions,
     boundary_basis,
     build_unit_square_mesh,
     count_negative,
@@ -214,7 +214,7 @@ def test_quantitative_monotonicity_after_deflation():
     lam1 = ntd_matrix(mesh, q1, k, basis).matrix
     lam2 = ntd_matrix(mesh, q2, k, basis).matrix
     gap = lam2 - lam1
-    u1 = Forward(mesh, q1, k, basis).solutions()
+    u1 = basis_solutions(mesh, q1, k, basis)
     w = assemble_weighted_mass(mesh, (k * k) * (q2 - q1))
     gram = u1.T @ (w @ u1)
     gram = 0.5 * (gram + gram.T)
@@ -256,7 +256,7 @@ def test_inclusion_probe_outside_scatterer_rejected_and_grows():
         lam_q = ntd_matrix(mesh, q, 1.0, basis)
         lam_1 = ntd_matrix(mesh, 1.0, 1.0, basis)
         tb = tb_from_solutions(mesh, probe, 1.0, basis,
-                               Forward(mesh, 1.0, 1.0, basis).solutions())
+                               basis_solutions(mesh, 1.0, 1.0, basis))
         result = inclusion_test(lam_q, lam_1, tb, 1.0, d_max)
         assert not result.verdict
         assert result.negative_count > d_max
@@ -334,7 +334,7 @@ def test_reconstruct_counts_match_inclusion_test(contrast, value):
     lam_1 = ntd_matrix(mesh, 1.0, 1.0, basis)
     upper, lower = (lam_q, lam_1) if contrast == "positive" else (lam_1, lam_q)
     alpha, d_max = result.params["alpha"], result.params["d_max"]
-    u1 = Forward(mesh, 1.0, 1.0, basis).solutions()
+    u1 = basis_solutions(mesh, 1.0, 1.0, basis)
     for p, region in enumerate(grid.regions):
         test = inclusion_test(upper, lower, tb_from_solutions(mesh, region, 1.0, basis, u1),
                               alpha, d_max)

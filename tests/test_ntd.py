@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from helmono import (
     Coefficient,
-    Forward,
     HelmholtzSystem,
     Region,
     assemble_weighted_mass,
     basis_edge_values,
     basis_load_matrix,
+    basis_solutions,
     boundary_basis,
     boundary_load_matrix,
     build_unit_square_mesh,
@@ -44,7 +44,7 @@ def _whole(mesh):
 
 
 def _background(mesh, k, basis):
-    return Forward(mesh, 1.0, k, basis).solutions()
+    return basis_solutions(mesh, 1.0, k, basis)
 
 
 def test_basis_dimension_full_boundary():
@@ -334,7 +334,7 @@ def test_solution_energies_comparable_when_q_differs_inside_d():
     q1 = Coefficient.constant(mesh, 1.0)
     q2 = q1.with_region(d_region, 1.8)
     g1, g2 = (gram_from_solutions(mesh, d_region, basis,
-                                  Forward(mesh, q, 1.0, basis).solutions()).matrix
+                                  basis_solutions(mesh, q, 1.0, basis)).matrix
               for q in (q1, q2))
     w1, v1 = np.linalg.eigh(g1)
     span = v1[:, w1 > 1e-8 * w1.max()]
@@ -352,23 +352,27 @@ def test_make_symop_does_not_overflow_near_the_largest_double():
 
 @pytest.mark.parametrize("n, selector, segments", [(8, "all", None), (16, "top + left", 8),
                                                    (24, "bottom", 5)])
-def test_forward_ntd_paths_agree_bitwise(n, selector, segments, monkeypatch):
-    # Forward.ntd() and the frozen ntd_matrix give the same bits; boundary
-    # rows read from the full solutions agree to roundoff (ntd() reads the
-    # matrix off the trailing block of the factors, not from solves); reading
-    # rows solves nothing
+def test_ntd_paths_agree_bitwise(n, selector, segments, monkeypatch):
+    # ntd_matrix on a given boundary-last system and on its own give the same
+    # bits; boundary rows read from the full solutions agree to roundoff (the
+    # system reads the matrix off the trailing block of the factors, not from
+    # solves); reading rows makes no factorization and no solve
     mesh = _mesh(n, selector)
     basis = boundary_basis(mesh, segments)
     q = np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles)
-    fwd = Forward(mesh, q, 1.7, basis)
-    solved = fwd.ntd("ntd")
-    u = fwd.solutions()
+    system = HelmholtzSystem(mesh, q, 1.7, sigma_last=True)
+    solved = ntd_matrix(mesh, q, 1.7, basis, system=system)
+    u = basis_solutions(mesh, q, 1.7, basis, system)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("ntd solved although it was given the solutions")
 
-    monkeypatch.setattr(fwd.system, "solve_many", no_solve)
-    read = fwd.ntd("ntd", u)
+    for name in ("solve_many", "_solve"):
+        monkeypatch.setattr(HelmholtzSystem, name, no_solve)
+    with counting() as tally:
+        read = ntd_matrix(mesh, q, 1.7, basis, solutions=u)
+    assert tally["factorizations"] == 0
+    monkeypatch.undo()
     frozen = ntd_matrix(mesh, q, 1.7, basis)
     assert np.array_equal(frozen.matrix.view(np.uint64), solved.matrix.view(np.uint64))
     assert np.abs(read.matrix - solved.matrix).max() <= 1e-12 * np.abs(solved.matrix).max()
@@ -376,11 +380,29 @@ def test_forward_ntd_paths_agree_bitwise(n, selector, segments, monkeypatch):
         assert (op.basis_id, op.k) == (solved.basis_id, solved.k)
 
 
-def test_forward_ntd_rejects_mis_shaped_solutions():
+def test_ntd_rejects_mis_shaped_solutions():
     mesh = _mesh(4)
-    fwd = Forward(mesh, 1.0, 1.0, boundary_basis(mesh))
+    basis = boundary_basis(mesh)
+    rows = np.unique(basis_load_matrix(mesh, basis).indices)
+    u = basis_solutions(mesh, 1.0, 1.0, basis)
     with pytest.raises(InvalidParameterError, match="shape"):
-        fwd.ntd("ntd", fwd.solutions()[fwd.rows])
+        ntd_matrix(mesh, 1.0, 1.0, basis, solutions=u[rows])
+
+
+def test_a_system_of_another_configuration_is_refused():
+    # the check d_of_q makes refuses a system of another (mesh, q, k) here
+    # too, and ntd_matrix takes the system or the solutions, not both
+    mesh = _mesh(4)
+    basis = boundary_basis(mesh)
+    system = HelmholtzSystem(mesh, 1.0, 1.0, sigma_last=True)
+    for q, k, on in ((1.0, 1.5, mesh), (2.0, 1.0, mesh), (1.0, 1.0, _mesh(4))):
+        with pytest.raises(InvalidParameterError, match="another"):
+            ntd_matrix(on, q, k, basis, system=system)
+        with pytest.raises(InvalidParameterError, match="another"):
+            basis_solutions(on, q, k, basis, system)
+    u = basis_solutions(mesh, 1.0, 1.0, basis, system)
+    with pytest.raises(InvalidParameterError, match="not both"):
+        ntd_matrix(mesh, 1.0, 1.0, basis, system=system, solutions=u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -392,17 +414,18 @@ def test_ntd_symmetric_for_random_q_and_k(n, k, seed, selector):
     mesh = _mesh(n, selector)
     q = np.random.default_rng(seed).uniform(0.2, 3.0, mesh.n_triangles)
     assume(abs(nearest_neumann_eigenvalue(mesh, q, k)) > 1e-2)
-    fwd = Forward(mesh, q, k, boundary_basis(mesh))
-    u = fwd.solutions()
-    raw = fwd.loads.T @ u
+    basis = boundary_basis(mesh)
+    u = basis_solutions(mesh, q, k, basis)
+    raw = basis_load_matrix(mesh, basis).T @ u
     assert np.abs(raw - raw.T).max() <= SYMMETRY_RTOL * np.abs(raw).max()
-    op = fwd.ntd("ntd", u)
+    op = ntd_matrix(mesh, q, k, basis, solutions=u)
     assert np.array_equal(op.matrix, op.matrix.T)
 
 
-def _solve_route(fwd, label="ntd"):
-    """Lambda from the plain system's solutions, whatever ``fwd.ntd()`` does."""
-    return fwd.ntd(label, fwd.solutions())
+def _solve_route(mesh, q, k, basis, system=None):
+    """Lambda from the solutions on ``system`` (by default a plain one),
+    whatever ``system.ntd()`` does."""
+    return ntd_matrix(mesh, q, k, basis, solutions=basis_solutions(mesh, q, k, basis, system))
 
 
 @settings(max_examples=25, deadline=None)
@@ -410,37 +433,42 @@ def _solve_route(fwd, label="ntd"):
        selector=st.sampled_from(["all", "bottom + right", "left + top"]),
        segments=st.one_of(st.none(), st.integers(1, 80)))
 def test_ntd_routes_agree(n, k, seed, selector, segments):
-    # Lambda from a fresh forward map (read off the trailing block, or solved
-    # for when the block grew) equals loads[rows].T @ solutions()[rows] to
-    # 1e-11 relative; segments=None is one basis function per edge, the
+    # Lambda from a boundary-last system (read off the trailing block, or
+    # solved for when the block grew) equals loads[rows].T @ solutions[rows]
+    # to 1e-11 relative; segments=None is one basis function per edge, the
     # worst conditioned basis, and singular on the closed loop.
     mesh = _mesh(n, selector)
     assume(segments is None or segments <= int(mesh.sigma_flags.sum()))
     q = np.random.default_rng(seed).uniform(0.3, 3.0, mesh.n_triangles)
     assume(abs(nearest_neumann_eigenvalue(mesh, q, k)) > 1e-2)
     basis = boundary_basis(mesh, segments)
-    fwd = Forward(mesh, q, k, basis)
+    system = HelmholtzSystem(mesh, q, k, sigma_last=True)
     with counting() as tally:
-        lam = fwd.ntd("ntd").matrix
+        lam = ntd_matrix(mesh, q, k, basis, system=system).matrix
     assert tally["ntd.trailing"] + tally["ntd.solved"] == 1
-    u = fwd.solutions()
-    solved = fwd.loads[fwd.rows].toarray().T @ u[fwd.rows]
+    u = basis_solutions(mesh, q, k, basis, system)
+    loads = basis_load_matrix(mesh, basis)
+    rows = np.unique(loads.indices)
+    solved = loads[rows].toarray().T @ u[rows]
     assert np.abs(lam - solved).max() <= 1e-11 * np.abs(solved).max()
 
 
 @pytest.mark.parametrize("n, selector, segments", [(8, "all", None), (24, "top", 5),
                                                    (64, "all", 128)])
-def test_fresh_forward_map_reads_the_trailing_block(n, selector, segments):
-    # no solve per basis function: one factorization, the flagged boundary
-    # last, and only the check solve
+def test_fresh_forward_map_reads_the_trailing_block(n, selector, segments, monkeypatch):
+    # ntd_matrix without a system makes no solve per basis function: one
+    # factorization, the flagged boundary last, and only the check solve
     mesh = _mesh(n, selector)
     q = np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles)
-    fwd = Forward(mesh, q, 1.0, boundary_basis(mesh, segments))
+    systems = []
+    ntd = HelmholtzSystem.ntd
+    monkeypatch.setattr(HelmholtzSystem, "ntd",
+                        lambda self, loads: systems.append(self) or ntd(self, loads))
     with counting() as tally:
-        fwd.ntd("ntd")
+        ntd_matrix(mesh, q, 1.0, boundary_basis(mesh, segments))
     assert dict(tally) == {"factorizations": 1, "ntd.trailing": 1}
     tail = np.unique(mesh.boundary_edges[mesh.sigma_flags])
-    assert set(fwd.system._lu.order[-tail.size:].tolist()) == set(tail.tolist())
+    assert set(systems[0]._lu.order[-tail.size:].tolist()) == set(tail.tolist())
 
 
 @pytest.mark.parametrize("n", [8, 13, 64])
@@ -451,9 +479,9 @@ def test_one_function_per_edge_of_a_closed_loop(n):
     mesh = _mesh(n)
     basis = boundary_basis(mesh)
     q = np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles)
-    fwd = Forward(mesh, q, 1.0, basis)
-    lam = fwd.ntd("ntd").matrix
-    expected = _solve_route(fwd).matrix
+    system = HelmholtzSystem(mesh, q, 1.0, sigma_last=True)
+    lam = ntd_matrix(mesh, q, 1.0, basis, system=system).matrix
+    expected = _solve_route(mesh, q, 1.0, basis, system).matrix
     scale = np.abs(expected).max()
     assert np.abs(lam - expected).max() <= 1e-11 * scale
     alternating = np.where(np.arange(basis.dim) % 2 == 0, 1.0, -1.0)
@@ -468,20 +496,20 @@ def test_forced_fallback_gives_the_solve_route(monkeypatch, refuse):
     mesh = _mesh(12)
     basis = boundary_basis(mesh)
     q = np.random.default_rng(5).uniform(0.5, 2.0, mesh.n_triangles)
-    expected = _solve_route(Forward(mesh, q, 2.0, basis)).matrix
+    expected = _solve_route(mesh, q, 2.0, basis).matrix
     if refuse == "pivots":
         monkeypatch.setattr(fem, "SYMMETRIC_PIVOT_RTOL", 1.0)
     else:
         monkeypatch.setattr(fem, "TAIL_GROWTH_MAX", 0.0)
-    fwd = Forward(mesh, q, 2.0, basis)
     with counting() as tally:
-        lam = fwd.ntd("ntd").matrix
+        system = HelmholtzSystem(mesh, q, 2.0, sigma_last=True)
+        lam = ntd_matrix(mesh, q, 2.0, basis, system=system).matrix
     assert (tally["ntd.trailing"], tally["ntd.solved"]) == (0, 1)
     # pivots: the symmetric attempt, then partial pivoting
     assert tally["factorizations"] == (2 if refuse == "pivots" else 1)
     assert np.abs(lam - expected).max() <= 1e-11 * np.abs(expected).max()
     if refuse == "growth":
-        assert np.array_equal(lam, _solve_route(fwd).matrix)
+        assert np.array_equal(lam, _solve_route(mesh, q, 2.0, basis, system).matrix)
 
 
 def test_trailing_block_is_checked_against_a_solve(monkeypatch):

@@ -17,7 +17,6 @@ import helmono
 ROOT = Path(__file__).resolve().parent.parent
 
 ALLOWED = {
-    "basis_solutions": "the frozen acceptance suite (criterion 6) builds its Grams from it",
     "is_resonance": "the frozen acceptance suite (criterion 3) flags resonances with it",
     "inclusion_test": "the single-region form of reconstruct's pixel test, for library "
                       "callers probing any region; it counts the same matrix and its "
