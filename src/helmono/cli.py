@@ -437,6 +437,9 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
                          choices={"derive", "fixed", "sweep"})
     if policy == "fixed":
         alpha = cfg.get_float("alpha.value")
+    elif cfg.has("alpha.value"):
+        raise ConfigError(f"line {cfg.lineno('alpha.value')}: alpha.value applies to "
+                          f"alpha.policy = fixed only, not {policy}")
     elif policy == "derive":
         if contrast != "positive":
             raise ConfigError("alpha.policy = derive applies to positive contrast only")

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BasisMismatchError, InvalidParameterError, ResonanceError
+from .errors import InvalidParameterError, ResonanceError
 from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_weighted_mass, count
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, SymOp, basis_load_matrix, basis_solutions, ntd_matrix, \
@@ -59,17 +59,12 @@ class ComparisonResult:
 def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> ComparisonResult:
     """Test ``a <=_d b``: does ``b - a`` have at most ``d`` negative eigenvalues?
 
-    Both operators must live on the same boundary basis and wavenumber.
+    Both operators must live on the same boundary basis and wavenumber
+    (``b - a`` raises :class:`~helmono.errors.BasisMismatchError` otherwise).
     """
     if not isinstance(d, (int, np.integer)) or d < 0:
         raise InvalidParameterError(f"defect allowance must be a nonnegative integer, got {d!r}")
-    if a.basis_id != b.basis_id:
-        raise BasisMismatchError(
-            f"operators on different bases: {a.basis_id} vs {b.basis_id}"
-        )
-    if a.k != b.k:
-        raise BasisMismatchError(f"operators at different wavenumbers: {a.k} vs {b.k}")
-    counts = count_negative(b.matrix - a.matrix, tol)
+    counts = count_negative((b - a).matrix, tol)
     verdict = counts.verdict(d)
     return ComparisonResult(
         negative_count=counts.negative,
@@ -226,49 +221,41 @@ def _accepted(counts: list, d_max: int) -> np.ndarray:
 
 
 def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, tol: Optional[float],
-                  threads: int, certified: Optional[np.ndarray] = None) -> list:
+                  threads: int, skip: Optional[np.ndarray] = None) -> list:
     """The :class:`~helmono.spectral.CountResult` of every pixel matrix
-    ``diff - alpha T_B``, in pixel order, or None for a ``certified`` pixel:
-    its matrix is built and checked (:func:`~helmono.spectral.checked_stack`)
-    but not counted.
+    ``diff - alpha T_B``, in pixel order, or None for a pixel in ``skip``,
+    whose matrix is never built.
 
-    Stacks of up to :data:`PIXEL_STACK` matrices, the counted ones first, are
-    built and handled by a pool of ``threads`` workers.  The number of dense
-    counts is added to the ``counts.dense`` tally of :func:`fem.counting`.
+    The other pixels' matrices are built in stacks of up to
+    :data:`PIXEL_STACK`, in pixel order, and checked and counted
+    (:func:`~helmono.spectral.count_negative_stack`) by a pool of ``threads``
+    workers.  The number of dense counts is added to the ``counts.dense``
+    tally of :func:`fem.counting`.
     """
-    pixels = np.arange(len(tbs))
-    if certified is None:
-        certified = np.zeros(len(tbs), dtype=bool)
-    chunks = [(part[start:start + PIXEL_STACK], counted)
-              for part, counted in ((pixels[~certified], True), (pixels[certified], False))
-              for start in range(0, part.size, PIXEL_STACK)]
+    members = np.arange(len(tbs)) if skip is None else np.flatnonzero(~skip)
+    chunks = [members[start:start + PIXEL_STACK]
+              for start in range(0, members.size, PIXEL_STACK)]
 
     def run(chunk) -> list:
-        members, counted = chunk
-        stack = np.empty((members.size,) + diff.shape)
-        for j, p in enumerate(members):
+        stack = np.empty((chunk.size,) + diff.shape)
+        for j, p in enumerate(chunk):
             # bit for bit diff - alpha * tb, with no temporary per pixel
             np.multiply(tbs[p], -alpha, out=stack[j])
             stack[j] += diff
-        if counted:
-            return count_negative_stack(stack, tol)
-        checked_stack(stack)
-        return [None] * members.size
+        return count_negative_stack(stack, tol)
 
     # One BLAS thread per count: each stack's eigenvalues are then the same
     # bits whichever worker, and whatever OPENBLAS_NUM_THREADS, computes them.
     with one_blas_thread() as capped:
-        workers = min(threads, len(chunks)) if capped else 1
-        if workers > 1:
-            with ThreadPoolExecutor(workers) as pool:
+        if capped and threads > 1:
+            with ThreadPoolExecutor(threads) as pool:
                 done = list(pool.map(run, chunks))
         else:
             done = [run(chunk) for chunk in chunks]
     counts = [None] * len(tbs)
-    for (members, _), results in zip(chunks, done):
-        for p, c in zip(members, results):
-            counts[p] = c
-    count("counts.dense", int((~certified).sum()))
+    for p, c in zip(members, (c for results in done for c in results)):
+        counts[p] = c
+    count("counts.dense", members.size)
     return counts
 
 
@@ -303,15 +290,16 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     reported step's certified pixels stay uncounted (``counts`` entry None,
     verdict False) until ``negative_counts`` is read, and ``params["tol"]``
     is the largest of the pixels counted at that step (the explicit ``tol``,
-    or None, if none was).  Every pixel matrix of every step is checked for
-    finiteness and symmetry, counted or not.  The dense counts run in stacks
-    of :data:`PIXEL_STACK` under a one-thread limit on both OpenBLAS copies,
-    spread over a pool of ``threads`` workers (``threads=1`` counts on the
-    calling thread); the result is bit for bit the same for every
-    ``threads`` and BLAS setting.  The numbers of dense counts, of
-    certified rejections and of undecided pixels go to the ``counts.dense``,
-    ``counts.certified`` and ``pixels.undecided`` tallies of
-    :func:`fem.counting`.
+    or None, if none was).  The sweep checks ``diff`` and each ``T_B`` once
+    for finiteness and symmetry; every counted matrix is checked again by
+    its count, and a certified pixel's matrix is never built.  The dense
+    counts run in stacks of :data:`PIXEL_STACK` under a one-thread limit on
+    both OpenBLAS copies, spread over a pool of ``threads`` workers
+    (``threads=1`` counts on the calling thread); the result is bit for bit
+    the same for every ``threads`` and BLAS setting.  The numbers of dense
+    counts, of certified rejections and of undecided pixels go to the
+    ``counts.dense``, ``counts.certified`` and ``pixels.undecided`` tallies
+    of :func:`fem.counting`.
 
     Returns per-pixel verdicts plus the parameters that produced them.
     """
@@ -365,38 +353,35 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     else:
         # Most pixels are rejected at every step by a wide margin; their
         # certificates prove it from a small compression, and only the other
-        # pixels are counted densely.
+        # pixels' matrices are built and counted densely.  diff - a T_B is
+        # finite and its own transpose bit for bit when diff and T_B are, so
+        # the operands are checked once in place of the matrices never built.
+        for operand in (diff, *tbs):
+            checked_stack(operand[None])
         with one_blas_thread():
             certificates = [RejectionCertificate(diff, tb) for tb in tbs]
         sweep_history = []
-        steps = []
-        chosen = None
-        certified_total = 0
+        step = None
         for m in range(_SWEEP_CAP + 1):
             a = 2.0 ** (-m)
             certified = np.array([c.rejects(a, d_max, tol) for c in certificates])
-            certified_total += int(certified.sum())
+            count("counts.certified", int(certified.sum()))
             step_counts = _pixel_counts(diff, tbs, a, tol, threads, certified)
             mask = _accepted(step_counts, d_max)
-            steps.append((a, step_counts, mask))
             sweep_history.append((a, int(mask.sum())))
-            if m >= 1:
-                prev_mask = steps[m - 1][2]
-                if prev_mask.any() and np.array_equal(prev_mask, mask):
-                    chosen = m - 1
-                    break
-        stable = chosen is not None
-        if not stable:
-            chosen = len(steps) - 1
-        alpha_used, counts, _ = steps[chosen]
-        count("counts.certified", certified_total)
+            # the larger alpha of the first nonempty pair with equal masks
+            stable = step is not None and bool(step[2].any()) and np.array_equal(step[2], mask)
+            if stable:
+                break
+            step = (a, step_counts, mask)
+        alpha_used, counts, _ = step
     verdicts = tuple(False if c is None else c.verdict(d_max) for c in counts)
     count("pixels.undecided", verdicts.count(None))
 
     def complete() -> list:
-        missing = [p for p, c in enumerate(counts) if c is None]
-        filled = iter(_pixel_counts(diff, [tbs[p] for p in missing], alpha_used, tol, threads))
-        return [next(filled) if c is None else c for c in counts]
+        counted = np.array([c is not None for c in counts])
+        filled = _pixel_counts(diff, tbs, alpha_used, tol, threads, counted)
+        return [f if c is None else c for c, f in zip(counts, filled)]
 
     params = {
         "k": float(k),

@@ -212,8 +212,7 @@ class SymOp:
         )
 
 
-def make_symop(raw: np.ndarray, basis_id: str, label: str, k: float,
-               symmetry_rtol: float = SYMMETRY_RTOL) -> SymOp:
+def make_symop(raw: np.ndarray, basis_id: str, label: str, k: float) -> SymOp:
     """Validate near-symmetry of a raw operator matrix and symmetrize it.
 
     Each half is scaled before the sum, so entries near the largest double
@@ -226,10 +225,10 @@ def make_symop(raw: np.ndarray, basis_id: str, label: str, k: float,
         raise SolverError(f"operator '{label}' has non-finite entries")
     scale = float(np.abs(raw).max()) if raw.size else 0.0
     defect = float(np.abs(raw - raw.T).max()) if raw.size else 0.0
-    if defect > symmetry_rtol * max(scale, 1e-300):
+    if defect > SYMMETRY_RTOL * max(scale, 1e-300):
         raise SolverError(
             f"operator '{label}' symmetry defect {defect:.3e} "
-            f"exceeds {symmetry_rtol:g} of scale {scale:.3e}"
+            f"exceeds {SYMMETRY_RTOL:g} of scale {scale:.3e}"
         )
     return SymOp(matrix=0.5 * raw + 0.5 * raw.T, basis_id=basis_id, label=label,
                  k=float(k))

@@ -527,9 +527,11 @@ def checked_stack(stack: np.ndarray) -> np.ndarray:
     largest entry.
 
     A matrix equal to its transpose bit for bit (so also in the signs of its
-    zeros) is its own symmetrization and is returned as it is; any other is
-    replaced by ``0.5 * m + 0.5 * m.T`` (halves first: no overflow near the
-    largest double), in a copy of the stack.
+    zeros) is its own symmetrization and is returned as it is.  In a copy of
+    the stack, one equal to its transpose but for the signs of mirrored zeros
+    gets ``+0.0`` in those pairs (halving would flush subnormal entries to
+    zero), and any other is replaced by ``0.5 * m + 0.5 * m.T`` (halves
+    first: no overflow near the largest double).
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -549,7 +551,8 @@ def checked_stack(stack: np.ndarray) -> np.ndarray:
             )
         if sym is a:
             sym = a.copy()
-        sym[i] = 0.5 * m + 0.5 * m.T
+        # defect 0: m == m.T but for the signs of some mirrored zeros
+        sym[i] = np.where(bits[i] != bits[i].T, 0.0, m) if defect == 0.0 else 0.5 * m + 0.5 * m.T
     return sym
 
 

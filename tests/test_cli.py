@@ -444,6 +444,15 @@ def test_reconstruct_fixed_alpha_must_be_positive(tmp_path, capsys):
     assert "alpha must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("more", [{}, {"contrast": "negative"}])
+def test_reconstruct_refuses_an_alpha_value_its_policy_ignores(tmp_path, capsys, more):
+    out = tmp_path / "out"
+    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.value": 0.001}, **more)
+    assert run(tmp_path, text, "reconstruct") == 2
+    assert "line 6: alpha.value applies to alpha.policy = fixed only" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_reconstruct_threads_equivalent(tmp_path):
     outs = []
     for name, threads in (("serial", "1"), ("pool", "4")):

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -415,42 +416,77 @@ def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
         _same_result(pooled, serial)
 
 
-def test_reconstruct_checks_every_pixel_matrix_of_every_step(monkeypatch):
-    # Certified pixels are not counted, but their matrices pass the same
-    # finiteness and symmetry checks as the counted ones, at every step.
-    checked = []
+def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(monkeypatch):
+    # The sweep checks diff and each T_B once; every matrix it counts is
+    # checked by its count, and a certified pixel's matrix is never built.
+    operands, checked, steps = [], [], []
 
-    def recorder(stack):
+    def check_operand(stack):
+        operands.extend(stack)
+        return checked_stack(stack)
+
+    def check_counted(stack):
         checked.extend(m.tobytes() for m in stack)
         return checked_stack(stack)
 
-    monkeypatch.setattr(spectral, "checked_stack", recorder)
-    monkeypatch.setattr(monotone, "checked_stack", recorder)
+    pixel_counts = monotone._pixel_counts
+
+    def record_step(diff, tbs, alpha, tol, threads, skip=None):
+        steps.append((alpha, skip))
+        return pixel_counts(diff, tbs, alpha, tol, threads, skip)
+
+    monkeypatch.setattr(monotone, "checked_stack", check_operand)
+    monkeypatch.setattr(spectral, "checked_stack", check_counted)
+    monkeypatch.setattr(monotone, "_pixel_counts", record_step)
+    seen = _recording_stack_counts(monkeypatch)
     mesh = _mesh(16)
     grid = pixel_grid(mesh, 4, 4)
+    pixels = len(grid.regions)
     inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
     q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
     with counting() as tally:
         result = reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid,
                              contrast="negative", threads=2)
-    steps = len(result.sweep)
-    assert len(set(checked)) == len(grid.regions) * steps
-    assert tally["counts.certified"] > 0
-    assert tally["counts.dense"] + tally["counts.certified"] == len(grid.regions) * steps
+    diff, *tbs = operands
+    assert len(tbs) == pixels
+    assert len({m.tobytes() for m in operands}) == pixels + 1
+    assert [a for a, _ in steps] == [a for a, _ in result.sweep]
+
+    def matrix(a, p):
+        return (np.multiply(tbs[p], -a) + diff).tobytes()
+
+    counted = sorted(matrix(a, p) for a, skip in steps for p in np.flatnonzero(~skip))
+    certified = {matrix(a, p) for a, skip in steps for p in np.flatnonzero(skip)}
+    assert sorted(m for _, m in seen) == sorted(checked) == counted
+    assert certified and not certified & set(checked)
+    assert tally["counts.dense"] == len(counted)
+    assert tally["counts.certified"] == len(certified)
+    assert tally["counts.dense"] + tally["counts.certified"] == pixels * len(steps)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("entry, message", [(np.inf, "finite"), (1e-6, "not symmetric")])
-def test_certified_pixel_matrices_are_checked(threads, entry, message):
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((6, 6))
-    diff = 0.5 * a + 0.5 * a.T
-    tbs = [np.eye(6) for _ in range(6)]
-    tbs[4] = tbs[4].copy()
-    tbs[4][0, 5] += entry
-    certified = np.ones(6, dtype=bool)
+def test_certified_pixel_matrices_are_checked(monkeypatch, threads, entry, message):
+    # The corner pixel far from the inclusion is certified at every step of
+    # this sweep, so no count sees its matrix: its T_B is checked instead.
+    tb_from_solutions = monotone.tb_from_solutions
+
+    def spoiled(mesh, region, k, basis, u1):
+        tb = tb_from_solutions(mesh, region, k, basis, u1)
+        if region is grid.regions[-1]:
+            matrix = tb.matrix.copy()
+            matrix[0, 5] += entry
+            tb = dataclasses.replace(tb, matrix=matrix)
+        return tb
+
+    monkeypatch.setattr(monotone, "tb_from_solutions", spoiled)
+    mesh = _mesh(16)
+    grid = pixel_grid(mesh, 4, 4)
+    inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
+    q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
     with pytest.raises(InvalidParameterError, match=message):
-        monotone._pixel_counts(diff, tbs, 0.5, None, threads, certified)
+        reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid,
+                    contrast="negative", threads=threads)
 
 
 def test_reconstruct_counts_serially_without_the_blas_limit(monkeypatch):

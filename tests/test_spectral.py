@@ -357,6 +357,7 @@ _SIGNED_ZEROS = np.array([[1.0, 0.0, 1.0, 1.0],
 @settings(max_examples=150, deadline=None)
 @given(_symmetric(), _tols)
 @example(_SIGNED_ZEROS, None)
+@example(np.array([[-5e-324, 0.0], [-0.0, 0.0]]), None)  # halving flushes -5e-324
 def test_count_negative_exactly_symmetric_matches_reference(a, tol):
     assert np.array_equal(a, a.T)
     assert tuple(count_negative(a, tol)) == _reference_count(a, tol)
