@@ -426,11 +426,6 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
         _BASE_KEYS | {"grid.nx", "grid.ny", "contrast", "alpha.policy", "alpha.value"},
         _COEFF_PREFIXES,
     )
-    mesh = _build_mesh(cfg)
-    q = _build_coefficient(cfg, mesh)
-    k = _wavenumber(cfg)
-    basis = _build_basis(cfg, mesh)
-    grid = pixel_grid(mesh, cfg.get_int("grid.nx"), cfg.get_int("grid.ny"))
     contrast = cfg.get_str("contrast", "positive", choices={"positive", "negative"})
     default_policy = "derive" if contrast == "positive" else "sweep"
     policy = cfg.get_str("alpha.policy", default_policy,
@@ -448,9 +443,14 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
         if contrast != "negative":
             raise ConfigError("alpha.policy = sweep applies to negative contrast only")
         alpha = None
+    mesh = _build_mesh(cfg)
+    q = _build_coefficient(cfg, mesh)
+    k = _wavenumber(cfg)
+    basis = _build_basis(cfg, mesh)
+    grid = pixel_grid(mesh, cfg.get_int("grid.nx"), cfg.get_int("grid.ny"))
 
     result = reconstruct(mesh, q, k, basis, grid, contrast=contrast, alpha=alpha,
-                         tol=_count_tol(cfg), threads=args.threads)
+                         tol=_count_tol(cfg))
 
     # Certified pixels were never counted; result.negative_counts would count them.
     rows = []
@@ -514,10 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides output.dir)")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="workers counting reconstruct's pixel stacks, the "
-                            "only parallelism: every subcommand runs under a "
-                            "one-thread BLAS limit (at least 1; default: the "
-                            "CPU count); never changes an output byte")
+                       help="accepted for compatibility and changes nothing "
+                            "(at least 1; default: the CPU count): every "
+                            "subcommand runs on one thread under a one-thread "
+                            "BLAS limit")
         p.add_argument("--dump-matrices", action="store_true",
                        help="also dump system matrix and load vectors (debug)")
     return parser
@@ -533,8 +533,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         outdir = _out_dir(cfg, args)
         seed = cfg.get_int("seed", 0)  # checked before any artifact is written
-        # Parallelism comes from the --threads pool alone: no BLAS pool of
-        # either OpenBLAS copy competes with it for the cores.
+        # One thread for everything: the BLAS pools cost more than they gain
+        # at these sizes and would make the counts' last bits vary.
         with one_blas_thread() as capped, counting() as tally:
             try:
                 _COMMANDS[args.command](cfg, args, outdir)

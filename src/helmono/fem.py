@@ -239,7 +239,8 @@ def counting():
     ``defect.inertia`` and ``defect.sweep`` (the route a :func:`spectral.d_of_q`
     count or nearest eigenvalue took), and from
     :func:`monotone.reconstruct`, ``counts.dense`` (pixel matrices whose
-    eigenvalues were computed), ``counts.certified`` (sweep steps at which
+    eigenvalues were computed, one :func:`spectral.count_negative` call
+    each), ``counts.certified`` (sweep steps at which
     a pixel's rejection was certified instead) and ``pixels.undecided``
     (reported pixels whose verdict is undecided).  The tally belongs to the
     calling context, so the counts are those of the block alone.
@@ -254,8 +255,8 @@ def counting():
 
 def count(name: str, n: int = 1) -> None:
     """Add ``n`` to ``name`` in the tally of the enclosing :func:`counting`
-    block.  Threads do not inherit the block, so pool workers' counts are
-    added by the thread that waits for them."""
+    block.  Threads do not inherit the block: only counts made on the
+    thread that opened it are added."""
     tally = _tally.get()
     if tally is not None:
         tally[name] += n

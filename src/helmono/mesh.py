@@ -249,24 +249,11 @@ class Region:
         object.__setattr__(self, "triangle_flags", flags)
 
     @property
-    def n_selected(self) -> int:
-        return int(self.triangle_flags.sum())
-
-    @property
     def is_empty(self) -> bool:
         return not self.triangle_flags.any()
 
-    def union(self, other: "Region") -> "Region":
-        return Region(self.triangle_flags | other.triangle_flags)
-
-    def intersect(self, other: "Region") -> "Region":
-        return Region(self.triangle_flags & other.triangle_flags)
-
     def minus(self, other: "Region") -> "Region":
         return Region(self.triangle_flags & ~other.triangle_flags)
-
-    def area(self, mesh: Mesh) -> float:
-        return float(mesh.positive_areas[self.triangle_flags].sum())
 
 
 def _minimum_degree(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

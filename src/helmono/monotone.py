@@ -17,7 +17,6 @@ verdict can always be audited against the counts that produced it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -29,13 +28,10 @@ from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_weig
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, SymOp, basis_load_matrix, basis_solutions, ntd_matrix, \
     tb_from_solutions
-from .spectral import RejectionCertificate, _at_zero, checked_stack, count_negative, \
-    count_negative_stack, d_of_q, one_blas_thread
+from .spectral import RejectionCertificate, _at_zero, checked_symmetric, count_negative, \
+    d_of_q, one_blas_thread
 
 _SWEEP_CAP = 20
-#: Pixel matrices per stacked count.  Each worker builds its stack itself, so
-#: a pool of ``t`` workers holds ``t`` stacks at a time.
-PIXEL_STACK = 4
 
 
 @dataclass(frozen=True)
@@ -221,48 +217,25 @@ def _accepted(counts: list, d_max: int) -> np.ndarray:
 
 
 def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, tol: Optional[float],
-                  threads: int, skip: Optional[np.ndarray] = None) -> list:
+                  skip: Optional[np.ndarray] = None) -> list:
     """The :class:`~helmono.spectral.CountResult` of every pixel matrix
     ``diff - alpha T_B``, in pixel order, or None for a pixel in ``skip``,
     whose matrix is never built.
 
-    The other pixels' matrices are built in stacks of up to
-    :data:`PIXEL_STACK`, in pixel order, and checked and counted
-    (:func:`~helmono.spectral.count_negative_stack`) by a pool of ``threads``
-    workers.  The number of dense counts is added to the ``counts.dense``
-    tally of :func:`fem.counting`.
+    Each other pixel is one :func:`~helmono.spectral.count_negative` call on
+    the calling thread; their number is added to the ``counts.dense`` tally
+    of :func:`fem.counting`.
     """
-    members = np.arange(len(tbs)) if skip is None else np.flatnonzero(~skip)
-    chunks = [members[start:start + PIXEL_STACK]
-              for start in range(0, members.size, PIXEL_STACK)]
-
-    def run(chunk) -> list:
-        stack = np.empty((chunk.size,) + diff.shape)
-        for j, p in enumerate(chunk):
-            # bit for bit diff - alpha * tb, with no temporary per pixel
-            np.multiply(tbs[p], -alpha, out=stack[j])
-            stack[j] += diff
-        return count_negative_stack(stack, tol)
-
-    # One BLAS thread per count: each stack's eigenvalues are then the same
-    # bits whichever worker, and whatever OPENBLAS_NUM_THREADS, computes them.
-    with one_blas_thread() as capped:
-        if capped and threads > 1:
-            with ThreadPoolExecutor(threads) as pool:
-                done = list(pool.map(run, chunks))
-        else:
-            done = [run(chunk) for chunk in chunks]
-    counts = [None] * len(tbs)
-    for p, c in zip(members, (c for results in done for c in results)):
-        counts[p] = c
-    count("counts.dense", members.size)
+    counts = [None if skip is not None and skip[p] else count_negative(diff - alpha * tb, tol)
+              for p, tb in enumerate(tbs)]
+    count("counts.dense", sum(c is not None for c in counts))
     return counts
 
 
 def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
                 basis: BoundaryBasis, grid: PixelGrid,
                 contrast: str = "positive", alpha: Optional[float] = None,
-                tol: Optional[float] = None, threads: int = 1) -> ReconstructionResult:
+                tol: Optional[float] = None) -> ReconstructionResult:
     """Reconstruct the scatterer support pixel by pixel.
 
     For every pixel ``B`` of the grid the inclusion test compares
@@ -292,14 +265,13 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     is the largest of the pixels counted at that step (the explicit ``tol``,
     or None, if none was).  The sweep checks ``diff`` and each ``T_B`` once
     for finiteness and symmetry; every counted matrix is checked again by
-    its count, and a certified pixel's matrix is never built.  The dense
-    counts run in stacks of :data:`PIXEL_STACK` under a one-thread limit on
-    both OpenBLAS copies, spread over a pool of ``threads`` workers
-    (``threads=1`` counts on the calling thread); the result is bit for bit
-    the same for every ``threads`` and BLAS setting.  The numbers of dense
-    counts, of certified rejections and of undecided pixels go to the
-    ``counts.dense``, ``counts.certified`` and ``pixels.undecided`` tallies
-    of :func:`fem.counting`.
+    its count, and a certified pixel's matrix is never built.  Each dense
+    count is one :func:`~helmono.spectral.count_negative` call on the
+    calling thread, under its one-thread limit on both OpenBLAS copies, so
+    the result is bit for bit the same for every BLAS setting.  The numbers
+    of dense counts, of certified rejections and of undecided pixels go to
+    the ``counts.dense``, ``counts.certified`` and ``pixels.undecided``
+    tallies of :func:`fem.counting`.
 
     Returns per-pixel verdicts plus the parameters that produced them.
     """
@@ -308,8 +280,6 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         raise InvalidParameterError(f"contrast must be positive or negative, got {contrast!r}")
     if alpha is not None:
         _check_alpha(alpha)
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
     if contrast == "positive":
         if q.min < 1.0:
             raise InvalidParameterError(
@@ -349,7 +319,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     sweep_history = None
     if alpha is not None:
         alpha_used = float(alpha)
-        counts = _pixel_counts(diff, tbs, alpha_used, tol, threads)
+        counts = _pixel_counts(diff, tbs, alpha_used, tol)
     else:
         # Most pixels are rejected at every step by a wide margin; their
         # certificates prove it from a small compression, and only the other
@@ -357,7 +327,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         # finite and its own transpose bit for bit when diff and T_B are, so
         # the operands are checked once in place of the matrices never built.
         for operand in (diff, *tbs):
-            checked_stack(operand[None])
+            checked_symmetric(operand)
         with one_blas_thread():
             certificates = [RejectionCertificate(diff, tb) for tb in tbs]
         sweep_history = []
@@ -366,7 +336,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
             a = 2.0 ** (-m)
             certified = np.array([c.rejects(a, d_max, tol) for c in certificates])
             count("counts.certified", int(certified.sum()))
-            step_counts = _pixel_counts(diff, tbs, a, tol, threads, certified)
+            step_counts = _pixel_counts(diff, tbs, a, tol, certified)
             mask = _accepted(step_counts, d_max)
             sweep_history.append((a, int(mask.sum())))
             # the larger alpha of the first nonempty pair with equal masks
@@ -380,7 +350,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
 
     def complete() -> list:
         counted = np.array([c is not None for c in counts])
-        filled = _pixel_counts(diff, tbs, alpha_used, tol, threads, counted)
+        filled = _pixel_counts(diff, tbs, alpha_used, tol, counted)
         return [f if c is None else c for c, f in zip(counts, filled)]
 
     params = {

@@ -9,9 +9,8 @@ Three counting problems drive the monotonicity machinery:
   pencil ``M_{1 + k^2 q} v = mu (S + M) v`` (the ``H^1`` Gram on the right).
 * ``count_negative`` counts negative eigenvalues of a dense symmetric matrix,
   the primitive behind every "less-or-equal up to a finite-dimensional defect"
-  verdict; ``count_negative_stack`` does the same for a stack of matrices in
-  one ``eigvalsh`` call, and a :class:`RejectionCertificate` proves from a
-  small Krylov compression that such a count's verdict would be a rejection.
+  verdict; a :class:`RejectionCertificate` proves from a small Krylov
+  compression that such a count's verdict would be a rejection.
 
 ``d_of_q``, ``is_resonance`` and ``nearest_neumann_eigenvalue`` share one
 route: the symmetric-mode factorization of ``S - k^2 M_q`` in the
@@ -495,65 +494,47 @@ def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResu
     below it as certain; :meth:`CountResult.verdict` decides from the two
     whether the count fits an allowance.  The default tolerance is
     ``1e-8 * max|eigenvalue|`` (zero for the zero matrix, which therefore has
-    no negative and no indeterminate eigenvalues).  A non-finite entry is
-    rejected, since no comparison with it could fail.  The eigenvalues are
-    computed under :func:`one_blas_thread`, so the count does not depend
-    on the BLAS thread setting.
+    no negative and no indeterminate eigenvalues).  The matrix is checked by
+    :func:`checked_symmetric`: a non-finite entry is rejected, since no
+    comparison with it could fail.  The eigenvalues are computed under
+    :func:`one_blas_thread`, so the count does not depend on the BLAS thread
+    setting.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParameterError("count_negative expects a square matrix")
-    return count_negative_stack(a[None], tol)[0]
-
-
-def count_negative_stack(stack: np.ndarray, tol: Optional[float] = None) -> list:
-    """:func:`count_negative` of each matrix of an ``(s, n, n)`` stack.
-
-    One ``eigvalsh`` call covers the whole stack, so two threads counting two
-    stacks overlap (the call releases the interpreter lock while LAPACK
-    runs).  Each matrix is checked (:func:`checked_stack`) and counted on its
-    own, with its own default tolerance.
-    """
-    sym = checked_stack(stack)
+    sym = checked_symmetric(matrix)
     _check_tol(tol)
     with one_blas_thread():
         w = np.linalg.eigvalsh(sym)
-    return [_count_from(wi, tol) for wi in w]
+    return _count_from(w, tol)
 
 
-def checked_stack(stack: np.ndarray) -> np.ndarray:
-    """The matrices of an ``(s, n, n)`` stack as the counts hand them to
-    ``eigvalsh``, each checked: finite, and symmetric up to ``1e-12`` of its
-    largest entry.
+def checked_symmetric(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as :func:`count_negative` hands it to ``eigvalsh``,
+    checked: square, finite, and symmetric up to ``1e-12`` of its largest
+    entry.
 
     A matrix equal to its transpose bit for bit (so also in the signs of its
-    zeros) is its own symmetrization and is returned as it is.  In a copy of
-    the stack, one equal to its transpose but for the signs of mirrored zeros
-    gets ``+0.0`` in those pairs (halving would flush subnormal entries to
-    zero), and any other is replaced by ``0.5 * m + 0.5 * m.T`` (halves
-    first: no overflow near the largest double).
+    zeros) is its own symmetrization and is returned as it is.  One equal to
+    its transpose but for the signs of mirrored zeros gets ``+0.0`` in those
+    pairs, in a copy (halving would flush subnormal entries to zero), and any
+    other is replaced by ``0.5 * m + 0.5 * m.T`` (halves first: no overflow
+    near the largest double).
     """
-    a = np.asarray(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise InvalidParameterError("count_negative_stack expects an (s, n, n) stack")
-    if not np.isfinite(a).all():
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidParameterError("count_negative expects a square matrix")
+    if not np.isfinite(m).all():
         raise InvalidParameterError("eigenvalue counts expect finite entries")
-    bits = a.view(np.uint64)
-    mirrored = (bits == bits.swapaxes(1, 2)).all(axis=(1, 2))
-    sym = a
-    for i in np.flatnonzero(~mirrored):
-        m = a[i]
-        scale = float(np.abs(m).max())
-        defect = float(np.abs(m - m.T).max())
-        if defect > 1e-12 * max(scale, 1e-300):
-            raise InvalidParameterError(
-                f"matrix is not symmetric: defect {defect:.3e} vs scale {scale:.3e}"
-            )
-        if sym is a:
-            sym = a.copy()
-        # defect 0: m == m.T but for the signs of some mirrored zeros
-        sym[i] = np.where(bits[i] != bits[i].T, 0.0, m) if defect == 0.0 else 0.5 * m + 0.5 * m.T
-    return sym
+    bits = m.view(np.uint64)
+    if (bits == bits.T).all():
+        return m
+    scale = float(np.abs(m).max())
+    defect = float(np.abs(m - m.T).max())
+    if defect > 1e-12 * max(scale, 1e-300):
+        raise InvalidParameterError(
+            f"matrix is not symmetric: defect {defect:.3e} vs scale {scale:.3e}"
+        )
+    # defect 0: m == m.T but for the signs of some mirrored zeros
+    return np.where(bits != bits.T, 0.0, m) if defect == 0.0 else 0.5 * m + 0.5 * m.T
 
 
 class RejectionCertificate:

@@ -42,3 +42,31 @@ def test_traced_compare_op_records_the_defect_span(tmp_path, monkeypatch):
     assert not tracer.absent
     defect = [s for s in tracer.spans if s.layer == "spectral.defect"]
     assert [s.name for s in defect] == ["spectral.d_of_q"]
+
+
+def test_traced_sweep_op_records_one_count_span_per_dense_pixel_count(tmp_path, monkeypatch):
+    # Every dense pixel count of reconstruct is one count_negative call, so
+    # the spectral.count layer sees as many as the manifest tallies.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracing import Tracer
+    from workloads import WORKLOADS
+
+    from helmono.cli import main
+
+    op = WORKLOADS["recon-sweep"].small().next_op(random.Random(1))
+    config = tmp_path / "op.cfg"
+    config.write_text(op.config)
+    out = tmp_path / "out"
+    tracer = Tracer()
+    with tracer.installed():
+        code = main([op.command, str(config), "--out", str(out), "--threads", "2"])
+    assert code == 0
+    assert not tracer.absent
+    by_id = {s.id: s for s in tracer.spans}
+    counts = [s for s in tracer.spans if s.name == "spectral.count_negative"
+              and by_id[s.parent].name == "monotone.reconstruct"]
+    manifest = dict(line.split(" = ", 1)
+                    for line in (out / "manifest.txt").read_text().splitlines()
+                    if " = " in line)
+    dense = int(manifest["stat.counts.dense"])
+    assert dense > 0 and len(counts) == dense

@@ -453,9 +453,29 @@ def test_reconstruct_refuses_an_alpha_value_its_policy_ignores(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("more, message", [
+    ({"alpha.value": 0.001}, "alpha.value applies to alpha.policy = fixed only"),
+    ({"contrast": "negative", "alpha.policy": "derive"}, "derive applies to positive"),
+    ({"alpha.policy": "sweep"}, "sweep applies to negative"),
+])
+def test_reconstruct_refuses_its_alpha_keys_before_building_the_mesh(tmp_path, capsys,
+                                                                     monkeypatch, more,
+                                                                     message):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli, "build_unit_square_mesh", no_mesh)
+    out = tmp_path / "out"
+    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2}, **more)
+    assert run(tmp_path, text, "reconstruct") == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_reconstruct_threads_equivalent(tmp_path):
+    # --threads changes nothing: every count runs on the calling thread.
     outs = []
-    for name, threads in (("serial", "1"), ("pool", "4")):
+    for name, threads in (("one", "1"), ("four", "4")):
         out = tmp_path / name
         text = base_cfg(out, **{"grid.nx": 3, "grid.ny": 3,
                                 "alpha.policy": "fixed", "alpha.value": 0.5})
@@ -467,11 +487,10 @@ def test_reconstruct_threads_equivalent(tmp_path):
 
 
 def test_manifest_counts_dense_and_certified_pixel_counts_for_any_threads(tmp_path):
-    # The tally is kept on the calling thread, so the pool's counts show too;
-    # a pixel of a sweep step is counted densely or certified, and a fixed
-    # alpha certifies nothing.
+    # --threads changes no tally; a pixel of a sweep step is counted densely
+    # or certified, and a fixed alpha certifies nothing.
     stats = {}
-    for name, threads, more in (("serial", "1", {}), ("pool", "2", {}),
+    for name, threads, more in (("one", "1", {}), ("two", "2", {}),
                                 ("fixed", "2", {"alpha.policy": "fixed",
                                                 "alpha.value": 0.25})):
         out = tmp_path / name
@@ -483,9 +502,9 @@ def test_manifest_counts_dense_and_certified_pixel_counts_for_any_threads(tmp_pa
                        int(manifest["stat.counts.certified"]),
                        int(manifest["stat.pixels.undecided"]))
         assert stats[name][2] == (read_pgm(out / "mask.pgm") == 128).sum()
-    steps = len((tmp_path / "serial" / "sweep.csv").read_text().splitlines()) - 1
-    assert stats["serial"] == stats["pool"]
-    dense, certified, _ = stats["serial"]
+    steps = len((tmp_path / "one" / "sweep.csv").read_text().splitlines()) - 1
+    assert stats["one"] == stats["two"]
+    dense, certified, _ = stats["one"]
     assert dense + certified == 16 * steps and certified > 0
     assert stats["fixed"][:2] == (16, 0)
 

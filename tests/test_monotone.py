@@ -35,7 +35,7 @@ from helmono import (
 )
 from helmono.errors import BasisMismatchError, InvalidParameterError, SpectralAmbiguityError
 from helmono.fem import counting
-from helmono.spectral import checked_stack, count_negative_stack
+from helmono.spectral import checked_symmetric
 
 
 def _mesh(n, selector="all"):
@@ -344,33 +344,25 @@ def test_reconstruct_counts_match_inclusion_test(contrast, value):
         assert result.mask[p] == (test.negative_count <= d_max)
 
 
-def _recording_stack_counts(monkeypatch):
+def _recording_counts(monkeypatch):
     """Record (thread, matrix bytes) of every pixel matrix reconstruct counts."""
     seen = []
 
-    def recorder(stack, tol=None):
-        seen.extend((threading.get_ident(), m.tobytes()) for m in stack)
-        return count_negative_stack(stack, tol)
+    def recorder(matrix, tol=None):
+        seen.append((threading.get_ident(), matrix.tobytes()))
+        return count_negative(matrix, tol)
 
-    monkeypatch.setattr(monotone, "count_negative_stack", recorder)
+    monkeypatch.setattr(monotone, "count_negative", recorder)
     return seen
 
 
-def _same_result(a, b):
-    assert np.array_equal(a.mask, b.mask)
-    assert np.array_equal(a.negative_counts, b.negative_counts)
-    assert np.array_equal(a.indeterminate_counts, b.indeterminate_counts)
-    assert a.params == b.params and a.sweep == b.sweep
-
-
-def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
+def test_reconstruct_counts_each_pixel_once_on_the_calling_thread(monkeypatch):
     # An explicit alpha counts every pixel once.  The sweep counts no
     # (pixel, alpha) twice and fewer than pixels * steps in all (certified
     # rejections are not counted); reading its counts then counts exactly
     # the reported step's certified pixels, to the bits of an explicit alpha.
-    # threads=1 counts on the calling thread; a pool of two counts the same
-    # matrices off it, to the same bits.
-    seen = _recording_stack_counts(monkeypatch)
+    # Every count runs on the calling thread.
+    seen = _recording_counts(monkeypatch)
     mesh = _mesh(16)
     basis = boundary_basis(mesh)
     grid = pixel_grid(mesh, 4, 4)
@@ -379,7 +371,7 @@ def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
     q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
     for q, kwargs in ((1.0, {"alpha": 0.5}), (q_low, {"contrast": "negative"})):
         seen.clear()
-        serial = reconstruct(mesh, q, 1.0, basis, grid, threads=1, **kwargs)
+        serial = reconstruct(mesh, q, 1.0, basis, grid, **kwargs)
         steps = len(serial.sweep) if serial.sweep else 1
         assert steps > 1 or "alpha" in kwargs
         if "alpha" in kwargs:
@@ -399,8 +391,8 @@ def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
             completed = {m for _, m in seen}
             assert not completed & set(matrices)
             seen.clear()
-            reported = reconstruct(mesh, q, 1.0, basis, grid, threads=1,
-                                   contrast="negative", alpha=serial.params["alpha"])
+            reported = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative",
+                                   alpha=serial.params["alpha"])
             assert len(seen) == pixels
             assert {m for _, m in seen} <= set(matrices) | completed
             assert np.array_equal(reported.negative_counts, serial.negative_counts)
@@ -408,12 +400,6 @@ def test_reconstruct_counts_each_pixel_once_for_any_threads(monkeypatch):
                                   serial.indeterminate_counts)
             assert reported.params["tol"] >= serial.params["tol"] == max(
                 c.tol for p, c in enumerate(reported.counts) if p not in certified)
-        seen.clear()
-        pooled = reconstruct(mesh, q, 1.0, basis, grid, threads=2, **kwargs)
-        assert sorted(m for _, m in seen) == matrices
-        if spectral._blas_thread_calls()[0] is not None:
-            assert threading.get_ident() not in {thread for thread, _ in seen}
-        _same_result(pooled, serial)
 
 
 def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(monkeypatch):
@@ -421,24 +407,24 @@ def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(m
     # checked by its count, and a certified pixel's matrix is never built.
     operands, checked, steps = [], [], []
 
-    def check_operand(stack):
-        operands.extend(stack)
-        return checked_stack(stack)
+    def check_operand(matrix):
+        operands.append(matrix)
+        return checked_symmetric(matrix)
 
-    def check_counted(stack):
-        checked.extend(m.tobytes() for m in stack)
-        return checked_stack(stack)
+    def check_counted(matrix):
+        checked.append(matrix.tobytes())
+        return checked_symmetric(matrix)
 
     pixel_counts = monotone._pixel_counts
 
-    def record_step(diff, tbs, alpha, tol, threads, skip=None):
+    def record_step(diff, tbs, alpha, tol, skip=None):
         steps.append((alpha, skip))
-        return pixel_counts(diff, tbs, alpha, tol, threads, skip)
+        return pixel_counts(diff, tbs, alpha, tol, skip)
 
-    monkeypatch.setattr(monotone, "checked_stack", check_operand)
-    monkeypatch.setattr(spectral, "checked_stack", check_counted)
+    monkeypatch.setattr(monotone, "checked_symmetric", check_operand)
+    monkeypatch.setattr(spectral, "checked_symmetric", check_counted)
     monkeypatch.setattr(monotone, "_pixel_counts", record_step)
-    seen = _recording_stack_counts(monkeypatch)
+    seen = _recording_counts(monkeypatch)
     mesh = _mesh(16)
     grid = pixel_grid(mesh, 4, 4)
     pixels = len(grid.regions)
@@ -446,7 +432,7 @@ def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(m
     q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
     with counting() as tally:
         result = reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid,
-                             contrast="negative", threads=2)
+                             contrast="negative")
     diff, *tbs = operands
     assert len(tbs) == pixels
     assert len({m.tobytes() for m in operands}) == pixels + 1
@@ -464,9 +450,8 @@ def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(m
     assert tally["counts.dense"] + tally["counts.certified"] == pixels * len(steps)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("entry, message", [(np.inf, "finite"), (1e-6, "not symmetric")])
-def test_certified_pixel_matrices_are_checked(monkeypatch, threads, entry, message):
+def test_certified_pixel_matrices_are_checked(monkeypatch, entry, message):
     # The corner pixel far from the inclusion is certified at every step of
     # this sweep, so no count sees its matrix: its T_B is checked instead.
     tb_from_solutions = monotone.tb_from_solutions
@@ -485,20 +470,18 @@ def test_certified_pixel_matrices_are_checked(monkeypatch, threads, entry, messa
     inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
     q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
     with pytest.raises(InvalidParameterError, match=message):
-        reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid,
-                    contrast="negative", threads=threads)
+        reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid, contrast="negative")
 
 
 def test_reconstruct_counts_serially_without_the_blas_limit(monkeypatch):
-    # Without the one-thread limit a pool would share the cores with BLAS
-    # threads and its counts would follow the BLAS setting, so the counts
-    # stay on the calling thread whatever ``threads`` asks.
+    # Without numpy's thread-count call the counts still run, each pixel
+    # once, on the calling thread.
     found = spectral._blas_thread_calls()
     monkeypatch.setattr(spectral, "_blas_thread_calls", lambda: (None, found[1]))
-    seen = _recording_stack_counts(monkeypatch)
+    seen = _recording_counts(monkeypatch)
     mesh = _mesh(8)
     grid = pixel_grid(mesh, 4, 2)
-    reconstruct(mesh, 1.0, 1.0, boundary_basis(mesh), grid, alpha=0.5, threads=2)
+    reconstruct(mesh, 1.0, 1.0, boundary_basis(mesh), grid, alpha=0.5)
     assert len(seen) == len(grid.regions)
     assert {thread for thread, _ in seen} == {threading.get_ident()}
 
@@ -514,12 +497,10 @@ def test_reconstruct_rejects_bad_alpha(alpha):
         reconstruct(mesh, 1.0, 1.0, basis, grid, contrast="negative", alpha=alpha)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from([8, 12]), corner=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
        size=st.tuples(st.floats(0.25, 0.6), st.floats(0.25, 0.6)), shift=st.floats(0.2, 2.0))
-def test_sweep_counts_a_certified_pixel_only_when_its_count_is_read(threads, n, corner,
-                                                                    size, shift):
+def test_sweep_counts_a_certified_pixel_only_when_its_count_is_read(n, corner, size, shift):
     # The mask, the verdicts and the image need no dense count; reading the
     # counts counts the certified pixels, to the bits of an explicit alpha,
     # and each of those dense verdicts is the certified False.
@@ -529,16 +510,16 @@ def test_sweep_counts_a_certified_pixel_only_when_its_count_is_read(threads, n, 
     x0, y0 = (c * (1.0 - s) for c, s in zip(corner, size))
     inclusion = rect_region(mesh, (x0, y0, x0 + size[0], y0 + size[1]))
     q = Coefficient.constant(mesh, 1.0).with_region(inclusion, 1.0 / (1.0 + shift))
-    swept = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative", threads=threads)
+    swept = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative")
     certified = [p for p, c in enumerate(swept.counts) if c is None]
     with pytest.MonkeyPatch.context() as patch:
-        seen = _recording_stack_counts(patch)
+        seen = _recording_counts(patch)
         swept.mask, swept.verdicts, swept.ambiguous, swept.pixel_values()
         assert seen == []
         swept.indeterminate_counts, swept.negative_counts
         assert len(seen) == len(certified)
     dense = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative",
-                        alpha=swept.params["alpha"], threads=threads)
+                        alpha=swept.params["alpha"])
     assert np.array_equal(swept.negative_counts, dense.negative_counts)
     assert np.array_equal(swept.indeterminate_counts, dense.indeterminate_counts)
     assert [c for c in swept.counts if c is not None] == [
@@ -561,14 +542,6 @@ def test_a_refused_factorization_is_not_redone_for_the_defect(sigma_last):
     with counting() as tally, pytest.raises(SpectralAmbiguityError):
         monotone._defect_system(mesh, 1.0, float(np.sqrt(rho)), sigma_last=sigma_last)
     assert (tally["factorizations"], tally["defect.sweep"]) == (3, 1)
-
-
-@pytest.mark.parametrize("threads", [0, -2, 1.5])
-def test_reconstruct_rejects_bad_threads(threads):
-    mesh = _mesh(8)
-    with pytest.raises(InvalidParameterError, match="threads"):
-        reconstruct(mesh, 1.0, 1.0, boundary_basis(mesh), pixel_grid(mesh, 2, 2),
-                    alpha=0.5, threads=threads)
 
 
 def test_reconstruct_mask_pure_under_grid_permutation():

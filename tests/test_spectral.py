@@ -25,7 +25,7 @@ from helmono import (
     neumann_eigenvalues,
 )
 from helmono.errors import InvalidParameterError, SpectralAmbiguityError
-from helmono.spectral import count_negative_stack, one_blas_thread
+from helmono.spectral import checked_symmetric, one_blas_thread
 
 PI2 = math.pi ** 2
 
@@ -203,8 +203,6 @@ def test_counts_reject_a_tolerance_that_is_not_positive_and_finite(tol):
     # NaN fails every comparison, so a NaN window would pass every guard.
     with pytest.raises(InvalidParameterError, match="positive and finite"):
         count_negative(-np.eye(3), tol=tol)
-    with pytest.raises(InvalidParameterError, match="positive and finite"):
-        count_negative_stack(-np.eye(3)[None], tol=tol)
     mesh = build_unit_square_mesh(8)
     system = HelmholtzSystem(mesh, 1.0, 1.0)
     for count in (d_of_q, count_K_eigs_above_one, is_resonance):
@@ -357,6 +355,7 @@ _SIGNED_ZEROS = np.array([[1.0, 0.0, 1.0, 1.0],
 @settings(max_examples=150, deadline=None)
 @given(_symmetric(), _tols)
 @example(_SIGNED_ZEROS, None)
+@example(-_SIGNED_ZEROS, None)
 @example(np.array([[-5e-324, 0.0], [-0.0, 0.0]]), None)  # halving flushes -5e-324
 def test_count_negative_exactly_symmetric_matches_reference(a, tol):
     assert np.array_equal(a, a.T)
@@ -398,71 +397,52 @@ def test_count_negative_beyond_symmetry_bound_raises(a, tol, factor, data):
         count_negative(a, tol)
 
 
-@st.composite
-def _stacks(draw, min_n=1):
-    """Stacks of one to four exactly symmetric matrices of one size."""
-    n = draw(st.integers(min_n, 10))
-    return np.stack([draw(_symmetric(n=n)) for _ in range(draw(st.integers(1, 4)))])
-
-
-def _assert_stack_matches_single_counts(stack, tol):
-    stacked = [tuple(c) for c in count_negative_stack(stack, tol)]
-    assert stacked == [tuple(count_negative(m, tol)) for m in stack]
-
-
 @settings(max_examples=100, deadline=None)
-@given(_stacks(), _tols)
-@example(np.stack([_SIGNED_ZEROS, -_SIGNED_ZEROS, _SIGNED_ZEROS.T]), None)
-def test_count_negative_stack_matches_single_counts(stack, tol):
-    _assert_stack_matches_single_counts(stack, tol)
+@given(_symmetric(min_n=2), st.floats(0.01, 0.5), st.data())
+def test_checked_symmetric_returns_the_matrix_or_its_symmetrization(a, frac, data):
+    # bitwise mirrored: the matrix itself; mirrored but for the signs of
+    # zeros: +0.0 in those pairs; nearly symmetric: the halves-first sum
+    bits = a.view(np.uint64)
+    if (bits == bits.T).all():
+        assert checked_symmetric(a) is a
+    else:
+        expected = np.where(bits != bits.T, 0.0, a)
+        assert checked_symmetric(a).tobytes() == expected.tobytes()
+    _nudge(a, data, frac * 1e-12 * float(np.abs(a).max()))
+    assume(not np.array_equal(a, a.T))
+    assert checked_symmetric(a).tobytes() == (0.5 * a + 0.5 * a.T).tobytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(_stacks(min_n=2), _tols, st.floats(0.01, 0.5), st.data())
-def test_count_negative_stack_near_symmetric_matches_single_counts(stack, tol, frac, data):
-    # some matrices take the symmetrizing path, the others go as they are
-    for m in stack:
-        if data.draw(st.booleans()):
-            _nudge(m, data, frac * 1e-12 * float(np.abs(m).max()))
-    assume(any(not np.array_equal(m, m.T) for m in stack))
-    _assert_stack_matches_single_counts(stack, tol)
-
-
-def test_count_negative_stack_near_symmetric_does_not_overflow():
+def test_checked_symmetric_does_not_overflow():
     big = np.array([[1.0, 1.7e308], [np.nextafter(1.7e308, 0.0), 1.0]])
-    stack = np.stack([big, np.eye(2), big.T])
-    counts = count_negative_stack(stack)
-    assert [(c.negative, c.indeterminate) for c in counts] == [(1, 0), (0, 0), (1, 0)]
-    assert all(np.isfinite(c.tol) for c in counts)
-    _assert_stack_matches_single_counts(stack, None)
+    sym = checked_symmetric(big)
+    assert np.isfinite(sym).all() and np.array_equal(sym, sym.T)
+    assert np.array_equal(sym, checked_symmetric(big.T))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_count_negative_stack_rejects_non_finite(value):
-    stack = np.stack([np.eye(3), np.diag([-1.0, 2.0, 3.0])])
-    stack[1, 0, 2] = stack[1, 2, 0] = value
+def test_checked_symmetric_rejects_non_finite(value):
+    a = np.diag([-1.0, 2.0, 3.0])
+    a[0, 2] = a[2, 0] = value
     with pytest.raises(InvalidParameterError, match="finite"):
-        count_negative_stack(stack)
-    with pytest.raises(InvalidParameterError, match="finite"):
-        count_negative_stack(stack, tol=1e-8)
+        checked_symmetric(a)
 
 
 @settings(max_examples=50, deadline=None)
-@given(_stacks(min_n=2), _tols, st.floats(4.0, 1e6), st.data())
-def test_count_negative_stack_beyond_symmetry_bound_raises(stack, tol, factor, data):
-    m = stack[data.draw(st.integers(0, len(stack) - 1))]
-    _nudge(m, data, factor * 1e-12 * max(float(np.abs(m).max()), 1.0))
+@given(_symmetric(min_n=2), st.floats(4.0, 1e6), st.data())
+def test_checked_symmetric_beyond_symmetry_bound_raises(a, factor, data):
+    _nudge(a, data, factor * 1e-12 * max(float(np.abs(a).max()), 1.0))
     with pytest.raises(InvalidParameterError, match="not symmetric"):
-        count_negative_stack(stack, tol)
+        checked_symmetric(a)
 
 
 def test_count_negative_shapes():
     with pytest.raises(InvalidParameterError, match="square"):
         count_negative(np.zeros((2, 3, 3)))
-    with pytest.raises(InvalidParameterError, match="stack"):
-        count_negative_stack(np.eye(3))
-    with pytest.raises(InvalidParameterError, match="stack"):
-        count_negative_stack(np.zeros((2, 3, 4)))
+    with pytest.raises(InvalidParameterError, match="square"):
+        count_negative(np.zeros((3, 4)))
+    with pytest.raises(InvalidParameterError, match="square"):
+        checked_symmetric(np.eye(3)[None])
 
 
 @pytest.mark.skipif(spectral._blas_thread_calls()[0] is None,
