@@ -450,15 +450,17 @@ def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(m
     assert tally["counts.dense"] + tally["counts.certified"] == pixels * len(steps)
 
 
+@pytest.mark.parametrize("pixel", [1, 2])
 @pytest.mark.parametrize("entry, message", [(np.inf, "finite"), (1e-6, "not symmetric")])
-def test_certified_pixel_matrices_are_checked(monkeypatch, entry, message):
-    # The corner pixel far from the inclusion is certified at every step of
-    # this sweep, so no count sees its matrix: its T_B is checked instead.
+def test_certified_pixel_matrices_are_checked(monkeypatch, pixel, entry, message):
+    # The last two pixels, far from the inclusion, are certified at every
+    # step of this sweep, so no count sees their matrices: the T_B of the
+    # spoiled one is checked instead.
     tb_from_solutions = monotone.tb_from_solutions
 
     def spoiled(mesh, region, k, basis, u1):
         tb = tb_from_solutions(mesh, region, k, basis, u1)
-        if region is grid.regions[-1]:
+        if region is grid.regions[-pixel]:
             matrix = tb.matrix.copy()
             matrix[0, 5] += entry
             tb = dataclasses.replace(tb, matrix=matrix)
@@ -497,13 +499,15 @@ def test_reconstruct_rejects_bad_alpha(alpha):
         reconstruct(mesh, 1.0, 1.0, basis, grid, contrast="negative", alpha=alpha)
 
 
+@pytest.mark.parametrize("reads", [1, 2])
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from([8, 12]), corner=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
        size=st.tuples(st.floats(0.25, 0.6), st.floats(0.25, 0.6)), shift=st.floats(0.2, 2.0))
-def test_sweep_counts_a_certified_pixel_only_when_its_count_is_read(n, corner, size, shift):
+def test_sweep_counts_a_certified_pixel_only_when_its_count_is_read(reads, n, corner,
+                                                                    size, shift):
     # The mask, the verdicts and the image need no dense count; reading the
-    # counts counts the certified pixels, to the bits of an explicit alpha,
-    # and each of those dense verdicts is the certified False.
+    # counts, once or again, counts the certified pixels once, to the bits of
+    # an explicit alpha, and each of those dense verdicts is the certified False.
     mesh = _mesh(n)
     basis = boundary_basis(mesh)
     grid = pixel_grid(mesh, 3, 3)
@@ -516,7 +520,8 @@ def test_sweep_counts_a_certified_pixel_only_when_its_count_is_read(n, corner, s
         seen = _recording_counts(patch)
         swept.mask, swept.verdicts, swept.ambiguous, swept.pixel_values()
         assert seen == []
-        swept.indeterminate_counts, swept.negative_counts
+        for _ in range(reads):
+            swept.indeterminate_counts, swept.negative_counts
         assert len(seen) == len(certified)
     dense = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative",
                         alpha=swept.params["alpha"])
