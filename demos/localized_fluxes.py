@@ -2,10 +2,12 @@
 
 With measurements on the bottom edge only, the script looks for a flux whose
 solution is large inside a target box B near the upper-left corner while
-staying small on the entire right half D of the square, and additionally is
-orthogonal to a fixed handful of coarse flux modes.  Refining the flux basis
-makes the ratio between the two energies as large as you like; that freedom
-is what lets the reconstruction separate a pixel from a scatterer behind it.
+staying small on the entire right half D of the square, among the fluxes
+orthogonal to a fixed handful V of coarse flux modes.  The maximization runs
+on V's orthogonal complement, so every flux it returns satisfies the
+constraint exactly.  Refining the flux basis makes the ratio between the two
+energies as large as you like; that freedom is what lets the reconstruction
+separate a pixel from a scatterer behind it.
 """
 
 import numpy as np
@@ -33,10 +35,8 @@ print("basis dim   energy in B   energy in D   B/D ratio   |proj on V|")
 
 for segments in (8, 16, 32):
     basis = boundary_basis(mesh, segments)
-    if segments == 8:
-        v = v_coarse
-    else:
-        v = project_onto_basis(basis, basis_edge_values(coarse, v_coarse))
+    # the coarse modes in this basis (exact: the bases are nested)
+    v = project_onto_basis(basis, basis_edge_values(coarse, v_coarse))
     result = localized_potential(mesh, 1.0, 1.0, basis, region_b, region_d, v)
     leak = np.linalg.norm(v.T @ result.g)
     print(f"{basis.dim:9d}   {result.b_energy:11.4e}   {result.d_energy:11.4e}"
@@ -44,4 +44,5 @@ for segments in (8, 16, 32):
 
 print()
 print("the absolute energies depend on the normalization of the flux; the")
-print("figure of merit is their ratio, which grows with every refinement.")
+print("figure of merit is their ratio, which grows with every refinement")
+print("(the ratio adds a small regularizer to the energy in D).")

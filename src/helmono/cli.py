@@ -185,14 +185,20 @@ def _build_coefficient(cfg: Config, mesh, prefix: str = "coefficient") -> Coeffi
     background = cfg.get_float(f"{prefix}.background", 1.0)
     coeff = Coefficient.constant(mesh, background)
     for key in _inclusion_keys(cfg, prefix):
-        vals = cfg.get_floats(key, count=5)
-        box, value = vals[:4], vals[4]
-        try:
-            region = rect_region(mesh, box)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': {exc}") from exc
+        region, (value,) = _box_region(cfg, mesh, key, extra=1)
         coeff = coeff.with_region(region, value)
     return coeff
+
+
+def _box_region(cfg: Config, mesh, key: str, extra: int = 0):
+    """The region of the box ``x0 y0 x1 y1`` that leads the key's value, and
+    the ``extra`` numbers after it.  A box ``rect_region`` refuses is a
+    configuration error on the key's line."""
+    vals = cfg.get_floats(key, count=4 + extra)
+    try:
+        return rect_region(mesh, vals[:4]), vals[4:]
+    except InvalidParameterError as exc:
+        raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': {exc}") from exc
 
 
 def _build_basis(cfg: Config, mesh):
@@ -202,8 +208,8 @@ def _build_basis(cfg: Config, mesh):
 
 def _wavenumber(cfg: Config) -> float:
     k = cfg.get_float("k")
-    if not (k > 0.0):
-        raise ConfigError(f"line {cfg.lineno('k')}: k must be positive")
+    if not (k > 0.0 and np.isfinite(k)):
+        raise ConfigError(f"line {cfg.lineno('k')}: k must be positive and finite")
     return k
 
 
@@ -373,47 +379,42 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
     k = _wavenumber(cfg)
-    b_box = cfg.get_floats("localize.b_box", count=4)
-    region_b = rect_region(mesh, b_box)
+    region_b, _ = _box_region(cfg, mesh, "localize.b_box")
     if cfg.has("localize.d_box"):
-        region_d = rect_region(mesh, cfg.get_floats("localize.d_box", count=4))
+        region_d, _ = _box_region(cfg, mesh, "localize.d_box")
     else:
         region_d = empty_region(mesh)
     v_dim = cfg.get_int("localize.v_dim", 0)
     if v_dim < 0:
-        raise ConfigError("localize.v_dim must be nonnegative")
+        raise ConfigError(f"line {cfg.lineno('localize.v_dim')}: "
+                          f"localize.v_dim must be nonnegative")
     v_mode = cfg.get_str("localize.v_mode", "first", choices={"first", "random"})
     levels = cfg.get_ints("localize.segments", None)
     if levels is None:
         levels = [cfg.get_int("basis.segments", None)]
+    elif not levels:
+        raise ConfigError(f"line {cfg.lineno('localize.segments')}: "
+                          f"localize.segments lists no level")
+
+    bases = [boundary_basis(mesh, segments) for segments in levels]
+    # V is given as modes of the first level's basis and carried to every
+    # level, the first included, by the same projection
+    coarse = bases[0]
+    if v_mode == "first":
+        v_coarse = np.eye(coarse.dim)[:, :v_dim]
+    else:
+        sample = np.random.default_rng(cfg.get_int("seed", 0)).standard_normal(
+            (coarse.dim, v_dim))
+        v_coarse = np.linalg.qr(sample)[0]
 
     rows = []
-    final = None
-    coarse_basis = None
-    v_coarse = None
-    for segments in levels:
-        basis = boundary_basis(mesh, segments)
-        if v_dim:
-            if coarse_basis is None:
-                coarse_basis = basis
-                if v_mode == "first":
-                    v_coarse = np.eye(basis.dim)[:, :v_dim]
-                else:
-                    seed = cfg.get_int("seed", 0)
-                    sample = np.random.default_rng(seed).standard_normal(
-                        (basis.dim, v_dim))
-                    v_coarse = np.linalg.qr(sample)[0]
-                v = v_coarse
-            else:
-                v = project_onto_basis(basis, basis_edge_values(coarse_basis, v_coarse))
-        else:
-            v = None
+    for basis in bases:
+        v = project_onto_basis(basis, basis_edge_values(coarse, v_coarse))
         result = localized_potential(mesh, q, k, basis, region_b, region_d, v)
         rows.append((basis.dim, result.ratio, result.b_energy, result.d_energy))
-        final = result
     write_table_csv(outdir / "localize.csv",
                     ["dim", "ratio", "b_energy", "d_energy"], rows)
-    write_vector_csv(outdir / "g.csv", final.g)
+    write_vector_csv(outdir / "g.csv", result.g)
     _note(outdir / "localize.csv")
     _note(outdir / "g.csv")
     for dim, ratio, be, de in rows:

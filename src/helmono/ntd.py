@@ -59,20 +59,15 @@ class BoundaryBasis:
     edge_indices: np.ndarray
     functions: np.ndarray
     lengths: np.ndarray
-    group_of_edge: np.ndarray
     basis_id: str
 
     def __post_init__(self):
-        for name in ("edge_indices", "functions", "lengths", "group_of_edge"):
+        for name in ("edge_indices", "functions", "lengths"):
             getattr(self, name).setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.functions.shape[1]
-
-    @property
-    def n_edges(self) -> int:
-        return self.functions.shape[0]
 
 
 def boundary_basis(mesh: Mesh, segments: Optional[int] = None) -> BoundaryBasis:
@@ -131,7 +126,6 @@ def boundary_basis(mesh: Mesh, segments: Optional[int] = None) -> BoundaryBasis:
         edge_indices=idx,
         functions=functions,
         lengths=lengths,
-        group_of_edge=group,
         basis_id=digest.hexdigest()[:16],
     )
     gram = functions.T @ (lengths[:, None] * functions)
@@ -305,11 +299,11 @@ def tb_from_solutions(mesh: Mesh, region: Region, k: float, basis: BoundaryBasis
 class LocalizedPotential(NamedTuple):
     """A flux concentrating solution energy in the probed region.
 
-    ``ratio`` is the attained Rayleigh quotient: energy in the target region
-    over the regularized energy in the avoided region plus the penalized
-    component along the excluded flux family.  ``b_energy`` and ``d_energy``
-    are the solution energies of ``g`` in the target and avoided regions,
-    ``g . G_B g`` and ``g . G_D g``.
+    ``g`` is a unit flux orthogonal to the excluded family.  ``ratio`` is
+    its attained Rayleigh quotient, ``g . G_B g / g . (G_D + eps I) g``:
+    energy in the target region over the regularized energy in the avoided
+    region.  ``b_energy`` and ``d_energy`` are the solution energies of
+    ``g`` in the target and avoided regions, ``g . G_B g`` and ``g . G_D g``.
     """
 
     g: np.ndarray
@@ -321,17 +315,20 @@ class LocalizedPotential(NamedTuple):
 def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
                         basis: BoundaryBasis, region_b: Region, region_d: Region,
                         v: Optional[np.ndarray] = None) -> LocalizedPotential:
-    """Maximize solution energy in ``region_b`` against ``region_d`` and ``V``.
+    """Maximize solution energy in ``region_b`` against ``region_d`` over the
+    fluxes orthogonal to the columns of ``v`` (the excluded family ``V``).
 
-    Solves the regularized generalized eigenproblem
+    With ``N`` an orthonormal basis of ``V``'s complement (the trailing
+    columns of a complete QR of ``v``; all of the basis when ``v`` is absent
+    or has no column), solves the regularized generalized eigenproblem
 
-        G_B g = rho ( G_D + beta P_V + eps I ) g
+        N^T G_B N c = rho ( N^T G_D N + eps I ) c
 
-    where ``G_R`` is the region Gram of the ``(q, k)`` solutions, ``P_V``
-    projects onto the span of the columns of ``v`` (excluded fluxes), ``beta``
-    scales the penalty to the size of ``G_D`` and ``eps`` keeps the right side
-    definite.  The top eigenvector is cleaned of any residual ``V`` component
-    and normalized; its attained quotient is returned with it.
+    where ``G_R`` is the region Gram of the ``(q, k)`` solutions and ``eps``,
+    ``1e-10`` times the mean diagonal of ``N^T G_D N`` (of ``N^T G_B N`` when
+    that is zero), keeps the right side definite.  The flux ``g = N c`` of
+    the top eigenvector is normalized and returned with its attained
+    quotient.
 
     Preconditions: ``region_b`` minus ``region_d`` has positive area, and
     ``v`` (if given) has independent columns, fewer than the basis dimension.
@@ -356,43 +353,31 @@ def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
     g_b = gram_from_solutions(mesh, region_b, basis, solutions, label="gram_b", k=k).matrix
     g_d = gram_from_solutions(mesh, region_d, basis, solutions, label="gram_d", k=k).matrix
 
-    if p:
-        q_orth, _ = np.linalg.qr(v)
-        projector = q_orth @ q_orth.T
-        beta = float(np.trace(g_d)) / p
-    else:
-        projector = np.zeros((dim, dim))
-        beta = 0.0
-    core = g_d + beta * projector
-    eps_scale = float(np.trace(core)) / dim
+    complement = np.linalg.qr(v, mode="complete")[0][:, p:]
+    b_reduced = complement.T @ g_b @ complement
+    d_reduced = complement.T @ g_d @ complement
+    eps_scale = float(np.trace(d_reduced)) / (dim - p)
     if eps_scale <= 0.0:
-        eps_scale = float(np.trace(g_b)) / dim
+        eps_scale = float(np.trace(b_reduced)) / (dim - p)
     if eps_scale <= 0.0:
         raise EigenSolverError("regularizer scale collapsed: no solution energy anywhere")
     eps = 1e-10 * eps_scale
-    rhs = core + eps * np.eye(dim)
+    rhs = d_reduced + eps * np.eye(dim - p)
 
     try:
-        w, vecs = sla.eigh(0.5 * (g_b + g_b.T), 0.5 * (rhs + rhs.T))
+        _, vecs = sla.eigh(0.5 * (b_reduced + b_reduced.T), 0.5 * (rhs + rhs.T))
     except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
         raise EigenSolverError(f"localization pencil breakdown: {exc}") from exc
-    g = vecs[:, -1]
-    if p:
-        g = g - projector @ g
-    norm = np.linalg.norm(g)
-    if norm <= 1e-14:
-        raise EigenSolverError("maximizer lies entirely inside the excluded family")
-    g = g / norm
+    g = complement @ vecs[:, -1]
+    g = g / np.linalg.norm(g)
     top = int(np.argmax(np.abs(g)))
     if g[top] < 0:
         g = -g
-    if p:
-        residual = np.linalg.norm(projector @ g)
-        if residual > 1e-10:
-            raise EigenSolverError(
-                f"excluded-family residual {residual:.3e} after cleanup"
-            )
-    b_energy = g @ g_b @ g
-    ratio = float(b_energy / (g @ rhs @ g))
-    return LocalizedPotential(g=g, ratio=ratio, b_energy=float(b_energy),
-                              d_energy=float(g @ g_d @ g))
+    residual = np.linalg.norm(g - complement @ (complement.T @ g))
+    if residual > 1e-10:
+        raise EigenSolverError(f"excluded-family residual {residual:.3e}")
+    b_energy = float(g @ g_b @ g)
+    d_energy = float(g @ g_d @ g)
+    # g is a unit vector, so g . eps I g is eps
+    return LocalizedPotential(g=g, ratio=b_energy / (d_energy + eps),
+                              b_energy=b_energy, d_energy=d_energy)

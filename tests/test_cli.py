@@ -688,6 +688,54 @@ def test_localize_multilevel_random_v(tmp_path):
     assert len(g_rows) == 9
 
 
+def _localize_cfg(out, **more):
+    keys = {"sigma.selector": "bottom", "localize.b_box": "0.0 0.75 0.25 1.0",
+            "localize.segments": "4 8"}
+    return base_cfg(out, n=8, **{**keys, **more})
+
+
+def test_localize_first_modes_are_excluded_at_the_first_level(tmp_path):
+    # v_mode = first excludes the first level's first basis functions: the
+    # flux has no component along them
+    out = tmp_path / "out"
+    assert run(tmp_path, _localize_cfg(out, **{"localize.v_dim": 2,
+                                               "localize.segments": "4"}), "localize") == 0
+    rows = (out / "g.csv").read_text().splitlines()[1:]
+    g = np.array([float(row.split(",")[1]) for row in rows])
+    assert g.shape == (4,)
+    assert abs(g[0]) <= 1e-10 and abs(g[1]) <= 1e-10
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("localize.b_box", "0.5 0.5 0.4 0.9", "degenerate box"),
+    ("localize.d_box", "2 2 3 3", "selects no triangle"),
+    ("coefficient.inclusion", "0.5 0.5 0.4 0.9 2.0", "degenerate box"),
+    ("coefficient.inclusion", "2 2 3 3 2.0", "selects no triangle"),
+])
+def test_localize_refuses_a_bad_box_on_its_line(tmp_path, capsys, key, value, message):
+    out = tmp_path / "out"
+    text = _localize_cfg(out, **{key: value})
+    lineno = text.splitlines().index(f"{key} = {value}") + 1
+    assert run(tmp_path, text, "localize") == 2
+    err = capsys.readouterr().err
+    assert f"line {lineno}: key '{key}': " in err and message in err
+    assert not (out / "localize.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_wavenumber_must_be_positive_and_finite(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert run(tmp_path, _localize_cfg(out, k=value), "localize") == 2
+    assert "line 2: k must be positive and finite" in capsys.readouterr().err
+    assert not (out / "localize.csv").exists()
+
+
+def test_localize_refuses_an_empty_level_list(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(tmp_path, _localize_cfg(out, **{"localize.segments": ""}), "localize") == 2
+    assert "line 6: localize.segments lists no level" in capsys.readouterr().err
+
+
 def test_parse_config_text_details():
     entries = parse_config_text("# intro\n\na.b = 1\nc = two words\n")
     assert entries["a.b"] == ("1", 3)

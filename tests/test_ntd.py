@@ -51,7 +51,11 @@ def test_basis_dimension_full_boundary():
     mesh = _mesh(4)
     basis = boundary_basis(mesh)
     assert basis.dim == 16
-    assert basis.n_edges == 16
+    # one edge in the support of each function, every edge in one support
+    support = basis.functions != 0.0
+    assert support.shape == (16, 16)
+    assert support.sum(axis=0).tolist() == [1] * 16
+    assert support.sum(axis=1).tolist() == [1] * 16
 
 
 def test_basis_gram_identity():
@@ -66,8 +70,10 @@ def test_basis_segment_grouping():
     mesh = _mesh(4)
     basis = boundary_basis(mesh, 8)
     assert basis.dim == 8
-    # two edges per group, every edge used once
-    assert np.bincount(basis.group_of_edge, minlength=8).tolist() == [2] * 8
+    # two edges in the support of each function, every edge used once
+    support = basis.functions != 0.0
+    assert support.sum(axis=0).tolist() == [2] * 8
+    assert support.sum(axis=1).tolist() == [1] * 16
 
 
 def test_basis_partial_boundary():
@@ -305,6 +311,76 @@ def test_localized_potential_energies_are_region_grams():
         gram = gram_from_solutions(mesh, region, basis, u, k=1.0).matrix
         assert energy == float(result.g @ gram @ result.g)
     assert result.ratio > 0.0 and result.b_energy > 0.0
+
+
+def test_localized_potential_reaches_the_constrained_maximum():
+    # acceptance 6's configuration at 16 segments: no flux orthogonal to V has
+    # a larger quotient than the returned one, computed here on V's complement
+    mesh = _mesh(32, "bottom")
+    region_b = rect_region(mesh, (0.0, 0.75, 0.25, 1.0))
+    region_d = rect_region(mesh, (0.5, 0.0, 1.0, 1.0))
+    coarse = boundary_basis(mesh, 8)
+    basis = boundary_basis(mesh, 16)
+    v = project_onto_basis(basis, basis_edge_values(coarse, np.eye(coarse.dim)[:, :3]))
+    result = localized_potential(mesh, 1.0, 1.0, basis, region_b, region_d, v)
+    solutions = basis_solutions(mesh, 1.0, 1.0, basis)
+    g_b = gram_from_solutions(mesh, region_b, basis, solutions, k=1.0).matrix
+    g_d = gram_from_solutions(mesh, region_d, basis, solutions, k=1.0).matrix
+    n = sla.null_space(v.T)
+    eps = 1e-10 * np.trace(n.T @ g_d @ n) / n.shape[1]
+    best = sla.eigh(n.T @ g_b @ n, n.T @ g_d @ n + eps * np.eye(n.shape[1]),
+                    eigvals_only=True)[-1]
+    assert best == pytest.approx(5.657, abs=1e-3)
+    assert abs(result.ratio - best) <= 1e-6 * best
+    assert np.abs(v.T @ result.g).max() <= 1e-10
+
+
+_BOX = st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 8),
+                 st.integers(1, 8))
+
+
+def _box(cells):
+    x0, y0, w, h = cells
+    return (x0 / 8, y0 / 8, min(x0 + w, 8) / 8, min(y0 + h, 8) / 8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sides=st.sets(st.sampled_from(["bottom", "top", "left", "right"]), min_size=1),
+       b_cells=_BOX, d_cells=st.none() | _BOX, p=st.integers(0, 3),
+       k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_no_flux_orthogonal_to_v_beats_the_localized_potential(sides, b_cells, d_cells,
+                                                               p, k, seed):
+    # result.ratio is the largest quotient h.G_B h / h.(G_D + eps I) h over
+    # the fluxes h orthogonal to V, with eps 1e-10 times the mean diagonal of
+    # G_D on V's complement (of G_B when D is empty)
+    mesh = _mesh(8, " ".join(sorted(sides)))
+    region_b = rect_region(mesh, _box(b_cells))
+    region_d = empty_region(mesh) if d_cells is None else rect_region(mesh, _box(d_cells))
+    assume(not region_b.minus(region_d).is_empty)
+    basis = boundary_basis(mesh)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((basis.dim, p))
+    result = localized_potential(mesh, 1.0, k, basis, region_b, region_d, v)
+
+    solutions = basis_solutions(mesh, 1.0, k, basis)
+    g_b = gram_from_solutions(mesh, region_b, basis, solutions, k=k).matrix
+    g_d = gram_from_solutions(mesh, region_d, basis, solutions, k=k).matrix
+    orth = sla.orth(v) if p else np.zeros((basis.dim, 0))
+    scale = next(t for t in (np.trace(g) - np.trace(orth.T @ g @ orth) for g in (g_d, g_b))
+                 if t > 0.0)
+    eps = 1e-10 * scale / (basis.dim - p)
+
+    def quotient(h):
+        return (h @ g_b @ h) / (h @ g_d @ h + eps * (h @ h))
+
+    assert abs(np.linalg.norm(result.g) - 1.0) <= 1e-12
+    assert np.abs(v.T @ result.g).max(initial=0.0) <= 1e-10 * np.abs(v).max(initial=1.0)
+    assert quotient(result.g) == pytest.approx(result.ratio, rel=1e-9)
+    fluxes = rng.standard_normal((basis.dim, 20))
+    fluxes[:, 0] = result.g + 1e-3 * fluxes[:, 0]  # near the maximizer
+    fluxes -= orth @ (orth.T @ fluxes)
+    for h in fluxes.T:
+        assert quotient(h) <= result.ratio * (1.0 + 1e-9)
 
 
 def test_localized_potential_precondition_errors():
