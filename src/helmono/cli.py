@@ -403,9 +403,8 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
     if v_mode == "first":
         v_coarse = np.eye(coarse.dim)[:, :v_dim]
     else:
-        sample = np.random.default_rng(cfg.get_int("seed", 0)).standard_normal(
+        v_coarse = np.random.default_rng(cfg.get_int("seed", 0)).standard_normal(
             (coarse.dim, v_dim))
-        v_coarse = np.linalg.qr(sample)[0]
 
     rows = []
     for basis in bases:

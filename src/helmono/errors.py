@@ -22,9 +22,18 @@ class ConfigError(HelmonoError):
 
 
 class ResonanceError(HelmonoError):
-    """The Galerkin matrix is singular (or numerically so) at this wavenumber."""
+    """The Galerkin matrix is singular (or numerically so) at this wavenumber.
+
+    Carries the smallest pivot magnitude seen during factorization and the
+    threshold it was compared against.
+    """
 
     exit_code = 3
+
+    def __init__(self, message: str, smallest_pivot: float = 0.0, threshold: float = 0.0):
+        super().__init__(message)
+        self.smallest_pivot = smallest_pivot
+        self.threshold = threshold
 
 
 class SpectralAmbiguityError(HelmonoError):
@@ -32,6 +41,10 @@ class SpectralAmbiguityError(HelmonoError):
     tolerance window around the decision threshold."""
 
     exit_code = 4
+
+    def __init__(self, message: str, offending: tuple = ()):
+        super().__init__(message)
+        self.offending = tuple(offending)
 
 
 class InvalidParameterError(HelmonoError):

@@ -345,12 +345,16 @@ def factorize(matrix: sp.csc_matrix, where: str,
     try:
         lu = _splu(matrix)
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
-        raise ResonanceError(f"factorization failed {where}: {exc}") from exc
+        raise ResonanceError(f"factorization failed {where}: {exc}", 0.0, 0.0) from exc
     small, large, negative = _pivots(lu)
     threshold = PIVOT_RTOL * large
     if small <= threshold:
-        raise ResonanceError(f"near-singular system {where}: smallest pivot {small:.3e} "
-                             f"<= {threshold:.3e}")
+        raise ResonanceError(
+            f"near-singular system {where}: smallest pivot {small:.3e} "
+            f"<= {threshold:.3e}",
+            small,
+            threshold,
+        )
     return Factorization(lu, negative)
 
 

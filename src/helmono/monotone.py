@@ -175,10 +175,11 @@ class ReconstructionResult:
     ``params`` records the run parameters (k, alpha, d_max, basis_dim, tol,
     contrast, and ``sweep_stable`` when the sweep ran); ``sweep`` lists the
     ``(alpha, accepted_count)`` history when the sweep ran.  On first access
-    ``negative_counts`` counts the certified pixels, to the bits of an
-    explicit-alpha run at ``params["alpha"]``.
+    ``negative_counts`` and ``indeterminate_counts`` count the certified
+    pixels, to the bits of an explicit-alpha run at ``params["alpha"]``.
     """
 
+    grid: PixelGrid
     mask: np.ndarray
     counts: tuple
     verdicts: tuple
@@ -190,11 +191,14 @@ class ReconstructionResult:
         self.mask.setflags(write=False)
 
     @cached_property
-    def negative_counts(self) -> np.ndarray:
+    def _dense(self) -> np.ndarray:
         counts = self._complete() if self._complete else self.counts
-        negative = np.array([c.negative for c in counts], dtype=int)
-        negative.setflags(write=False)
-        return negative
+        table = np.array([(c.negative, c.indeterminate) for c in counts], dtype=int)
+        table.setflags(write=False)
+        return table
+
+    negative_counts = property(lambda self: self._dense[:, 0])
+    indeterminate_counts = property(lambda self: self._dense[:, 1])
 
     @property
     def ambiguous(self) -> np.ndarray:
@@ -360,6 +364,7 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     if sweep_history is not None:
         params["sweep_stable"] = stable
     return ReconstructionResult(
+        grid=grid,
         mask=_accepted(counts, d_max),
         counts=tuple(counts),
         verdicts=verdicts,

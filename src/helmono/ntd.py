@@ -373,9 +373,9 @@ def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
     top = int(np.argmax(np.abs(g)))
     if g[top] < 0:
         g = -g
-    residual = np.linalg.norm(g - complement @ (complement.T @ g))
-    if residual > 1e-10:
-        raise EigenSolverError(f"excluded-family residual {residual:.3e}")
+    residual = np.linalg.norm(v.T @ g)
+    if residual > 1e-10 * np.linalg.norm(v, 2):
+        raise EigenSolverError(f"excluded-family residual |V^T g| = {residual:.3e}")
     b_energy = float(g @ g_b @ g)
     d_energy = float(g @ g_d @ g)
     # g is a unit vector, so g . eps I g is eps

@@ -372,7 +372,7 @@ class _AtZero(NamedTuple):
         if self.resonant:
             raise SpectralAmbiguityError(
                 f"Neumann eigenvalue(s) within {self.tol:.3e} of zero, the nearest "
-                f"{self.nearest:.3e}")
+                f"{self.nearest:.3e}", offending=(self.nearest,))
         return self.d
 
 
@@ -446,8 +446,11 @@ def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
     # whenever q has mean zero contribution) and is cleanly not counted.
     near = values[np.abs(values - (1.0 + tol_eff)) < 0.5 * tol_eff]
     if near.size:
-        raise SpectralAmbiguityError(f"{near.size} eigenvalue(s) within {0.5 * tol_eff:.3e} "
-                                     f"of the decision point 1 + {tol_eff:.3e}")
+        raise SpectralAmbiguityError(
+            f"{near.size} eigenvalue(s) within {0.5 * tol_eff:.3e} of the "
+            f"decision point 1 + {tol_eff:.3e}",
+            offending=tuple(near),
+        )
     return int((values > 1.0 + tol_eff).sum())
 
 

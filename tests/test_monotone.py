@@ -396,6 +396,8 @@ def test_reconstruct_counts_each_pixel_once_on_the_calling_thread(monkeypatch):
             assert len(seen) == pixels
             assert {m for _, m in seen} <= set(matrices) | completed
             assert np.array_equal(reported.negative_counts, serial.negative_counts)
+            assert np.array_equal(reported.indeterminate_counts,
+                                  serial.indeterminate_counts)
             assert reported.params["tol"] >= serial.params["tol"] == max(
                 c.tol for p, c in enumerate(reported.counts) if p not in certified)
 
@@ -519,11 +521,12 @@ def test_sweep_counts_a_certified_pixel_only_when_its_count_is_read(reads, n, co
         swept.mask, swept.verdicts, swept.ambiguous, swept.pixel_values()
         assert seen == []
         for _ in range(reads):
-            swept.negative_counts
+            swept.indeterminate_counts, swept.negative_counts
         assert len(seen) == len(certified)
     dense = reconstruct(mesh, q, 1.0, basis, grid, contrast="negative",
                         alpha=swept.params["alpha"])
     assert np.array_equal(swept.negative_counts, dense.negative_counts)
+    assert np.array_equal(swept.indeterminate_counts, dense.indeterminate_counts)
     assert [c for c in swept.counts if c is not None] == [
         c for p, c in enumerate(dense.counts) if p not in certified]
     assert swept.params["tol"] == max(
@@ -595,6 +598,7 @@ def test_pixel_values_mapping():
         (1, 0, 1), (1, 2, 0), (2, 1, 2), (1, 1, 0)]
     negative = np.array([c.negative for c in counts])
     result = ReconstructionResult(
+        grid=PixelGrid(nx=4, ny=1, boxes=np.zeros((4, 4)), regions=[None] * 4),
         mask=negative <= d_max,
         counts=tuple(counts),
         verdicts=tuple(c.verdict(d_max) for c in counts),

@@ -30,7 +30,8 @@ from helmono import (
     tb_from_solutions,
 )
 from helmono import d_of_q, fem
-from helmono.errors import BasisMismatchError, InvalidParameterError, SolverError
+from helmono.errors import (BasisMismatchError, EigenSolverError, InvalidParameterError,
+                            SolverError)
 from helmono.fem import counting
 from helmono.ntd import SYMMETRY_RTOL
 
@@ -316,6 +317,8 @@ def test_localized_potential_energies_are_region_grams():
 def test_localized_potential_reaches_the_constrained_maximum():
     # acceptance 6's configuration at 16 segments: no flux orthogonal to V has
     # a larger quotient than the returned one, computed here on V's complement
+    # with localized_potential's eps; the maximum depends on eps, which is a
+    # fifth of the flux's D-energy here
     mesh = _mesh(32, "bottom")
     region_b = rect_region(mesh, (0.0, 0.75, 0.25, 1.0))
     region_d = rect_region(mesh, (0.5, 0.0, 1.0, 1.0))
@@ -333,6 +336,42 @@ def test_localized_potential_reaches_the_constrained_maximum():
     assert best == pytest.approx(5.657, abs=1e-3)
     assert abs(result.ratio - best) <= 1e-6 * best
     assert np.abs(v.T @ result.g).max() <= 1e-10
+
+
+
+def _acceptance_6_at_16_segments():
+    # the mesh, basis and excluded family of acceptance 6 at 16 segments
+    mesh = _mesh(32, "bottom")
+    coarse = boundary_basis(mesh, 8)
+    basis = boundary_basis(mesh, 16)
+    v = project_onto_basis(basis, basis_edge_values(coarse, np.eye(coarse.dim)[:, :3]))
+    return mesh, basis, v
+
+
+def test_localized_potential_keeps_the_constraint_without_an_avoided_region():
+    # With no avoided region the quotient is g.G_B g / eps, so the flux is the
+    # top eigenvector of G_B on V's complement whatever eps is: the target
+    # energy reaches G_B's largest eigenvalue there.  B, the strip along the
+    # measured side, gives G_B many large eigenvalues, so projecting V out of
+    # G_B's top eigenvector afterwards would fall 1e-3 short.
+    mesh, basis, v = _acceptance_6_at_16_segments()
+    region_b = rect_region(mesh, (0.0, 0.0, 1.0, 0.25))
+    result = localized_potential(mesh, 1.0, 1.0, basis, region_b, empty_region(mesh), v)
+    g_b = gram_from_solutions(mesh, region_b, basis, basis_solutions(mesh, 1.0, 1.0, basis),
+                              k=1.0).matrix
+    n = sla.null_space(v.T)
+    best = np.linalg.eigvalsh(n.T @ g_b @ n)[-1]
+    assert abs(result.b_energy - best) <= 1e-9 * best
+    assert result.d_energy == 0.0
+
+
+def test_localized_potential_refuses_a_flux_off_the_complement(monkeypatch):
+    # the orthogonality guard reads V itself: a wrong complement is refused
+    mesh, basis, v = _acceptance_6_at_16_segments()
+    region_b = rect_region(mesh, (0.0, 0.0, 1.0, 0.25))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": (np.eye(a.shape[0]), None))
+    with pytest.raises(EigenSolverError, match="excluded-family residual"):
+        localized_potential(mesh, 1.0, 1.0, basis, region_b, empty_region(mesh), v)
 
 
 _BOX = st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 8),

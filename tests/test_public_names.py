@@ -30,6 +30,16 @@ ALLOWED = {
                                       "that no pixel is undecided with it",
     "ReconstructionResult.negative_counts": "the frozen acceptance suite (criterion 5) "
                                             "reads the far ring's count growth from it",
+    "ReconstructionResult.indeterminate_counts": "the only way a library caller reads a "
+                                                 "certified pixel's indeterminate count, "
+                                                 "since its counts entry is None",
+    "ReconstructionResult.grid": "the pixel boxes and regions that a library caller maps "
+                                 "the mask and verdicts back to",
+    "ResonanceError.smallest_pivot": "fault data: the pivot that tripped the resonance "
+                                     "check, for a caller handling the error",
+    "ResonanceError.threshold": "fault data: the bound the smallest pivot was held to",
+    "SpectralAmbiguityError.offending": "fault data: the eigenvalues inside the decision "
+                                        "window, to full precision",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.\w+)*")
