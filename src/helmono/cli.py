@@ -206,10 +206,10 @@ def _build_basis(cfg: Config, mesh):
     return boundary_basis(mesh, segments)
 
 
-def _wavenumber(cfg: Config) -> float:
-    k = cfg.get_float("k")
+def _wavenumber(cfg: Config, key: str = "k") -> float:
+    k = cfg.get_float(key)
     if not (k > 0.0 and np.isfinite(k)):
-        raise ConfigError(f"line {cfg.lineno('k')}: k must be positive and finite")
+        raise ConfigError(f"line {cfg.lineno(key)}: {key} must be positive and finite")
     return k
 
 
@@ -227,7 +227,10 @@ def _out_dir(cfg: Config, args) -> Path:
     if out is None:
         raise ConfigError("no output directory: set output.dir or pass --out")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path or one of its parents is a file
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
     return path
 
 
@@ -287,13 +290,12 @@ def cmd_resonance_scan(cfg: Config, args, outdir: Path) -> None:
     )
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k_min = cfg.get_float("scan.k_min")
-    k_max = cfg.get_float("scan.k_max")
+    k_min, k_max = _wavenumber(cfg, "scan.k_min"), _wavenumber(cfg, "scan.k_max")
+    if not k_min < k_max:
+        raise ConfigError(f"line {cfg.lineno('scan.k_max')}: scan.k_max must exceed scan.k_min")
     steps = cfg.get_int("scan.steps")
-    if not (0.0 < k_min < k_max):
-        raise ConfigError("scan range must satisfy 0 < scan.k_min < scan.k_max")
     if steps < 2:
-        raise ConfigError("scan.steps must be at least 2")
+        raise ConfigError(f"line {cfg.lineno('scan.steps')}: scan.steps must be at least 2")
     ks = np.linspace(k_min, k_max, steps)
     nearest = [nearest_neumann_eigenvalue(mesh, q, k) for k in ks]
     write_table_csv(outdir / "scan.csv", ["k", "lambda_nearest_zero"],
@@ -533,6 +535,9 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         outdir = _out_dir(cfg, args)
         seed = cfg.get_int("seed", 0)  # checked before any artifact is written
+        if seed < 0:
+            raise ConfigError(f"line {cfg.lineno('seed')}: key 'seed': must be "
+                              f"non-negative, got {seed}")
         # One thread for everything: the BLAS pools cost more than they gain
         # at these sizes and would make the counts' last bits vary.
         with one_blas_thread() as capped, counting() as tally:

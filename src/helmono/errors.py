@@ -58,8 +58,8 @@ class BasisMismatchError(InvalidParameterError):
 
 
 class EigenSolverError(HelmonoError):
-    """The iterative eigensolver failed to converge or returned vectors with
-    residuals beyond the documented bound."""
+    """An eigensolver did not converge, broke down, or returned a result
+    beyond its documented bound."""
 
     exit_code = 1
 

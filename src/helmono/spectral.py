@@ -28,12 +28,16 @@ decision threshold raises :class:`SpectralAmbiguityError` (for the pencils) or
 is reported in a separate indeterminate tally (for ``count_negative``), which
 :meth:`CountResult.verdict` turns into accept, reject or undecided.
 
-Determinism: iterative solves (ARPACK shift-invert) always start from the same
-vector, drawn from a fixed-seed generator, so repeated runs are bit-identical;
-small problems go to dense LAPACK outright.  The dense counts run with both
-bundled OpenBLAS copies (numpy's and scipy's) limited to one thread
-(:func:`one_blas_thread`), so their eigenvalues do not depend on the BLAS
-thread setting; the CLI runs every subcommand under the same limit.
+Every pencil eigenvalue comes from one helper, eigenvalues only (no routine
+returns eigenvectors): dense LAPACK for small pencils, else ARPACK
+shift-inverted at a shift from one factorization, above the spectrum for the
+top eigenvalues and at zero for the nearest.
+
+Determinism: ARPACK always starts from the same vector, drawn from a
+fixed-seed generator, so repeated runs are bit-identical.  The dense counts
+run with both bundled OpenBLAS copies (numpy's and scipy's) limited to one
+thread (:func:`one_blas_thread`), so their eigenvalues do not depend on the
+BLAS thread setting; the CLI runs every subcommand under the same limit.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, InvalidParameterError, ResonanceError, SpectralAmbiguityError
@@ -62,8 +65,6 @@ DENSE_CUTOFF = 1200
 #: Default count tolerance: this factor times the largest computed |eigenvalue|,
 #: or for the Neumann pencil its upper bound ``k^2 max(q, 0) + 1``.
 TOL_FACTOR = 1e-8
-#: Eigenpair residuals are checked against this factor times the matrix scale.
-RESIDUAL_FACTOR = 1e-8
 #: Lanczos basis size of the shift-invert search for the one eigenvalue
 #: nearest zero.
 NEAREST_NCV = 8
@@ -149,18 +150,12 @@ def one_blas_thread():
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Largest eigenvalues of a symmetric pencil, sorted descending.
-
-    ``vectors`` (columns, aligned with ``values``) is None unless requested.
-    """
+    """Largest eigenvalues of a symmetric pencil, sorted descending."""
 
     values: np.ndarray
-    vectors: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        if self.vectors is not None:
-            self.vectors.setflags(write=False)
 
 
 class CountResult(NamedTuple):
@@ -193,82 +188,25 @@ def _deterministic_start(n: int) -> np.ndarray:
     return np.random.default_rng(_V0_SEED).standard_normal(n)
 
 
-def _shift_invert(a: sp.spmatrix, b: sp.spmatrix, sigma_upper: float,
-                  order: np.ndarray) -> spla.LinearOperator:
-    """``(a - sigma_upper b)^{-1}`` from one factorization, with the rows and
-    columns in ``order`` (the pencil has the mesh's pattern, so the mesh's
-    :attr:`~helmono.mesh.Mesh.vertex_order`).
+def _eigenvalues(a, b, sigma: float, m: int, solve,
+                 ncv: Optional[int] = None) -> np.ndarray:
+    """Eigenvalues of ``a v = lambda b v`` with ``b`` positive definite.
 
-    With ``sigma_upper`` above the whole spectrum the shifted matrix is
-    negative definite, so :func:`fem.factorize` keeps its symmetric-mode
-    factorization.
-    """
-    lu = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}", order).lu
-    n = a.shape[0]
-    return spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-
-
-def _pencil_top(a: sp.spmatrix, b: sp.spmatrix, m: int, sigma_upper: float,
-                want_vectors: bool, order: np.ndarray,
-                opinv: Optional[spla.LinearOperator] = None) -> EigenResult:
-    """Top-m eigenpairs of ``a v = lambda b v`` with ``b`` positive definite.
-
-    ``sigma_upper`` must lie strictly above the whole spectrum; the sparse
-    path shift-inverts there so the eigenvalues nearest the shift are exactly
-    the algebraically largest.  ``opinv`` is the :func:`_shift_invert` of the
-    pencil when the caller already has it; otherwise it is factored here, in
-    ``order``.
+    Dense LAPACK returns all of them when the pencil has at most
+    ``DENSE_CUTOFF`` rows or ``m > n - 2`` (past ARPACK's reach); otherwise
+    ARPACK returns the ``m`` nearest ``sigma``, shift-inverted there, with
+    ``solve`` applying ``(a - sigma b)^{-1}`` from the caller's factorization.
     """
     n = a.shape[0]
-    if m < 1 or m > n:
-        raise InvalidParameterError(f"requested {m} eigenvalues of a {n}-dim pencil")
     if n <= DENSE_CUTOFF or m > n - 2:
-        aw = a.toarray() if sp.issparse(a) else np.asarray(a)
-        bw = b.toarray() if sp.issparse(b) else np.asarray(b)
-        if want_vectors:
-            w, v = sla.eigh(aw, bw)
-            order = np.argsort(w)[::-1][:m]
-            return EigenResult(values=w[order].copy(), vectors=v[:, order].copy())
-        w = sla.eigh(aw, bw, eigvals_only=True)
-        return EigenResult(values=np.sort(w)[::-1][:m].copy())
-    if opinv is None:
-        opinv = _shift_invert(a, b, sigma_upper, order)
+        return sla.eigh(a.toarray(), b.toarray(), eigvals_only=True)
+    opinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     try:
-        out = spla.eigsh(
-            a,
-            k=m,
-            M=b.tocsc(),
-            sigma=sigma_upper,
-            which="LM",
-            v0=_deterministic_start(n),
-            return_eigenvectors=want_vectors,
-            OPinv=opinv,
-        )
+        return spla.eigsh(a, k=m, M=b.tocsc(), sigma=sigma, which="LM",
+                          v0=_deterministic_start(n), ncv=ncv,
+                          return_eigenvectors=False, OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
-    if want_vectors:
-        w, v = out
-        order = np.argsort(w)[::-1]
-        return EigenResult(values=w[order].copy(), vectors=v[:, order].copy())
-    return EigenResult(values=np.sort(out)[::-1].copy())
-
-
-def _check_pair_residuals(a, b, result: EigenResult) -> None:
-    if result.vectors is None:
-        return
-    a_scale = spla.norm(a, 1) if sp.issparse(a) else np.abs(a).sum(axis=0).max()
-    b_scale = spla.norm(b, 1) if sp.issparse(b) else np.abs(b).sum(axis=0).max()
-    av = a @ result.vectors
-    bv = b @ result.vectors
-    for j, lam in enumerate(result.values):
-        res = np.linalg.norm(av[:, j] - lam * bv[:, j])
-        bound = RESIDUAL_FACTOR * np.linalg.norm(result.vectors[:, j]) * (
-            a_scale + abs(lam) * b_scale
-        )
-        if res > max(bound, 1e-300):
-            raise EigenSolverError(
-                f"eigenpair {j} residual {res:.3e} exceeds bound {bound:.3e}"
-            )
 
 
 def _validated(mesh: Mesh, q: CoefficientLike, k: float) -> Coefficient:
@@ -295,38 +233,44 @@ def _neumann_pencil(mesh: Mesh, q: CoefficientLike, k: float):
     return a, m, _neumann_upper(q, k)
 
 
-def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int,
-                        want_vectors: bool = False) -> EigenResult:
+def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int) -> EigenResult:
     """Largest ``count`` eigenvalues of the Neumann pencil for ``(q, k)``.
 
     These are the discrete Neumann eigenvalues of ``Laplacian + k^2 q``,
-    sorted descending.  With ``want_vectors`` the eigenvectors are returned
-    and each pair's residual is verified against the documented bound.
+    sorted descending: one step of :func:`_sweep_down`, whose infinite
+    threshold ends it there.
     """
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
     if not (1 <= count <= mesh.n_vertices):
         raise InvalidParameterError(
             f"count must be between 1 and {mesh.n_vertices}, got {count}"
         )
-    result = _pencil_top(a, m, count, sigma_upper, want_vectors, mesh.vertex_order)
-    _check_pair_residuals(a, m, result)
-    return result
+    values, _ = _sweep_down(a, m, sigma_upper, np.inf, None, mesh.vertex_order, count)
+    return EigenResult(values)
 
 
 def _sweep_down(a, b, sigma_upper, threshold: float, tol: Optional[float],
-                order: np.ndarray):
-    """Top eigenvalues computed until at least one falls below the decision
-    window around ``threshold``; returns (values, effective tolerance).
+                order: np.ndarray, m: int = 8):
+    """Top eigenvalues of ``a v = lambda b v``, descending, from the top ``m``
+    on until at least one falls below the decision window around
+    ``threshold``; returns (values, effective tolerance).
 
-    The count doubles from 8 until then.  Every step restarts ARPACK from the
-    same start vector, but the shifted pencil is factored once per sweep, in
-    ``order``.
+    ``sigma_upper`` lies strictly above the whole spectrum, so the
+    eigenvalues nearest it are the top ones, and the shifted pencil is
+    negative definite: :func:`fem.factorize` keeps its symmetric-mode
+    factorization.  The count doubles until the sweep ends.  Every step
+    restarts ARPACK from the same start vector, but the shifted pencil is
+    factored once per sweep, in ``order`` (the pencil has the mesh's pattern,
+    so the mesh's :attr:`~helmono.mesh.Mesh.vertex_order`).
     """
     n = a.shape[0]
-    opinv = _shift_invert(a, b, sigma_upper, order) if n > DENSE_CUTOFF else None
-    m = min(8, n)
+    solve = None
+    if n > DENSE_CUTOFF:
+        solve = factorize((a - sigma_upper * b).tocsc(), f"at shift {sigma_upper:.17g}",
+                          order).lu.solve
+    m = min(m, n)
     while True:
-        values = _pencil_top(a, b, m, sigma_upper, False, order, opinv).values
+        values = np.sort(_eigenvalues(a, b, sigma_upper, m, solve))[::-1][:m]
         tol_eff = tol if tol is not None else TOL_FACTOR * float(np.abs(values).max())
         if values.min() < threshold - tol_eff or m >= n:
             return values, tol_eff
@@ -334,25 +278,12 @@ def _sweep_down(a, b, sigma_upper, threshold: float, tol: Optional[float],
 
 
 def _nearest_zero(system: HelmholtzSystem) -> float:
-    """The eigenvalue nearest zero of ``system.matrix v = mu M v``.
-
-    The sparse path shift-inverts at zero with the system's own
-    factorization; small problems go to dense LAPACK.  ``M`` is the system's
-    ``mass`` when it kept one, else it is assembled here.
+    """The eigenvalue nearest zero of ``system.matrix v = mu M v``, shift-
+    inverted at zero on the system's own factorization.  ``M`` is the
+    system's ``mass`` when it kept one, else it is assembled here.
     """
-    a = system.matrix
     m = system.mass if system.mass is not None else assemble_mass(system.mesh)
-    n = a.shape[0]
-    if n <= DENSE_CUTOFF:
-        w = sla.eigh(a.toarray(), m.toarray(), eigvals_only=True)
-    else:
-        opinv = spla.LinearOperator((n, n), matvec=system._lu.solve, dtype=float)
-        try:
-            w = spla.eigsh(a, k=1, M=m.tocsc(), sigma=0.0, which="LM",
-                           v0=_deterministic_start(n), ncv=NEAREST_NCV,
-                           return_eigenvectors=False, OPinv=opinv)
-        except spla.ArpackNoConvergence as exc:
-            raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
+    w = _eigenvalues(system.matrix, m, 0.0, 1, system._lu.solve, NEAREST_NCV)
     return float(w[np.argmin(np.abs(w))])
 
 

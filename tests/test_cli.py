@@ -215,6 +215,23 @@ def test_resonance_scan_brackets_known_resonance(tmp_path):
     assert k_lo < K_STAR_N8 < k_hi
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("scan.k_min", "nan", "line 3: scan.k_min must be positive and finite"),
+    ("scan.k_min", "0", "line 3: scan.k_min must be positive and finite"),
+    ("scan.k_max", "inf", "line 4: scan.k_max must be positive and finite"),
+    ("scan.k_max", "2.0", "line 4: scan.k_max must exceed scan.k_min"),
+    ("scan.steps", "1", "line 5: scan.steps must be at least 2"),
+])
+def test_resonance_scan_refuses_bad_bounds_on_their_line(tmp_path, capsys, key, value,
+                                                         message):
+    out = tmp_path / "out"
+    keys = {"scan.k_min": "3.0", "scan.k_max": "3.3", "scan.steps": "7", key: value}
+    text = base_cfg(out, n=4, **keys).replace("k = 1.0\n", "")
+    assert run(tmp_path, text, "resonance-scan") == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "scan.csv").exists()
+
+
 def test_ntd_roundtrip_and_dumps(tmp_path):
     out = tmp_path / "out"
     assert run(tmp_path, base_cfg(out, n=8), "ntd", "--dump-matrices") == 0
@@ -338,10 +355,28 @@ def test_missing_output_dir_rejected(tmp_path, capsys):
 
 
 def test_malformed_seed_is_refused_before_any_artifact(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run(tmp_path, base_cfg(out, n=4, seed="abc"), "mesh") == 2
-    assert "key 'seed'" in capsys.readouterr().err
+    for seed in ("abc", "-1"):
+        out = tmp_path / f"out{seed}"
+        assert run(tmp_path, base_cfg(out, n=4, seed=seed), "mesh") == 2
+        assert "line 4: key 'seed'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+    # Commands that draw from the seed refuse it too, instead of failing in numpy.
+    out = tmp_path / "outrandom"
+    text = base_cfg(out, n=4, seed=-1, **{"g.mode": "random"})
+    assert run(tmp_path, text, "identity-check") == 2
+    assert "line 4: key 'seed'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_output_path_naming_a_file_is_refused(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for out in (taken, taken / "sub"):
+        assert run(tmp_path, base_cfg(out, n=4), "mesh") == 2
+        assert f"output directory {out}" in capsys.readouterr().err
+    assert run(tmp_path, base_cfg(tmp_path / "out", n=4), "mesh", "--out", str(taken)) == 2
+    assert f"output directory {taken}" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
 
 
 def test_ntd_at_resonance_exit_code(tmp_path, capsys):
@@ -578,51 +613,62 @@ def _artifacts(out):
     return files
 
 
-def test_reconstruct_bytes_independent_of_blas_threads(tmp_path):
-    # The default count tolerance scales with the largest eigenvalue, whose
-    # last bits follow the BLAS thread count unless the counts cap it: on
-    # this configuration params.txt's tol differs between 1 and 2 threads.
+def _artifacts_per_blas_thread_count(tmp_path, command, text, *extra):
+    """The artifacts of one run under OPENBLAS_NUM_THREADS 1, then 2."""
     src = Path(__file__).resolve().parent.parent / "src"
-    text = "\n".join([
-        "mesh.n = 64", "k = 1", "basis.segments = 256", "grid.nx = 8", "grid.ny = 8",
-        "contrast = negative", "coefficient.background = 1.0",
-        "coefficient.inclusion = 0.5 0.125 0.75 0.375 0.3029965880234349",
-    ]) + "\n"
     (tmp_path / "run.cfg").write_text(text)
     outs = []
     for blas in ("1", "2"):
         out = tmp_path / f"blas{blas}"
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas)
         done = subprocess.run(
-            [sys.executable, "-m", "helmono.cli", "reconstruct", str(tmp_path / "run.cfg"),
-             "--out", str(out), "--threads", "2"],
+            [sys.executable, "-m", "helmono.cli", command, str(tmp_path / "run.cfg"),
+             "--out", str(out), *extra],
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
         outs.append(_artifacts(out))
+    return outs
+
+
+def test_reconstruct_bytes_independent_of_blas_threads(tmp_path):
+    # The default count tolerance scales with the largest eigenvalue, whose
+    # last bits follow the BLAS thread count unless the counts cap it: on
+    # this configuration params.txt's tol differs between 1 and 2 threads.
+    text = "\n".join([
+        "mesh.n = 64", "k = 1", "basis.segments = 256", "grid.nx = 8", "grid.ny = 8",
+        "contrast = negative", "coefficient.background = 1.0",
+        "coefficient.inclusion = 0.5 0.125 0.75 0.375 0.3029965880234349",
+    ]) + "\n"
+    outs = _artifacts_per_blas_thread_count(tmp_path, "reconstruct", text, "--threads", "2")
     assert set(outs[0]) >= {"reconstruct.csv", "mask.pgm", "params.txt", "sweep.csv",
                             "manifest.txt"}
     assert outs[0] == outs[1]
 
 
 def test_monotonicity_check_bytes_independent_of_blas_threads(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
     text = "\n".join([
         "mesh.n = 24", "k = 2", "basis.segments = 48", "coefficient.background = 1.0",
         "coefficient2.background = 1.0",
         "coefficient2.inclusion = 0.25 0.25 0.75 0.5 1.8",
     ]) + "\n"
-    (tmp_path / "run.cfg").write_text(text)
-    outs = []
-    for blas in ("1", "2"):
-        out = tmp_path / f"blas{blas}"
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas)
-        done = subprocess.run(
-            [sys.executable, "-m", "helmono.cli", "monotonicity-check",
-             str(tmp_path / "run.cfg"), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stdout + done.stderr
-        outs.append(_artifacts(out))
+    outs = _artifacts_per_blas_thread_count(tmp_path, "monotonicity-check", text)
     assert set(outs[0]) == {"comparison.txt", "manifest.txt"}
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, more, files", [
+    ("eigs", "k = 2.5\neigs.count = 8\n", {"eigs.csv"}),
+    ("dq", "k = 3\n", {"dq.txt"}),
+    ("resonance-scan", "scan.k_min = 2.5\nscan.k_max = 4.5\nscan.steps = 5\n",
+     {"scan.csv", "brackets.csv"}),
+])
+def test_arpack_routes_bytes_independent_of_blas_threads(tmp_path, command, more, files):
+    # mesh.n = 40 has 1681 vertices, above DENSE_CUTOFF: every eigenvalue
+    # here comes from ARPACK on a sparse factorization.
+    text = ("mesh.n = 40\ncoefficient.background = 1.0\n"
+            "coefficient.inclusion = 0.25 0.25 0.75 0.5 1.8\n" + more)
+    outs = _artifacts_per_blas_thread_count(tmp_path, command, text)
+    assert set(outs[0]) == files | {"manifest.txt"}
     assert outs[0] == outs[1]
 
 

@@ -51,17 +51,24 @@ def test_zero_coefficient_spectrum():
     assert result.values[1] < -1.0
 
 
-def test_eigenvalues_sorted_and_residuals_checked():
+def test_eigenvalues_sorted_descending():
     mesh = build_unit_square_mesh(8)
-    result = neumann_eigenvalues(mesh, 1.0, 2.0, 6, want_vectors=True)
+    result = neumann_eigenvalues(mesh, 1.0, 2.0, 6)
     assert (np.diff(result.values) <= 1e-12).all()
-    s = assemble_stiffness(mesh).toarray()
-    m = assemble_mass(mesh).toarray()
-    a = 4.0 * assemble_mass(mesh).toarray() - s  # k^2 M_q with q identically 1
-    for j, lam in enumerate(result.values):
-        v = result.vectors[:, j]
-        res = np.linalg.norm(a @ v - lam * (m @ v))
-        assert res <= 1e-6 * max(1.0, abs(lam))
+
+
+def test_arpack_eigenvalues_match_dense_lapack():
+    # n = 36 has 1369 vertices, above DENSE_CUTOFF: both calls run ARPACK.
+    mesh = build_unit_square_mesh(36)
+    assert mesh.n_vertices > spectral.DENSE_CUTOFF
+    q = np.random.default_rng(5).uniform(0.2, 3.0, mesh.n_triangles)
+    k = 2.5
+    a = (k * k) * fem.assemble_weighted_mass(mesh, q) - assemble_stiffness(mesh)
+    w = sla.eigh(a.toarray(), assemble_mass(mesh).toarray(), eigvals_only=True)
+    scale = 1e-9 * np.abs(w).max()
+    top = neumann_eigenvalues(mesh, q, k, 8).values
+    assert np.abs(top - w[::-1][:8]).max() <= scale
+    assert abs(nearest_neumann_eigenvalue(mesh, q, k) - w[np.argmin(np.abs(w))]) <= scale
 
 
 def test_d_of_q_analytic_counts():
