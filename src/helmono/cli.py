@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -150,11 +151,19 @@ def _load_config(path) -> Config:
     return Config(parse_config_text(text))
 
 
+def _bounded(cfg: Config, key: str, value, least: int, most: Optional[int] = None):
+    """``value`` of the integer ``key``, refused on the key's line outside
+    ``[least, most]``."""
+    if value is not None and not (least <= value and (most is None or value <= most)):
+        where = f"line {cfg.lineno(key)}: " if cfg.has(key) else ""
+        bound = f"at least {least}" if most is None else f"between {least} and {most}"
+        raise ConfigError(f"{where}{key} must be {bound}, got {value}")
+    return value
+
+
 def _build_mesh(cfg: Config):
     domain = cfg.get_str("mesh.domain", "unit_square", choices={"unit_square"})
-    n = cfg.get_int("mesh.n")
-    if n < 1:
-        raise ConfigError(f"line {cfg.lineno('mesh.n')}: mesh.n must be at least 1")
+    n = _bounded(cfg, "mesh.n", cfg.get_int("mesh.n"), 1)
     mesh = build_unit_square_mesh(n)
     selector = cfg.get_str("sigma.selector", "all")
     try:
@@ -201,9 +210,18 @@ def _box_region(cfg: Config, mesh, key: str, extra: int = 0):
         raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': {exc}") from exc
 
 
-def _build_basis(cfg: Config, mesh):
-    segments = cfg.get_int("basis.segments", None)
-    return boundary_basis(mesh, segments)
+def _segments(cfg: Config):
+    """``basis.segments``, at least 1, or None when absent (one function per edge)."""
+    return _bounded(cfg, "basis.segments", cfg.get_int("basis.segments", None), 1)
+
+
+def _build_basis(cfg: Config, mesh, segments, key: str = "basis.segments"):
+    """The basis of ``segments`` groups; more groups than flagged edges is a
+    configuration error on the key's line."""
+    try:
+        return boundary_basis(mesh, segments)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': {exc}") from exc
 
 
 def _wavenumber(cfg: Config, key: str = "k") -> float:
@@ -247,10 +265,11 @@ def cmd_mesh(cfg: Config, args, outdir: Path) -> None:
 
 def cmd_eigs(cfg: Config, args, outdir: Path) -> None:
     cfg.check_known(_BASE_KEYS | {"eigs.count"}, _COEFF_PREFIXES)
+    count = _bounded(cfg, "eigs.count", cfg.get_int("eigs.count", 5), 1)
     mesh = _build_mesh(cfg)
+    _bounded(cfg, "eigs.count", count, 1, mesh.n_vertices)
     q = _build_coefficient(cfg, mesh)
     k = _wavenumber(cfg)
-    count = cfg.get_int("eigs.count", 5)
     result = neumann_eigenvalues(mesh, q, k, count)
     write_eigs_csv(outdir / "eigs.csv", result.values)
     _note(outdir / "eigs.csv")
@@ -293,9 +312,7 @@ def cmd_resonance_scan(cfg: Config, args, outdir: Path) -> None:
     k_min, k_max = _wavenumber(cfg, "scan.k_min"), _wavenumber(cfg, "scan.k_max")
     if not k_min < k_max:
         raise ConfigError(f"line {cfg.lineno('scan.k_max')}: scan.k_max must exceed scan.k_min")
-    steps = cfg.get_int("scan.steps")
-    if steps < 2:
-        raise ConfigError(f"line {cfg.lineno('scan.steps')}: scan.steps must be at least 2")
+    steps = _bounded(cfg, "scan.steps", cfg.get_int("scan.steps"), 2)
     ks = np.linspace(k_min, k_max, steps)
     nearest = [nearest_neumann_eigenvalue(mesh, q, k) for k in ks]
     write_table_csv(outdir / "scan.csv", ["k", "lambda_nearest_zero"],
@@ -312,10 +329,11 @@ def cmd_resonance_scan(cfg: Config, args, outdir: Path) -> None:
 
 def cmd_ntd(cfg: Config, args, outdir: Path) -> None:
     cfg.check_known(_BASE_KEYS, _COEFF_PREFIXES)
+    segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
     k = _wavenumber(cfg)
-    basis = _build_basis(cfg, mesh)
+    basis = _build_basis(cfg, mesh, segments)
     system = HelmholtzSystem(mesh, q, k, sigma_last=True)
     write_symop_csv(outdir / "ntd.csv", ntd_matrix(mesh, q, k, basis, system=system))
     _note(outdir / "ntd.csv")
@@ -328,11 +346,12 @@ def cmd_ntd(cfg: Config, args, outdir: Path) -> None:
 
 def cmd_identity_check(cfg: Config, args, outdir: Path) -> None:
     cfg.check_known(_BASE_KEYS | {"g.mode"}, _COEFF_PREFIXES)
+    segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q1 = _build_coefficient(cfg, mesh, "coefficient")
     q2 = _build_coefficient(cfg, mesh, "coefficient2")
     k = _wavenumber(cfg)
-    basis = _build_basis(cfg, mesh)
+    basis = _build_basis(cfg, mesh, segments)
     mode = cfg.get_str("g.mode", "first", choices={"first", "random"})
     seed = cfg.get_int("seed", 0)
     if mode == "first":
@@ -350,11 +369,12 @@ def cmd_identity_check(cfg: Config, args, outdir: Path) -> None:
 
 def cmd_monotonicity_check(cfg: Config, args, outdir: Path) -> None:
     cfg.check_known(_BASE_KEYS, _COEFF_PREFIXES)
+    segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q1 = _build_coefficient(cfg, mesh, "coefficient")
     q2 = _build_coefficient(cfg, mesh, "coefficient2")
     k = _wavenumber(cfg)
-    basis = _build_basis(cfg, mesh)
+    basis = _build_basis(cfg, mesh, segments)
     result = monotonicity_check(mesh, q1, q2, k, basis, _count_tol(cfg))
     verdict = ("true" if result.verdict else "false") if result.decided else "undecided"
     text = (
@@ -378,6 +398,20 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
                       "localize.v_mode", "localize.segments"},
         _COEFF_PREFIXES,
     )
+    v_mode = cfg.get_str("localize.v_mode", "first", choices={"first", "random"})
+    levels = cfg.get_ints("localize.segments", None)
+    if levels is None:
+        key, levels = "basis.segments", [_segments(cfg)]
+    elif not levels:
+        raise ConfigError(f"line {cfg.lineno('localize.segments')}: "
+                          f"localize.segments lists no level")
+    else:
+        key = "localize.segments"
+        for segments in levels:
+            _bounded(cfg, key, segments, 1)
+    # a level of segments has that dimension; one function per edge needs the mesh
+    v_dim = _bounded(cfg, "localize.v_dim", cfg.get_int("localize.v_dim", 0), 0,
+                     None if None in levels else min(levels) - 1)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
     k = _wavenumber(cfg)
@@ -386,19 +420,9 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
         region_d, _ = _box_region(cfg, mesh, "localize.d_box")
     else:
         region_d = empty_region(mesh)
-    v_dim = cfg.get_int("localize.v_dim", 0)
-    if v_dim < 0:
-        raise ConfigError(f"line {cfg.lineno('localize.v_dim')}: "
-                          f"localize.v_dim must be nonnegative")
-    v_mode = cfg.get_str("localize.v_mode", "first", choices={"first", "random"})
-    levels = cfg.get_ints("localize.segments", None)
-    if levels is None:
-        levels = [cfg.get_int("basis.segments", None)]
-    elif not levels:
-        raise ConfigError(f"line {cfg.lineno('localize.segments')}: "
-                          f"localize.segments lists no level")
 
-    bases = [boundary_basis(mesh, segments) for segments in levels]
+    bases = [_build_basis(cfg, mesh, segments, key) for segments in levels]
+    _bounded(cfg, "localize.v_dim", v_dim, 0, min(basis.dim for basis in bases) - 1)
     # V is given as modes of the first level's basis and carried to every
     # level, the first included, by the same projection
     coarse = bases[0]
@@ -445,11 +469,13 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
         if contrast != "negative":
             raise ConfigError("alpha.policy = sweep applies to negative contrast only")
         alpha = None
+    nx, ny = (_bounded(cfg, key, cfg.get_int(key), 1) for key in ("grid.nx", "grid.ny"))
+    segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
     k = _wavenumber(cfg)
-    basis = _build_basis(cfg, mesh)
-    grid = pixel_grid(mesh, cfg.get_int("grid.nx"), cfg.get_int("grid.ny"))
+    basis = _build_basis(cfg, mesh, segments)
+    grid = pixel_grid(mesh, nx, ny)
 
     result = reconstruct(mesh, q, k, basis, grid, contrast=contrast, alpha=alpha,
                          tol=_count_tol(cfg))
@@ -548,7 +574,8 @@ def main(argv=None) -> int:
         stats = [("blas_one_thread", "true" if capped else "false")]
         for group in (("factorizations", "ntd.trailing", "ntd.solved"),
                       ("defect.inertia", "defect.sweep"),
-                      ("counts.dense", "counts.certified", "pixels.undecided")):
+                      ("counts.dense", "probes.built", "counts.certified",
+                       "pixels.undecided")):
             if any(tally[name] for name in group):
                 stats += [(name, tally[name]) for name in group]
         stats += [("exit_code", failure.exit_code)] if failure else []

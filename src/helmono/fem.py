@@ -168,24 +168,41 @@ def assemble_weighted_mass(mesh: Mesh, w: CoefficientLike) -> sp.csr_matrix:
     return _mass(mesh.triangles, mesh.positive_areas * w.values, mesh.n_vertices)
 
 
-def assemble_region_mass(mesh: Mesh, region: Region,
-                         weight: float) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Assemble ``weight * integral_R( phi_i phi_j )`` on the region's own vertices.
+def assemble_region_masses(mesh: Mesh, regions: Sequence[Region],
+                           weight: float) -> list[tuple[np.ndarray, sp.csr_matrix]]:
+    """Assemble ``weight * integral_R( phi_i phi_j )`` of each region on its
+    own vertices, all regions in one assembly.
 
-    Returns the vertices of the region's triangles (ascending mesh indices)
-    and the mass matrix over them.  It equals the rows and columns of
-    ``assemble_weighted_mass(mesh, weight * flags)`` at those vertices; every
-    other entry of that matrix is zero.  The cost is proportional to the
-    region, not the mesh.
+    Entry ``r`` holds the vertices of region ``r``'s triangles (ascending
+    mesh indices) and the mass matrix over them.  It equals the rows and
+    columns of ``assemble_weighted_mass(mesh, weight * flags_r)`` at those
+    vertices; every other entry of that matrix is zero.  The regions are
+    assembled as one block-diagonal matrix, each block numbered and summed in
+    the order of the region's own triangles, so a region's matrix has the
+    same bits whichever regions share the call.  The cost is proportional to
+    the regions, not the mesh.
     """
-    if region.triangle_flags.shape != (mesh.n_triangles,):
-        raise InvalidParameterError("region does not match mesh triangle count")
+    for region in regions:
+        if region.triangle_flags.shape != (mesh.n_triangles,):
+            raise InvalidParameterError("region does not match mesh triangle count")
     if not np.isfinite(weight):
         raise InvalidParameterError(f"mass weight must be finite, got {weight!r}")
-    flags = region.triangle_flags
-    vertices, local = np.unique(mesh.triangles[flags], return_inverse=True)
-    scale = mesh.positive_areas[flags] * float(weight)
-    return vertices, _mass(local.reshape(-1, 3), scale, vertices.size)
+    flags = np.array([region.triangle_flags for region in regions], dtype=bool)
+    owner, triangles = np.nonzero(flags.reshape(len(regions), mesh.n_triangles))
+    n = mesh.n_vertices
+    # region-major keys: block r holds region r's vertices, ascending
+    keys, local = np.unique(owner[:, None] * n + mesh.triangles[triangles],
+                            return_inverse=True)
+    scale = mesh.positive_areas[triangles] * float(weight)
+    block = _mass(local.reshape(-1, 3), scale, keys.size)
+    starts = np.searchsorted(keys, np.arange(len(regions) + 1) * n)
+    masses = []
+    for r, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        first, last = block.indptr[lo], block.indptr[hi]
+        mass = sp.csr_matrix((block.data[first:last], block.indices[first:last] - lo,
+                              block.indptr[lo:hi + 1] - first), shape=(hi - lo, hi - lo))
+        masses.append((keys[lo:hi] - r * n, mass))
+    return masses
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -240,8 +257,9 @@ def counting():
     count or nearest eigenvalue took), and from
     :func:`monotone.reconstruct`, ``counts.dense`` (pixel matrices whose
     eigenvalues were computed, one :func:`spectral.count_negative` call
-    each), ``counts.certified`` (sweep steps at which
-    a pixel's rejection was certified instead) and ``pixels.undecided``
+    each), ``probes.built`` (pixel probes ``T_B`` built for those counts),
+    ``counts.certified`` (sweep steps at which a pixel's rejection was
+    certified instead) and ``pixels.undecided``
     (reported pixels whose verdict is undecided).  The tally belongs to the
     calling context, so the counts are those of the block alone.
     """

@@ -18,16 +18,17 @@ verdict can always be audited against the counts that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidParameterError, ResonanceError
-from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_weighted_mass, count
+from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_region_masses, \
+    assemble_weighted_mass, count
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, SymOp, basis_load_matrix, basis_solutions, ntd_matrix, \
-    tb_from_solutions
+    probe_factors, tb_from_solutions
 from .spectral import RejectionCertificate, _at_zero, checked_symmetric, count_negative, \
     d_of_q, one_blas_thread
 
@@ -216,19 +217,20 @@ def _accepted(counts: list, d_max: int) -> np.ndarray:
     return np.array([c is not None and c.negative <= d_max for c in counts], dtype=bool)
 
 
-def _pixel_counts(diff: np.ndarray, tbs: list, alpha: float, tol: Optional[float],
-                  skip: Optional[np.ndarray] = None) -> list:
-    """The :class:`~helmono.spectral.CountResult` of every pixel matrix
-    ``diff - alpha T_B``, in pixel order, or None for a pixel in ``skip``,
-    whose matrix is never built.
+def _pixel_counts(diff: np.ndarray, tb: Callable[[int], np.ndarray], alpha: float,
+                  tol: Optional[float], counted: np.ndarray) -> list:
+    """The :class:`~helmono.spectral.CountResult` of the pixel matrix
+    ``diff - alpha tb(p)`` of every pixel ``p`` in ``counted`` (a mask), in
+    pixel order, and None for every other pixel, whose ``T_B`` is not asked
+    for.
 
-    Each other pixel is one :func:`~helmono.spectral.count_negative` call on
-    the calling thread; their number is added to the ``counts.dense`` tally
-    of :func:`fem.counting`.
+    Each count is one :func:`~helmono.spectral.count_negative` call on the
+    calling thread; their number is added to the ``counts.dense`` tally of
+    :func:`fem.counting`.
     """
-    counts = [None if skip is not None and skip[p] else count_negative(diff - alpha * tb, tol)
-              for p, tb in enumerate(tbs)]
-    count("counts.dense", sum(c is not None for c in counts))
+    counts = [count_negative(diff - alpha * tb(p), tol) if c else None
+              for p, c in enumerate(counted)]
+    count("counts.dense", int(np.count_nonzero(counted)))
     return counts
 
 
@@ -256,22 +258,30 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
       ``params["sweep_stable"]`` False.
 
     An explicit ``alpha`` must be positive and finite, as in
-    :func:`inclusion_test`; each pixel then gets one dense count.  The sweep
-    builds a :class:`~helmono.spectral.RejectionCertificate` per pixel once,
-    and at each step counts densely only the pixels it does not certify as
-    rejected (most pixels, rejected by a wide margin at every step).  The
-    reported step's certified pixels stay uncounted (``counts`` entry None,
-    verdict False) until ``negative_counts`` is read, and ``params["tol"]``
-    is the largest of the pixels counted at that step (the explicit ``tol``,
-    or None, if none was).  The sweep checks ``diff`` and each ``T_B`` once
-    for finiteness and symmetry; every counted matrix is checked again by
-    its count, and a certified pixel's matrix is never built.  Each dense
-    count is one :func:`~helmono.spectral.count_negative` call on the
-    calling thread, under its one-thread limit on both OpenBLAS copies, so
-    the result is bit for bit the same for every BLAS setting.  The numbers
-    of dense counts, of certified rejections and of undecided pixels go to
-    the ``counts.dense``, ``counts.certified`` and ``pixels.undecided``
-    tallies of :func:`fem.counting`.
+    :func:`inclusion_test`; each pixel then gets one dense count.  Every
+    pixel's mass comes from one assembly
+    (:func:`~helmono.fem.assemble_region_masses`), and a pixel's ``T_B`` is
+    built by :func:`~helmono.ntd.tb_from_solutions` only when a dense count
+    needs it.  The sweep builds a
+    :class:`~helmono.spectral.RejectionCertificate` per pixel once, from the
+    pixel's factors (:func:`~helmono.ntd.probe_factors`, made for the
+    certificate and then dropped), and at each step counts densely only the
+    pixels it does not certify as rejected (most pixels, rejected by a wide
+    margin at every step); a ``T_B`` it builds is kept for its later steps,
+    so none is built twice.  The reported step's certified pixels stay
+    uncounted (``counts`` entry None, verdict False) until
+    ``negative_counts`` is read, and ``params["tol"]`` is the largest of the
+    pixels counted at that step (the explicit ``tol``, or None, if none
+    was).  The sweep checks ``diff`` once for finiteness and symmetry, each
+    pixel's mass for symmetry and its factors for finiteness; every counted
+    matrix is checked again by its count, and a certified pixel's ``T_B``
+    and matrix are never built.  Each dense count is one
+    :func:`~helmono.spectral.count_negative` call on the calling thread,
+    under its one-thread limit on both OpenBLAS copies, so the result is bit
+    for bit the same for every BLAS setting.  The numbers of dense counts,
+    of ``T_B`` built, of certified rejections and of undecided pixels go to
+    the ``counts.dense``, ``probes.built``, ``counts.certified`` and
+    ``pixels.undecided`` tallies of :func:`fem.counting`.
 
     Returns per-pixel verdicts plus the parameters that produced them.
     """
@@ -313,30 +323,40 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
         diff = lam_q.matrix - lam1.matrix
     else:
         diff = lam1.matrix - lam_q.matrix
-    tbs = [tb_from_solutions(mesh, region, k, basis, u1).matrix
-           for region in grid.regions]
+    masses = assemble_region_masses(mesh, grid.regions, k * k)
+
+    def tb(p: int) -> np.ndarray:
+        count("probes.built")
+        return tb_from_solutions(mesh, grid.regions[p], k, basis, u1, mass=masses[p]).matrix
 
     sweep_history = None
     if alpha is not None:
         alpha_used = float(alpha)
-        counts = _pixel_counts(diff, tbs, alpha_used, tol)
+        counts = _pixel_counts(diff, tb, alpha_used, tol, np.ones(len(masses), dtype=bool))
     else:
         # Most pixels are rejected at every step by a wide margin; their
-        # certificates prove it from a small compression, and only the other
-        # pixels' matrices are built and counted densely.  diff - a T_B is
-        # finite and its own transpose bit for bit when diff and T_B are, so
-        # the operands are checked once in place of the matrices never built.
-        for operand in (diff, *tbs):
-            checked_symmetric(operand)
+        # certificates prove it from a small compression of the probe's
+        # factors, and only the other pixels' T_B are built, once each, and
+        # counted densely.  The matrices never built are checked through
+        # their operands: diff, and each pixel's solution rows and mass.
+        tb = cache(tb)
+        checked_symmetric(diff)
+        diff_norm = float(np.linalg.norm(diff))
+        certificates = []
         with one_blas_thread():
-            certificates = [RejectionCertificate(diff, tb) for tb in tbs]
+            for mass in masses:
+                checked_symmetric(mass[1].toarray())
+                u, y = probe_factors(mass, u1)
+                if not (np.isfinite(u).all() and np.isfinite(y).all()):
+                    raise InvalidParameterError("probe factors must have finite entries")
+                certificates.append(RejectionCertificate(diff, diff_norm, u, y))
         sweep_history = []
         step = None
         for m in range(_SWEEP_CAP + 1):
             a = 2.0 ** (-m)
             certified = np.array([c.rejects(a, d_max, tol) for c in certificates])
             count("counts.certified", int(certified.sum()))
-            step_counts = _pixel_counts(diff, tbs, a, tol, certified)
+            step_counts = _pixel_counts(diff, tb, a, tol, ~certified)
             mask = _accepted(step_counts, d_max)
             sweep_history.append((a, int(mask.sum())))
             # the larger alpha of the first nonempty pair with equal masks
@@ -349,8 +369,8 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     count("pixels.undecided", verdicts.count(None))
 
     def complete() -> list:
-        counted = np.array([c is not None for c in counts])
-        filled = _pixel_counts(diff, tbs, alpha_used, tol, counted)
+        missing = np.array([c is None for c in counts])
+        filled = _pixel_counts(diff, tb, alpha_used, tol, missing)
         return [f if c is None else c for c, f in zip(counts, filled)]
 
     params = {

@@ -10,10 +10,10 @@ Galerkin Neumann-to-Dirichlet matrix (:func:`ntd_matrix`)
     Lambda(q)[i, j] = integral_Sigma( b_i  trace(u^{(b_j)}) ) ds,
 
 the probing operator ``T_B`` of a region (the ``k^2``-weighted interior
-energy of background solutions) and region Gram matrices, and solves the
-localized-potential maximization problem: find a flux, orthogonal to a given
-finite family, whose solution energy concentrates in one region while staying
-small in another.
+energy of background solutions), region Gram matrices and their factors
+(:func:`probe_factors`), and solves the localized-potential maximization
+problem: find a flux, orthogonal to a given finite family, whose solution
+energy concentrates in one region while staying small in another.
 
 All operators carry the identity of the basis they were assembled on; mixing
 bases is refused downstream.
@@ -33,7 +33,7 @@ from .errors import BasisMismatchError, EigenSolverError, InvalidParameterError,
 from .fem import (
     CoefficientLike,
     HelmholtzSystem,
-    assemble_region_mass,
+    assemble_region_masses,
     boundary_load_matrix,
     check_system,
 )
@@ -269,31 +269,48 @@ def ntd_matrix(mesh: Mesh, q: CoefficientLike, k: float, basis: BoundaryBasis,
     return make_symop(raw, basis.basis_id, label, k)
 
 
+def probe_factors(mass: tuple, solutions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors ``(U, Y)`` of a region's Gram matrix ``U^T Y``: ``U`` holds
+    the rows of ``solutions`` at the region's vertices and ``Y = W U``, with
+    ``(vertices, W)`` the region's entry of
+    :func:`~helmono.fem.assemble_region_masses`."""
+    vertices, w = mass
+    u = solutions[vertices]
+    return u, w @ u
+
+
 def gram_from_solutions(mesh: Mesh, region: Region, basis: BoundaryBasis,
                         solutions: np.ndarray, weight: float = 1.0,
-                        label: str = "gram", k: float = 0.0) -> SymOp:
+                        label: str = "gram", k: float = 0.0, *,
+                        mass: Optional[tuple] = None) -> SymOp:
     """Interior Gram matrix ``G[i, j] = weight * integral_R( u_i u_j )``.
 
     Only the rows of ``solutions`` at the region's vertices enter, against
-    the mass matrix of the region's own triangles, so the cost grows with
-    the region and not with the mesh.  An empty region gives the zero
-    operator.
+    the mass matrix of the region's own triangles (:func:`probe_factors`), so
+    the cost grows with the region and not with the mesh.  ``mass`` is the
+    region's entry of :func:`~helmono.fem.assemble_region_masses` at
+    ``weight``, when the caller assembled it with other regions; otherwise
+    it is assembled here.  An empty region gives the zero operator.
     """
-    vertices, w = assemble_region_mass(mesh, region, weight)
-    u = solutions[vertices]
-    return make_symop(u.T @ (w @ u), basis.basis_id, label, k)
+    if mass is None:
+        mass = assemble_region_masses(mesh, [region], weight)[0]
+    u, y = probe_factors(mass, solutions)
+    return make_symop(u.T @ y, basis.basis_id, label, k)
 
 
 def tb_from_solutions(mesh: Mesh, region: Region, k: float, basis: BoundaryBasis,
-                      background_solutions: np.ndarray) -> SymOp:
+                      background_solutions: np.ndarray, *,
+                      mass: Optional[tuple] = None) -> SymOp:
     """Probing operator of a region: ``k^2``-weighted energy of the background
     (coefficient one) solutions inside it, shared across regions such as the
-    pixels of a reconstruction grid.  Positive semidefinite; an empty region
-    is refused, since a probe with no support carries no test."""
+    pixels of a reconstruction grid.  ``mass`` is as in
+    :func:`gram_from_solutions`, at weight ``k^2``.  Positive semidefinite;
+    an empty region is refused, since a probe with no support carries no
+    test."""
     if region.is_empty:
         raise InvalidParameterError("probing region is empty")
     return gram_from_solutions(mesh, region, basis, background_solutions,
-                               weight=k * k, label="tb", k=k)
+                               weight=k * k, label="tb", k=k, mass=mass)
 
 
 class LocalizedPotential(NamedTuple):

@@ -10,7 +10,8 @@ Three counting problems drive the monotonicity machinery:
 * ``count_negative`` counts negative eigenvalues of a dense symmetric matrix,
   the primitive behind every "less-or-equal up to a finite-dimensional defect"
   verdict; a :class:`RejectionCertificate` proves from a small Krylov
-  compression that such a count's verdict would be a rejection.
+  compression of a probe's factors that such a count's verdict would be a
+  rejection.
 
 ``d_of_q``, ``is_resonance`` and ``nearest_neumann_eigenvalue`` share one
 route: the symmetric-mode factorization of ``S - k^2 M_q`` in the
@@ -473,31 +474,41 @@ class RejectionCertificate:
     has the verdict False at allowance ``d``: more than ``d`` of its
     eigenvalues lie below the indeterminate window of :func:`count_negative`.
 
-    ``t`` (symmetric) is compressed once onto an orthonormal Krylov basis
-    ``Q`` of at most :data:`CERTIFICATE_DIM` columns, started from the
-    fixed-seed vector of the iterative solves, each new column orthogonalized
-    twice against the others; a column keeping at most
-    :data:`KRYLOV_BREAKDOWN` of its norm ends the basis (breakdown).  For
-    each ``alpha``, the Ritz values ``theta`` of ``Q^T diff Q - alpha Q^T t Q``
-    bound those of the full matrix from above (Cauchy interlacing:
-    ``lambda_i <= theta_i``).  So when ``theta_{d+1}`` lies below
-    ``-1.5 tau - CERTIFICATE_MARGIN b``, with ``b = |diff|_F + alpha |t|_F``
-    and ``tau`` the explicit ``tol`` or ``TOL_FACTOR b`` (no smaller than the
-    default tolerance ``TOL_FACTOR max|lambda|``), the matrix has ``d + 1``
-    eigenvalues below ``-1.5 tol``: its count has ``certain > d``, so
-    ``count_negative(diff - alpha t, tol).verdict(d)`` is False, as is
-    ``leq_d``'s verdict.  The margin covers the rounding of the
-    compressions and of the dense eigenvalues.  A basis whose Gram matrix is
-    off the identity by more than the margin, or non-finite input, certifies
-    nothing.
+    ``t`` is the symmetric part of ``u^T y`` and is never formed: for a probe
+    ``T_B``, ``u`` holds the background solutions' rows at the pixel's
+    vertices and ``y = W u`` with ``W`` its (symmetric) mass matrix, so
+    ``u^T y`` is symmetric up to rounding.  ``t`` is compressed once onto an
+    orthonormal Krylov basis ``Q`` of at most :data:`CERTIFICATE_DIM`
+    columns, built with the products ``u^T (y v)`` from the fixed-seed start
+    vector of the iterative solves, each new column orthogonalized twice
+    against the others; a column keeping at most :data:`KRYLOV_BREAKDOWN` of
+    its norm ends the basis (breakdown).  The compressions are the symmetric
+    parts of ``Q^T diff Q`` and ``(u Q)^T (y Q)``.  For each ``alpha``, the
+    Ritz values ``theta`` of ``Q^T diff Q - alpha Q^T t Q`` bound those of
+    the full matrix from above (Cauchy interlacing: ``lambda_i <= theta_i``).
+    So when ``theta_{d+1}`` lies below ``-1.5 tau - CERTIFICATE_MARGIN b``,
+    with ``b = diff_norm + alpha |u|_F |y|_F (1 + CERTIFICATE_MARGIN)`` and
+    ``tau`` the explicit ``tol`` or ``TOL_FACTOR b``, the matrix has
+    ``d + 1`` eigenvalues below ``-1.5 tol``: its count has ``certain > d``,
+    so ``count_negative(diff - alpha t, tol).verdict(d)`` is False, as is
+    ``leq_d``'s verdict.  ``diff_norm`` is ``|diff|_F``, computed once by a
+    caller that certifies many probes against one ``diff``.  Since
+    ``|u^T y|_F <= |u|_F |y|_F``, and the factor covers the rounding of the
+    product, ``b`` is at least ``|diff|_F + alpha |t|_F``, so ``tau`` is no
+    smaller than the default tolerance ``TOL_FACTOR max|lambda|``.  The
+    margin covers the rounding of the compressions and of the dense
+    eigenvalues.  A basis whose Gram matrix is off the identity by more than
+    the margin, or non-finite input, certifies nothing.
     """
 
-    def __init__(self, diff: np.ndarray, t: np.ndarray):
-        q = _krylov_basis(t, CERTIFICATE_DIM)
+    def __init__(self, diff: np.ndarray, diff_norm: float, u: np.ndarray, y: np.ndarray):
+        q = _krylov_basis(u, y, CERTIFICATE_DIM)
         if np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0) > CERTIFICATE_MARGIN:
             q = q[:, :0]
-        self._diff, self._t = _compress(diff, q), _compress(t, q)
-        self._norms = float(np.linalg.norm(diff)), float(np.linalg.norm(t))
+        self._diff = _symmetric_part(q.T @ (diff @ q))
+        self._t = _symmetric_part((u @ q).T @ (y @ q))
+        self._norms = (float(diff_norm), float(np.linalg.norm(u)) * float(np.linalg.norm(y))
+                       * (1.0 + CERTIFICATE_MARGIN))
         if not (np.isfinite(self._diff).all() and np.isfinite(self._t).all()
                 and np.isfinite(self._norms).all()):
             self._diff = self._t = np.zeros((0, 0))
@@ -515,15 +526,15 @@ class RejectionCertificate:
         return bool(theta[d] < -1.5 * tau - CERTIFICATE_MARGIN * b)
 
 
-def _krylov_basis(t: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the Krylov space of ``t`` from the fixed-seed
+def _krylov_basis(u: np.ndarray, y: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal basis of the Krylov space of ``u^T y`` from the fixed-seed
     start vector, at most ``dim`` columns (see :class:`RejectionCertificate`)."""
-    n = t.shape[0]
+    n = u.shape[1]
     rows = np.empty((min(dim, n), n))  # the basis vectors, one per row
     v = _deterministic_start(n)
     rows[0] = v / np.linalg.norm(v)
     for j in range(1, rows.shape[0]):
-        w = t @ rows[j - 1]
+        w = u.T @ (y @ rows[j - 1])
         scale = np.linalg.norm(w)
         for _ in range(2):
             w -= (rows[:j] @ w) @ rows[:j]
@@ -534,7 +545,5 @@ def _krylov_basis(t: np.ndarray, dim: int) -> np.ndarray:
     return rows.T
 
 
-def _compress(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``Q^T m Q``, symmetrized."""
-    c = q.T @ (m @ q)
+def _symmetric_part(c: np.ndarray) -> np.ndarray:
     return 0.5 * c + 0.5 * c.T

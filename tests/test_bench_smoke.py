@@ -70,3 +70,26 @@ def test_traced_sweep_op_records_one_count_span_per_dense_pixel_count(tmp_path, 
                     if " = " in line)
     dense = int(manifest["stat.counts.dense"])
     assert dense > 0 and len(counts) == dense
+
+
+def test_first_sweep_ops_pass_and_build_a_probe_only_for_a_dense_count(tmp_path, monkeypatch):
+    # The sweep builds a pixel's T_B only for a dense count, so the manifest
+    # never reports more probes built than dense counts.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import WORKLOADS, check_outputs
+
+    from helmono.cli import main
+
+    rng = random.Random(0)
+    workload = WORKLOADS["recon-sweep"].small()
+    for i in range(3):
+        op = workload.next_op(rng)
+        config = tmp_path / f"op{i}.cfg"
+        config.write_text(op.config)
+        out = tmp_path / f"out{i}"
+        assert main([op.command, str(config), "--out", str(out)]) == 0
+        assert check_outputs(op, out) is None
+        manifest = dict(line.split(" = ", 1)
+                        for line in (out / "manifest.txt").read_text().splitlines()
+                        if " = " in line)
+        assert int(manifest["stat.probes.built"]) <= int(manifest["stat.counts.dense"])

@@ -537,11 +537,14 @@ def test_manifest_counts_dense_and_certified_pixel_counts_for_any_threads(tmp_pa
                        int(manifest["stat.counts.certified"]),
                        int(manifest["stat.pixels.undecided"]))
         assert stats[name][2] == (read_pgm(out / "mask.pgm") == 128).sum()
+        built = int(manifest["stat.probes.built"])
+        assert 0 < built <= min(stats[name][0], 16)
     steps = len((tmp_path / "one" / "sweep.csv").read_text().splitlines()) - 1
     assert stats["one"] == stats["two"]
     dense, certified, _ = stats["one"]
     assert dense + certified == 16 * steps and certified > 0
     assert stats["fixed"][:2] == (16, 0)
+    assert read_kv(tmp_path / "fixed" / "manifest.txt")["stat.probes.built"] == "16"
 
 
 def test_reconstruct_writes_certified_rows_without_counting_them(tmp_path):
@@ -780,6 +783,46 @@ def test_localize_refuses_an_empty_level_list(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(tmp_path, _localize_cfg(out, **{"localize.segments": ""}), "localize") == 2
     assert "line 6: localize.segments lists no level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, more, key", [
+    ("reconstruct", {"grid.nx": 0, "grid.ny": 2}, "grid.nx"),
+    ("ntd", {"basis.segments": 0}, "basis.segments"),
+    ("eigs", {"eigs.count": 0}, "eigs.count"),
+    ("localize", {"sigma.selector": "bottom", "localize.b_box": "0.0 0.75 0.25 1.0",
+                  "basis.segments": 8, "localize.v_dim": 500}, "localize.v_dim"),
+])
+def test_out_of_range_counts_are_refused_on_their_line_before_the_mesh(
+        tmp_path, capsys, monkeypatch, command, more, key):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli, "build_unit_square_mesh", no_mesh)
+    out = tmp_path / "out"
+    text = base_cfg(out, n=8, **more)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key))
+    assert run(tmp_path, text, command) == 2
+    assert f"line {lineno}: {key} must be " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, more, key, message", [
+    ("ntd", {"basis.segments": 33}, "basis.segments", "segments must be between 1 and 32"),
+    ("eigs", {"eigs.count": 82}, "eigs.count", "eigs.count must be between 1 and 81"),
+    ("localize", {"localize.b_box": "0.0 0.75 0.25 1.0", "localize.v_dim": 32},
+     "localize.v_dim", "localize.v_dim must be between 0 and 31"),
+])
+def test_counts_above_the_meshs_bound_are_refused_on_their_line(tmp_path, capsys, command,
+                                                                more, key, message):
+    # These bounds are the mesh's vertex or flagged-edge counts, known once
+    # it is built, and are refused before any solve.
+    out = tmp_path / "out"
+    text = base_cfg(out, n=8, **more)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key))
+    assert run(tmp_path, text, command) == 2
+    err = capsys.readouterr().err
+    assert f"line {lineno}: " in err and message in err
+    assert list(out.iterdir()) == []
 
 
 def test_parse_config_text_details():

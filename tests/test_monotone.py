@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ from helmono import (
     tb_from_solutions,
 )
 from helmono.errors import BasisMismatchError, InvalidParameterError, SpectralAmbiguityError
-from helmono.fem import counting
+from helmono.fem import assemble_region_masses, counting
 from helmono.spectral import checked_symmetric
 
 
@@ -402,10 +403,35 @@ def test_reconstruct_counts_each_pixel_once_on_the_calling_thread(monkeypatch):
                 c.tol for p, c in enumerate(reported.counts) if p not in certified)
 
 
+def _negative_sweep_case():
+    mesh = _mesh(16)
+    grid = pixel_grid(mesh, 4, 4)
+    inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
+    q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
+    return mesh, grid, q_low
+
+
+def _recording_steps(monkeypatch):
+    """Record (alpha, counted mask) of every call reconstruct makes to _pixel_counts."""
+    steps = []
+    pixel_counts = monotone._pixel_counts
+
+    def record_step(diff, tb, alpha, tol, counted):
+        steps.append((alpha, counted.copy()))
+        return pixel_counts(diff, tb, alpha, tol, counted)
+
+    monkeypatch.setattr(monotone, "_pixel_counts", record_step)
+    return steps
+
+
 def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(monkeypatch):
-    # The sweep checks diff and each T_B once; every matrix it counts is
-    # checked by its count, and a certified pixel's matrix is never built.
-    operands, checked, steps = [], [], []
+    # The sweep checks diff and each pixel's mass once; it builds a pixel's
+    # T_B at most once, and only for a pixel it counts densely.  Every
+    # matrix it counts is checked by its count, and a certified pixel's
+    # matrix is never built.
+    mesh, grid, q_low = _negative_sweep_case()
+    pixels = len(grid.regions)
+    operands, checked, built = [], [], {}
 
     def check_operand(matrix):
         operands.append(matrix)
@@ -415,38 +441,36 @@ def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(m
         checked.append(matrix.tobytes())
         return checked_symmetric(matrix)
 
-    pixel_counts = monotone._pixel_counts
+    tb_from_solutions = monotone.tb_from_solutions
 
-    def record_step(diff, tbs, alpha, tol, skip=None):
-        steps.append((alpha, skip))
-        return pixel_counts(diff, tbs, alpha, tol, skip)
+    def record_probe(mesh, region, *args, **kwargs):
+        p = next(i for i, r in enumerate(grid.regions) if r is region)
+        assert p not in built
+        tb = tb_from_solutions(mesh, region, *args, **kwargs)
+        built[p] = tb.matrix
+        return tb
 
     monkeypatch.setattr(monotone, "checked_symmetric", check_operand)
     monkeypatch.setattr(spectral, "checked_symmetric", check_counted)
-    monkeypatch.setattr(monotone, "_pixel_counts", record_step)
+    monkeypatch.setattr(monotone, "tb_from_solutions", record_probe)
+    steps = _recording_steps(monkeypatch)
     seen = _recording_counts(monkeypatch)
-    mesh = _mesh(16)
-    grid = pixel_grid(mesh, 4, 4)
-    pixels = len(grid.regions)
-    inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
-    q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
     with counting() as tally:
         result = reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid,
                              contrast="negative")
-    diff, *tbs = operands
-    assert len(tbs) == pixels
-    assert len({m.tobytes() for m in operands}) == pixels + 1
+    diff, *masses = operands
+    assert len(masses) == pixels
+    for (_, mass), operand in zip(assemble_region_masses(mesh, grid.regions, 1.0), masses):
+        assert np.array_equal(mass.toarray(), operand)
     assert [a for a, _ in steps] == [a for a, _ in result.sweep]
+    counted_pixels = {p for _, counted in steps for p in np.flatnonzero(counted)}
+    assert set(built) == counted_pixels and len(built) < pixels
+    assert tally["probes.built"] == len(built)
 
-    def matrix(a, p):
-        return (np.multiply(tbs[p], -a) + diff).tobytes()
-
-    counted = sorted(matrix(a, p) for a, skip in steps for p in np.flatnonzero(~skip))
-    certified = {matrix(a, p) for a, skip in steps for p in np.flatnonzero(skip)}
+    counted = sorted((np.multiply(built[p], -a) + diff).tobytes()
+                     for a, mask in steps for p in np.flatnonzero(mask))
     assert sorted(m for _, m in seen) == sorted(checked) == counted
-    assert certified and not certified & set(checked)
     assert tally["counts.dense"] == len(counted)
-    assert tally["counts.certified"] == len(certified)
     assert tally["counts.dense"] + tally["counts.certified"] == pixels * len(steps)
 
 
@@ -454,25 +478,41 @@ def test_reconstruct_checks_each_operand_once_and_builds_only_counted_matrices(m
 @pytest.mark.parametrize("entry, message", [(np.inf, "finite"), (1e-6, "not symmetric")])
 def test_certified_pixel_matrices_are_checked(monkeypatch, pixel, entry, message):
     # The last two pixels, far from the inclusion, are certified at every
-    # step of this sweep, so no count sees their matrices: the T_B of the
-    # spoiled one is checked instead.
-    tb_from_solutions = monotone.tb_from_solutions
+    # step of this sweep, so no count sees their matrices: their operands
+    # are checked instead.  An infinite entry spoils the solution rows at a
+    # vertex of the pixel alone; 1e-6 of its largest entry, added to one
+    # side of the pixel's mass, spoils its symmetry.
+    mesh, grid, q_low = _negative_sweep_case()
+    basis = boundary_basis(mesh)
+    with pytest.MonkeyPatch.context() as patch:
+        steps = _recording_steps(patch)
+        reconstruct(mesh, q_low, 1.0, basis, grid, contrast="negative")
+    assert not any(counted[-pixel] for _, counted in steps)
 
-    def spoiled(mesh, region, k, basis, u1):
-        tb = tb_from_solutions(mesh, region, k, basis, u1)
-        if region is grid.regions[-pixel]:
-            matrix = tb.matrix.copy()
-            matrix[0, 5] += entry
-            tb = dataclasses.replace(tb, matrix=matrix)
-        return tb
+    masses = assemble_region_masses(mesh, grid.regions, 1.0)
+    others = np.concatenate([v for i, (v, _) in enumerate(masses) if i != len(masses) - pixel])
+    vertex = np.setdiff1d(masses[-pixel][0], others)[0]
+    if np.isinf(entry):
+        basis_solutions = monotone.basis_solutions
 
-    monkeypatch.setattr(monotone, "tb_from_solutions", spoiled)
-    mesh = _mesh(16)
-    grid = pixel_grid(mesh, 4, 4)
-    inclusion = rect_region(mesh, (0.25, 0.25, 0.5, 0.5))
-    q_low = Coefficient.constant(mesh, 1.0).with_region(inclusion, 0.5)
+        def spoiled(*args, **kwargs):
+            u = basis_solutions(*args, **kwargs)
+            u[vertex, 5] = entry
+            return u
+
+        monkeypatch.setattr(monotone, "basis_solutions", spoiled)
+    else:
+        def spoiled(*args, **kwargs):
+            found = assemble_region_masses(*args, **kwargs)
+            vertices, mass = found[-pixel]
+            mass = mass.toarray()
+            mass[0, -1] += entry * np.abs(mass).max()
+            found[-pixel] = (vertices, sp.csr_matrix(mass))
+            return found
+
+        monkeypatch.setattr(monotone, "assemble_region_masses", spoiled)
     with pytest.raises(InvalidParameterError, match=message):
-        reconstruct(mesh, q_low, 1.0, boundary_basis(mesh), grid, contrast="negative")
+        reconstruct(mesh, q_low, 1.0, basis, grid, contrast="negative")
 
 
 def test_reconstruct_counts_serially_without_the_blas_limit(monkeypatch):

@@ -3,7 +3,8 @@
 ``gram_from_solutions`` sums the mass of the region's own triangles against
 the solution rows at the region's vertices.  These tests hold it to the
 full-mesh product ``U.T @ M_w @ U`` over random meshes, regions and weights,
-and check that its input checks still fire.
+hold the masses that one assembly gives many regions to each region's own
+assembly bit for bit, and check that the input checks still fire.
 """
 
 import numpy as np
@@ -20,9 +21,13 @@ from helmono import (
     empty_region,
     gram_from_solutions,
     mark_sigma,
+    pixel_grid,
     tb_from_solutions,
 )
+from helmono import fem
 from helmono.errors import InvalidParameterError
+from helmono.fem import assemble_region_masses
+from helmono.ntd import make_symop, probe_factors
 
 
 def _mesh(n):
@@ -108,3 +113,45 @@ def test_probe_on_degenerate_mesh_raises_every_call():
             gram_from_solutions(bad, whole, basis, u)
     with pytest.raises(InvalidParameterError, match="degenerate triangle"):
         tb_from_solutions(bad, whole, 1.0, basis, u)
+
+
+def _mass_alone(mesh, region, weight):
+    """One region's mass assembled on its own vertices, as a probe was before
+    the regions shared one assembly."""
+    flags = region.triangle_flags
+    vertices, local = np.unique(mesh.triangles[flags], return_inverse=True)
+    return vertices, fem._mass(local.reshape(-1, 3), mesh.positive_areas[flags] * weight,
+                               vertices.size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 20), data=st.data())
+def test_one_assembly_gives_each_region_its_own_mass_and_probe(n, data):
+    # Pixels of an nx x ny grid that need not divide n (unequal pixels), plus
+    # a box overlapping them: each region's block, and the T_B built from
+    # it, has the bits of the region's own assembly and T_B.
+    mesh = _mesh(n)
+    nx, ny = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    regions = list(pixel_grid(mesh, nx, ny).regions)
+    regions.insert(data.draw(st.integers(0, len(regions))),
+                   Region(mesh.barycenters[:, 0] < data.draw(st.floats(0.0, 1.0))))
+    k = data.draw(st.floats(0.1, 10.0))
+    basis = boundary_basis(mesh, min(8, 4 * n))
+    u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (mesh.n_vertices, basis.dim))
+    masses = assemble_region_masses(mesh, regions, k * k)
+    assert len(masses) == len(regions)
+    for region, mass in zip(regions, masses):
+        vertices, alone = _mass_alone(mesh, region, k * k)
+        assert np.array_equal(mass[0], vertices)
+        assert np.array_equal(mass[1].indptr, alone.indptr)
+        assert np.array_equal(mass[1].indices, alone.indices)
+        assert mass[1].data.tobytes() == alone.data.tobytes()
+        ub = u[vertices]
+        before = make_symop(ub.T @ (alone @ ub), basis.basis_id, "tb", k).matrix
+        _, y = probe_factors(mass, u)
+        assert y.tobytes() == (alone @ ub).tobytes()
+        if not region.is_empty:
+            tb = tb_from_solutions(mesh, region, k, basis, u, mass=mass).matrix
+            assert tb.tobytes() == before.tobytes()
+            assert tb.tobytes() == tb_from_solutions(mesh, region, k, basis, u).matrix.tobytes()

@@ -632,22 +632,38 @@ def test_one_blas_thread_limits_scipys_copy_without_numpys_calls(monkeypatch):
         put(original)
 
 
+def _certificate(diff, u, y):
+    return spectral.RejectionCertificate(diff, np.linalg.norm(diff), u, y)
+
+
+def _sym(a):
+    return 0.5 * a + 0.5 * a.T
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 40), rank=st.integers(0, 16), seed=st.integers(0, 2**32 - 1),
        diff_scale=st.floats(1e-6, 10.0), alpha=st.floats(1e-3, 1e3), d=st.integers(0, 6),
-       tol=st.none() | st.floats(1e-12, 1e-2))
+       tol=st.none() | st.floats(1e-12, 1e-2), identity=st.booleans())
 def test_certified_rejection_holds_in_the_dense_count(n, rank, seed, diff_scale, alpha,
-                                                      d, tol):
+                                                      d, tol, identity):
     # Cauchy interlacing: a certified pixel matrix has d + 1 eigenvalues
     # below the window, so its dense count exceeds d with none of them
-    # indeterminate.  Ranks below the Krylov size make the basis break down.
+    # indeterminate.  The probe comes as factors u (rank rows) and y = W u
+    # with W positive semidefinite, the identity or a random one; ranks
+    # below the Krylov size make the basis break down.  The Frobenius bound
+    # never undercuts the probe's, and is the probe's own at rank one with
+    # W the identity.
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) * diff_scale
     diff = 0.5 * a + 0.5 * a.T
-    g = rng.standard_normal((n, min(rank, n)))
-    t = g @ g.T
-    t = 0.5 * t + 0.5 * t.T
-    if not spectral.RejectionCertificate(diff, t).rejects(alpha, d, tol):
+    u = rng.standard_normal((rank, n))
+    g = np.eye(rank) if identity else rng.standard_normal((rank, rank))
+    y = (g @ g.T) @ u
+    t = _sym(u.T @ y)
+    certificate = _certificate(diff, u, y)
+    assert certificate._norms[0] + alpha * certificate._norms[1] >= (
+        np.linalg.norm(diff) + alpha * np.linalg.norm(t))
+    if not certificate.rejects(alpha, d, tol):
         return
     matrix = diff - alpha * t
     counts = count_negative(matrix, tol)
@@ -658,15 +674,13 @@ def test_certified_rejection_holds_in_the_dense_count(n, rank, seed, diff_scale,
 
 
 def test_certificate_on_a_low_rank_probe():
-    # diff = 0 and a rank-3 PSD probe: the Krylov space breaks down after
-    # four columns and holds the probe's range, so the three negative
+    # diff = 0 and a rank-3 PSD probe u^T u: the Krylov space breaks down
+    # after four columns and holds the probe's range, so the three negative
     # eigenvalues of -alpha t are exact Ritz values and the fourth is zero.
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((30, 3))
-    t = g @ g.T
-    t = 0.5 * t + 0.5 * t.T
-    assert spectral._krylov_basis(t, spectral.CERTIFICATE_DIM).shape == (30, 4)
-    certificate = spectral.RejectionCertificate(np.zeros((30, 30)), t)
+    u = np.random.default_rng(5).standard_normal((3, 30))
+    t = _sym(u.T @ u)
+    assert spectral._krylov_basis(u, u, spectral.CERTIFICATE_DIM).shape == (30, 4)
+    certificate = _certificate(np.zeros((30, 30)), u, u)
     assert certificate.rejects(0.5, 2)
     assert certificate.rejects(0.5, 2, tol=1e-6)
     assert not certificate.rejects(0.5, 3)
@@ -674,11 +688,15 @@ def test_certificate_on_a_low_rank_probe():
 
 
 def test_certificate_declines_non_finite_input_and_refuses_bad_tolerances():
-    t = np.eye(4)
+    u = np.eye(4)
     diff = np.zeros((4, 4))
     diff[0, 0] = np.inf
-    assert not spectral.RejectionCertificate(diff, t).rejects(1.0, 0)
-    certificate = spectral.RejectionCertificate(np.zeros((4, 4)), t)
+    assert not _certificate(diff, u, u).rejects(1.0, 0)
+    spoiled = u.copy()
+    spoiled[2, 1] = np.nan
+    assert not _certificate(np.zeros((4, 4)), spoiled, u).rejects(1.0, 0)
+    assert not _certificate(np.zeros((4, 4)), u, spoiled).rejects(1.0, 0)
+    certificate = _certificate(np.zeros((4, 4)), u, u)
     assert certificate.rejects(1.0, 0)
     for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match="tolerance"):
