@@ -5,7 +5,7 @@ per line, ``#`` comments), writes its artifacts into an output directory and
 leaves a run manifest there, also on exit 3 or 4 (with ``stat.exit_code``).
 Domain failures map to distinct exit codes:
 
-* 2 -- configuration problems (unknown keys, missing values, bad types)
+* 2 -- configuration problems (unknown keys, missing values, bad types or values)
 * 3 -- resonant configuration (the forward operator is singular)
 * 4 -- ambiguous eigenvalue count at the requested tolerance, undecided comparison
 * 5 -- violated precondition of a library operation
@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -129,6 +130,18 @@ class Config:
     def lineno(self, key: str) -> int:
         return self._entries[key][1]
 
+    @contextmanager
+    def refusing(self, *keys: str):
+        """Refuse an :class:`InvalidParameterError` raised in the block, by a
+        library call that builds a value from ``keys``, as a configuration
+        error on the keys' lines; an absent key names no line."""
+        try:
+            yield
+        except InvalidParameterError as exc:
+            where = ", ".join(f"line {self._entries[key][1]}: key '{key}'"
+                              if key in self._entries else f"key '{key}'" for key in keys)
+            raise ConfigError(f"{where}: {exc}") from exc
+
     def check_known(self, exact: set, prefixes: tuple = ()) -> None:
         for key, (_, lineno) in self._entries.items():
             if key in exact:
@@ -138,7 +151,7 @@ class Config:
             raise ConfigError(f"line {lineno}: unknown key '{key}' for this subcommand")
 
 
-_BASE_KEYS = {"mesh.domain", "mesh.n", "sigma.selector", "output.dir", "seed", "k",
+_BASE_KEYS = {"mesh.n", "sigma.selector", "output.dir", "seed", "k",
               "tol.count", "basis.segments"}
 _COEFF_PREFIXES = ("coefficient.", "coefficient2.")
 
@@ -162,15 +175,9 @@ def _bounded(cfg: Config, key: str, value, least: int, most: Optional[int] = Non
 
 
 def _build_mesh(cfg: Config):
-    domain = cfg.get_str("mesh.domain", "unit_square", choices={"unit_square"})
-    n = _bounded(cfg, "mesh.n", cfg.get_int("mesh.n"), 1)
-    mesh = build_unit_square_mesh(n)
-    selector = cfg.get_str("sigma.selector", "all")
-    try:
-        return mark_sigma(mesh, selector)
-    except InvalidParameterError as exc:
-        lineno = cfg.lineno("sigma.selector") if cfg.has("sigma.selector") else "?"
-        raise ConfigError(f"line {lineno}: sigma.selector: {exc}") from exc
+    mesh = build_unit_square_mesh(_bounded(cfg, "mesh.n", cfg.get_int("mesh.n"), 1))
+    with cfg.refusing("sigma.selector"):
+        return mark_sigma(mesh, cfg.get_str("sigma.selector", "all"))
 
 
 def _inclusion_keys(cfg: Config, prefix: str):
@@ -191,11 +198,13 @@ def _inclusion_keys(cfg: Config, prefix: str):
 
 
 def _build_coefficient(cfg: Config, mesh, prefix: str = "coefficient") -> Coefficient:
-    background = cfg.get_float(f"{prefix}.background", 1.0)
-    coeff = Coefficient.constant(mesh, background)
+    key = f"{prefix}.background"
+    with cfg.refusing(key):
+        coeff = Coefficient.constant(mesh, cfg.get_float(key, 1.0))
     for key in _inclusion_keys(cfg, prefix):
         region, (value,) = _box_region(cfg, mesh, key, extra=1)
-        coeff = coeff.with_region(region, value)
+        with cfg.refusing(key):
+            coeff = coeff.with_region(region, value)
     return coeff
 
 
@@ -204,10 +213,8 @@ def _box_region(cfg: Config, mesh, key: str, extra: int = 0):
     the ``extra`` numbers after it.  A box ``rect_region`` refuses is a
     configuration error on the key's line."""
     vals = cfg.get_floats(key, count=4 + extra)
-    try:
+    with cfg.refusing(key):
         return rect_region(mesh, vals[:4]), vals[4:]
-    except InvalidParameterError as exc:
-        raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': {exc}") from exc
 
 
 def _segments(cfg: Config):
@@ -218,26 +225,17 @@ def _segments(cfg: Config):
 def _build_basis(cfg: Config, mesh, segments, key: str = "basis.segments"):
     """The basis of ``segments`` groups; more groups than flagged edges is a
     configuration error on the key's line."""
-    try:
+    with cfg.refusing(key):
         return boundary_basis(mesh, segments)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': {exc}") from exc
 
 
-def _wavenumber(cfg: Config, key: str = "k") -> float:
-    k = cfg.get_float(key)
-    if not (k > 0.0 and np.isfinite(k)):
+def _positive(cfg: Config, key: str, default=_REQUIRED) -> Optional[float]:
+    """The number ``key``, refused on its line unless positive and finite;
+    None when it is absent and ``default`` is None."""
+    value = cfg.get_float(key, default)
+    if value is not None and not (value > 0.0 and np.isfinite(value)):
         raise ConfigError(f"line {cfg.lineno(key)}: {key} must be positive and finite")
-    return k
-
-
-def _count_tol(cfg: Config):
-    tol = cfg.get_float("tol.count", None)
-    if tol is not None and not (tol > 0.0 and np.isfinite(tol)):
-        raise ConfigError(
-            f"line {cfg.lineno('tol.count')}: tol.count must be positive and finite"
-        )
-    return tol
+    return value
 
 
 def _out_dir(cfg: Config, args) -> Path:
@@ -269,7 +267,7 @@ def cmd_eigs(cfg: Config, args, outdir: Path) -> None:
     mesh = _build_mesh(cfg)
     _bounded(cfg, "eigs.count", count, 1, mesh.n_vertices)
     q = _build_coefficient(cfg, mesh)
-    k = _wavenumber(cfg)
+    k = _positive(cfg, "k")
     result = neumann_eigenvalues(mesh, q, k, count)
     write_eigs_csv(outdir / "eigs.csv", result.values)
     _note(outdir / "eigs.csv")
@@ -279,8 +277,8 @@ def cmd_dq(cfg: Config, args, outdir: Path) -> None:
     cfg.check_known(_BASE_KEYS, _COEFF_PREFIXES)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k = _wavenumber(cfg)
-    tol = _count_tol(cfg)
+    k = _positive(cfg, "k")
+    tol = _positive(cfg, "tol.count", None)
     zero = _at_zero(mesh, q, k, tol)
     d = zero.decided()
     try:
@@ -309,7 +307,7 @@ def cmd_resonance_scan(cfg: Config, args, outdir: Path) -> None:
     )
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k_min, k_max = _wavenumber(cfg, "scan.k_min"), _wavenumber(cfg, "scan.k_max")
+    k_min, k_max = _positive(cfg, "scan.k_min"), _positive(cfg, "scan.k_max")
     if not k_min < k_max:
         raise ConfigError(f"line {cfg.lineno('scan.k_max')}: scan.k_max must exceed scan.k_min")
     steps = _bounded(cfg, "scan.steps", cfg.get_int("scan.steps"), 2)
@@ -332,7 +330,7 @@ def cmd_ntd(cfg: Config, args, outdir: Path) -> None:
     segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k = _wavenumber(cfg)
+    k = _positive(cfg, "k")
     basis = _build_basis(cfg, mesh, segments)
     system = HelmholtzSystem(mesh, q, k, sigma_last=True)
     write_symop_csv(outdir / "ntd.csv", ntd_matrix(mesh, q, k, basis, system=system))
@@ -350,7 +348,7 @@ def cmd_identity_check(cfg: Config, args, outdir: Path) -> None:
     mesh = _build_mesh(cfg)
     q1 = _build_coefficient(cfg, mesh, "coefficient")
     q2 = _build_coefficient(cfg, mesh, "coefficient2")
-    k = _wavenumber(cfg)
+    k = _positive(cfg, "k")
     basis = _build_basis(cfg, mesh, segments)
     mode = cfg.get_str("g.mode", "first", choices={"first", "random"})
     seed = cfg.get_int("seed", 0)
@@ -373,9 +371,9 @@ def cmd_monotonicity_check(cfg: Config, args, outdir: Path) -> None:
     mesh = _build_mesh(cfg)
     q1 = _build_coefficient(cfg, mesh, "coefficient")
     q2 = _build_coefficient(cfg, mesh, "coefficient2")
-    k = _wavenumber(cfg)
+    k = _positive(cfg, "k")
     basis = _build_basis(cfg, mesh, segments)
-    result = monotonicity_check(mesh, q1, q2, k, basis, _count_tol(cfg))
+    result = monotonicity_check(mesh, q1, q2, k, basis, _positive(cfg, "tol.count", None))
     verdict = ("true" if result.verdict else "false") if result.decided else "undecided"
     text = (
         f"negative_count = {result.negative_count}\n"
@@ -414,7 +412,7 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
                      None if None in levels else min(levels) - 1)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k = _wavenumber(cfg)
+    k = _positive(cfg, "k")
     region_b, _ = _box_region(cfg, mesh, "localize.b_box")
     if cfg.has("localize.d_box"):
         region_d, _ = _box_region(cfg, mesh, "localize.d_box")
@@ -449,36 +447,23 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
 
 def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
     cfg.check_known(
-        _BASE_KEYS | {"grid.nx", "grid.ny", "contrast", "alpha.policy", "alpha.value"},
+        _BASE_KEYS | {"grid.nx", "grid.ny", "contrast", "alpha.value"},
         _COEFF_PREFIXES,
     )
     contrast = cfg.get_str("contrast", "positive", choices={"positive", "negative"})
-    default_policy = "derive" if contrast == "positive" else "sweep"
-    policy = cfg.get_str("alpha.policy", default_policy,
-                         choices={"derive", "fixed", "sweep"})
-    if policy == "fixed":
-        alpha = cfg.get_float("alpha.value")
-    elif cfg.has("alpha.value"):
-        raise ConfigError(f"line {cfg.lineno('alpha.value')}: alpha.value applies to "
-                          f"alpha.policy = fixed only, not {policy}")
-    elif policy == "derive":
-        if contrast != "positive":
-            raise ConfigError("alpha.policy = derive applies to positive contrast only")
-        alpha = None
-    else:
-        if contrast != "negative":
-            raise ConfigError("alpha.policy = sweep applies to negative contrast only")
-        alpha = None
+    # Without alpha.value, positive contrast derives alpha and negative sweeps it.
+    alpha = _positive(cfg, "alpha.value", None)
     nx, ny = (_bounded(cfg, key, cfg.get_int(key), 1) for key in ("grid.nx", "grid.ny"))
     segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k = _wavenumber(cfg)
+    k = _positive(cfg, "k")
     basis = _build_basis(cfg, mesh, segments)
-    grid = pixel_grid(mesh, nx, ny)
+    with cfg.refusing("grid.nx", "grid.ny"):
+        grid = pixel_grid(mesh, nx, ny)
 
     result = reconstruct(mesh, q, k, basis, grid, contrast=contrast, alpha=alpha,
-                         tol=_count_tol(cfg))
+                         tol=_positive(cfg, "tol.count", None))
 
     # Certified pixels were never counted; result.negative_counts would count them.
     rows = []
@@ -560,10 +545,7 @@ def main(argv=None) -> int:
             raise ConfigError("thread cap must be at least 1")
         cfg = _load_config(args.config)
         outdir = _out_dir(cfg, args)
-        seed = cfg.get_int("seed", 0)  # checked before any artifact is written
-        if seed < 0:
-            raise ConfigError(f"line {cfg.lineno('seed')}: key 'seed': must be "
-                              f"non-negative, got {seed}")
+        seed = _bounded(cfg, "seed", cfg.get_int("seed", 0), 0)  # before any artifact
         # One thread for everything: the BLAS pools cost more than they gain
         # at these sizes and would make the counts' last bits vary.
         with one_blas_thread() as capped, counting() as tally:

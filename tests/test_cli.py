@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -355,16 +356,17 @@ def test_missing_output_dir_rejected(tmp_path, capsys):
 
 
 def test_malformed_seed_is_refused_before_any_artifact(tmp_path, capsys):
-    for seed in ("abc", "-1"):
+    for seed, message in (("abc", "line 4: key 'seed': not an integer"),
+                          ("-1", "line 4: seed must be at least 0, got -1")):
         out = tmp_path / f"out{seed}"
         assert run(tmp_path, base_cfg(out, n=4, seed=seed), "mesh") == 2
-        assert "line 4: key 'seed'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
     # Commands that draw from the seed refuse it too, instead of failing in numpy.
     out = tmp_path / "outrandom"
     text = base_cfg(out, n=4, seed=-1, **{"g.mode": "random"})
     assert run(tmp_path, text, "identity-check") == 2
-    assert "line 4: key 'seed'" in capsys.readouterr().err
+    assert "line 4: seed must be at least 0" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -394,8 +396,7 @@ def test_dq_at_resonance_is_ambiguous(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, more", [
     ("monotonicity-check", {}),
-    ("reconstruct", {"grid.nx": 2, "grid.ny": 2,
-                     "alpha.policy": "fixed", "alpha.value": 0.5}),
+    ("reconstruct", {"grid.nx": 2, "grid.ny": 2, "alpha.value": 0.5}),
     ("reconstruct", {"grid.nx": 2, "grid.ny": 2, "contrast": "negative"}),
 ])
 def test_ambiguous_defect_precedes_resonance(tmp_path, capsys, command, more):
@@ -409,8 +410,8 @@ def test_ambiguous_defect_precedes_resonance(tmp_path, capsys, command, more):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_reconstruct_rejects_a_count_tolerance_that_is_not_finite(tmp_path, capsys, value):
     out = tmp_path / "out"
-    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.policy": "fixed",
-                                 "alpha.value": 0.5, "tol.count": value})
+    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.value": 0.5,
+                                 "tol.count": value})
     assert run(tmp_path, text, "reconstruct") == 2
     assert "tol.count must be positive and finite" in capsys.readouterr().err
     assert not (out / "reconstruct.csv").exists()
@@ -418,8 +419,7 @@ def test_reconstruct_rejects_a_count_tolerance_that_is_not_finite(tmp_path, caps
 
 def test_reconstruct_no_scatterer_all_rejected(tmp_path):
     out = tmp_path / "out"
-    text = base_cfg(out, **{"grid.nx": 4, "grid.ny": 4,
-                            "alpha.policy": "fixed", "alpha.value": 0.5})
+    text = base_cfg(out, **{"grid.nx": 4, "grid.ny": 4, "alpha.value": 0.5})
     assert run(tmp_path, text, "reconstruct") == 0
     mask = read_pgm(out / "mask.pgm")
     assert mask.shape == (4, 4)
@@ -458,8 +458,7 @@ def test_reconstruct_on_a_refined_nested_basis_accepts_no_more(tmp_path):
         out = tmp_path / f"segments{segments}"
         text = base_cfg(out, **{"grid.nx": 4, "grid.ny": 4, "basis.segments": segments,
                                 "coefficient.inclusion": "0.25 0.25 0.75 0.5 2.0",
-                                "alpha.policy": "fixed", "alpha.value": 0.1,
-                                "tol.count": 1e-9})
+                                "alpha.value": 0.1, "tol.count": 1e-9})
         assert run(tmp_path, text, "reconstruct") == 0
         lines = (out / "reconstruct.csv").read_text().splitlines()[1:]
         rows[segments] = [(int(f[7]), int(f[8]), f[9] == "true")
@@ -471,40 +470,36 @@ def test_reconstruct_on_a_refined_nested_basis_accepts_no_more(tmp_path):
     assert any(c[2] and not f[2] for c, f in pairs)  # pixels outside the inclusion
 
 
-def test_reconstruct_fixed_alpha_must_be_positive(tmp_path, capsys):
-    out = tmp_path / "out"
-    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2,
-                                 "alpha.policy": "fixed", "alpha.value": -1})
-    assert run(tmp_path, text, "reconstruct") == 5
-    assert "alpha must be positive and finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("more", [{}, {"contrast": "negative"}])
-def test_reconstruct_refuses_an_alpha_value_its_policy_ignores(tmp_path, capsys, more):
-    out = tmp_path / "out"
-    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.value": 0.001}, **more)
-    assert run(tmp_path, text, "reconstruct") == 2
-    assert "line 6: alpha.value applies to alpha.policy = fixed only" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-
-@pytest.mark.parametrize("more, message", [
-    ({"alpha.value": 0.001}, "alpha.value applies to alpha.policy = fixed only"),
-    ({"contrast": "negative", "alpha.policy": "derive"}, "derive applies to positive"),
-    ({"alpha.policy": "sweep"}, "sweep applies to negative"),
-])
-def test_reconstruct_refuses_its_alpha_keys_before_building_the_mesh(tmp_path, capsys,
-                                                                     monkeypatch, more,
-                                                                     message):
+def test_reconstruct_fixed_alpha_must_be_positive(tmp_path, capsys, monkeypatch):
     def no_mesh(*args, **kwargs):
         raise AssertionError("the mesh was built")
 
     monkeypatch.setattr(cli, "build_unit_square_mesh", no_mesh)
-    out = tmp_path / "out"
-    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2}, **more)
-    assert run(tmp_path, text, "reconstruct") == 2
-    assert message in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    for contrast in ("positive", "negative"):
+        out = tmp_path / contrast
+        text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.value": -1,
+                                     "contrast": contrast})
+        assert run(tmp_path, text, "reconstruct") == 2
+        assert "line 6: alpha.value must be positive and finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("contrast, inclusion", [("positive", "0.25 0.25 0.5 0.5 2.0"),
+                                                 ("negative", "0.25 0.25 0.5 0.5 0.5")])
+def test_reconstruct_runs_at_alpha_value_for_either_contrast(tmp_path, contrast, inclusion):
+    # alpha.value fixes alpha; without it positive contrast derives alpha
+    # and negative contrast sweeps
+    for name, more in (("fixed", {"alpha.value": 0.125}), ("own", {})):
+        out = tmp_path / name
+        text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "contrast": contrast,
+                                     "coefficient.inclusion": inclusion}, **more)
+        assert run(tmp_path, text, "reconstruct") == 0
+    assert read_kv(tmp_path / "fixed" / "params.txt")["alpha"] == "0.125"
+    assert not (tmp_path / "fixed" / "sweep.csv").exists()
+    swept = (tmp_path / "own" / "sweep.csv").exists()
+    assert swept == (contrast == "negative")
+    if not swept:  # derived: min(q - 1) on the scatterer
+        assert read_kv(tmp_path / "own" / "params.txt")["alpha"] == "1"
 
 
 def test_reconstruct_threads_equivalent(tmp_path):
@@ -512,8 +507,7 @@ def test_reconstruct_threads_equivalent(tmp_path):
     outs = []
     for name, threads in (("one", "1"), ("four", "4")):
         out = tmp_path / name
-        text = base_cfg(out, **{"grid.nx": 3, "grid.ny": 3,
-                                "alpha.policy": "fixed", "alpha.value": 0.5})
+        text = base_cfg(out, **{"grid.nx": 3, "grid.ny": 3, "alpha.value": 0.5})
         assert run(tmp_path, text, "reconstruct", "--threads", threads) == 0
         outs.append(out)
     a, b = outs
@@ -526,8 +520,7 @@ def test_manifest_counts_dense_and_certified_pixel_counts_for_any_threads(tmp_pa
     # or certified, and a fixed alpha certifies nothing.
     stats = {}
     for name, threads, more in (("one", "1", {}), ("two", "2", {}),
-                                ("fixed", "2", {"alpha.policy": "fixed",
-                                                "alpha.value": 0.25})):
+                                ("fixed", "2", {"alpha.value": 0.25})):
         out = tmp_path / name
         text = base_cfg(out, **{"grid.nx": 4, "grid.ny": 4, "contrast": "negative",
                                 "coefficient.inclusion": "0.25 0.25 0.5 0.5 0.5"}, **more)
@@ -694,8 +687,7 @@ def test_reconstruct_records_whether_the_sweep_settled(tmp_path, capsys):
     assert read_kv(out / "params.txt")["sweep_stable"] == "true"
     assert capsys.readouterr().err == ""
     out = tmp_path / "fixed"
-    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.policy": "fixed",
-                                 "alpha.value": 0.5})
+    text = base_cfg(out, n=8, **{"grid.nx": 2, "grid.ny": 2, "alpha.value": 0.5})
     assert run(tmp_path, text, "reconstruct") == 0
     assert "sweep_stable" not in read_kv(out / "params.txt")
 
@@ -823,6 +815,55 @@ def test_counts_above_the_meshs_bound_are_refused_on_their_line(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"line {lineno}: " in err and message in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, more, keys", [
+    # a grid finer than the mesh leaves a pixel without a triangle
+    ("reconstruct", {"grid.nx": 9, "grid.ny": 2}, ("grid.nx", "grid.ny")),
+    ("eigs", {"coefficient.background": "inf"}, ("coefficient.background",)),
+    ("eigs", {"coefficient.background": "nan"}, ("coefficient.background",)),
+    ("eigs", {"coefficient.inclusion": "0 0 0.5 0.5 inf"}, ("coefficient.inclusion",)),
+    ("eigs", {"coefficient.inclusion": "0 0 0.5 0.5 nan"}, ("coefficient.inclusion",)),
+    ("reconstruct", {"grid.nx": 2, "grid.ny": 2, "alpha.value": -1}, ("alpha.value",)),
+    ("reconstruct", {"grid.nx": 2, "grid.ny": 2, "alpha.value": 0}, ("alpha.value",)),
+    ("reconstruct", {"grid.nx": 2, "grid.ny": 2, "alpha.value": "inf"}, ("alpha.value",)),
+    ("reconstruct", {"grid.nx": 2, "grid.ny": 2, "alpha.policy": "fixed"},
+     ("alpha.policy",)),
+    ("mesh", {"mesh.domain": "unit_square"}, ("mesh.domain",)),
+])
+def test_refused_values_exit_2_on_their_lines(tmp_path, capsys, command, more, keys):
+    out = tmp_path / "out"
+    text = base_cfg(out, n=4, **more)
+    assert run(tmp_path, text, command) == 2
+    err = capsys.readouterr().err
+    for key in keys:
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1)
+                      if line.startswith(f"{key} = "))
+        assert f"line {lineno}: " in err and key in err
+    assert list(out.iterdir()) == []
+
+
+class _Known(Exception):
+    pass
+
+
+def test_readme_names_every_accepted_key(tmp_path, monkeypatch):
+    accepted = set()
+
+    def record(self, exact, prefixes=()):
+        accepted.update(exact, prefixes)
+        raise _Known
+
+    monkeypatch.setattr(cli.Config, "check_known", record)
+    for command in cli._COMMANDS:
+        with pytest.raises(_Known):
+            run(tmp_path, base_cfg(tmp_path / "out", n=4), command)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    # a key stands alone, a prefix leads a key
+    missing = [key for key in sorted(accepted) if not re.search(
+        rf"(?<![\w.]){re.escape(key)}" + ("" if key.endswith(".") else r"(?!\w)"), readme)]
+    assert {"k", "coefficient.", "coefficient2.", "alpha.value"} <= accepted
+    assert missing == []
 
 
 def test_parse_config_text_details():

@@ -643,16 +643,25 @@ def _sym(a):
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 40), rank=st.integers(0, 16), seed=st.integers(0, 2**32 - 1),
        diff_scale=st.floats(1e-6, 10.0), alpha=st.floats(1e-3, 1e3), d=st.integers(0, 6),
-       tol=st.none() | st.floats(1e-12, 1e-2), identity=st.booleans())
+       tol=st.none() | st.floats(1e-12, 1e-2), identity=st.booleans(),
+       window=st.none() | st.floats(0.95, 1.45))
+@example(n=6, rank=8, seed=1, diff_scale=1.0, alpha=0.3, d=2, tol=None, identity=True,
+         window=1.2)
+@example(n=10, rank=12, seed=2, diff_scale=0.1, alpha=1.0, d=4, tol=None, identity=False,
+         window=1.05)
 def test_certified_rejection_holds_in_the_dense_count(n, rank, seed, diff_scale, alpha,
-                                                      d, tol, identity):
+                                                      d, tol, identity, window):
     # Cauchy interlacing: a certified pixel matrix has d + 1 eigenvalues
     # below the window, so its dense count exceeds d with none of them
     # indeterminate.  The probe comes as factors u (rank rows) and y = W u
     # with W positive semidefinite, the identity or a random one; ranks
     # below the Krylov size make the basis break down.  The Frobenius bound
     # never undercuts the probe's, and is the probe's own at rank one with
-    # W the identity.
+    # W the identity.  With ``window``, tol puts the matrix's (d+1)-th
+    # eigenvalue at -window tol, inside the window: nothing may be certified.
+    # A full-rank probe of at most CERTIFICATE_DIM columns (the examples)
+    # gives Ritz values equal to the eigenvalues, so a certificate whose
+    # threshold sat inside the window would certify there.
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) * diff_scale
     diff = 0.5 * a + 0.5 * a.T
@@ -660,14 +669,16 @@ def test_certified_rejection_holds_in_the_dense_count(n, rank, seed, diff_scale,
     g = np.eye(rank) if identity else rng.standard_normal((rank, rank))
     y = (g @ g.T) @ u
     t = _sym(u.T @ y)
+    matrix = diff - alpha * t
+    w = np.linalg.eigvalsh(matrix)
+    if window is not None and d < n and w[d] < 0.0:
+        tol = -w[d] / window
     certificate = _certificate(diff, u, y)
     assert certificate._norms[0] + alpha * certificate._norms[1] >= (
         np.linalg.norm(diff) + alpha * np.linalg.norm(t))
     if not certificate.rejects(alpha, d, tol):
         return
-    matrix = diff - alpha * t
     counts = count_negative(matrix, tol)
-    w = np.linalg.eigvalsh(matrix)
     assert counts.verdict(d) is False
     assert counts.negative > d
     assert (w < -1.5 * counts.tol).sum() > d
