@@ -28,7 +28,7 @@ pi2 = math.pi ** 2
 print("discrete spectrum at q = 1, k = 1, versus the closed form")
 print()
 print("  computed        exact           relative error")
-values = neumann_eigenvalues(mesh, 1.0, 1.0, 12).values
+values = neumann_eigenvalues(mesh, 1.0, 1.0, 12)
 distinct = [values[0]]
 for v in values[1:]:
     if abs(v - distinct[-1]) > 1e-3 * max(1.0, abs(v)):

@@ -69,7 +69,6 @@ from .ntd import (
 )
 from .spectral import (
     CountResult,
-    EigenResult,
     count_K_eigs_above_one,
     count_negative,
     d_of_q,
@@ -91,7 +90,7 @@ __all__ = [
     "assemble_mass", "assemble_weighted_mass", "assemble_boundary_load",
     "boundary_load_matrix", "HelmholtzSystem",
     # spectral
-    "EigenResult", "CountResult", "neumann_eigenvalues", "d_of_q",
+    "CountResult", "neumann_eigenvalues", "d_of_q",
     "count_K_eigs_above_one", "is_resonance", "nearest_neumann_eigenvalue",
     "count_negative",
     # ntd

@@ -43,7 +43,7 @@ from .io import (
     write_vector_csv,
 )
 from .mesh import build_unit_square_mesh, empty_region, mark_sigma, pixel_grid, rect_region
-from .monotone import identity_residual, monotonicity_check, reconstruct
+from .monotone import contrast_alpha, identity_residual, monotonicity_check, reconstruct
 from .ntd import (
     basis_edge_values,
     basis_load_matrix,
@@ -63,69 +63,161 @@ from .spectral import (
 _REQUIRED = object()
 
 
-class Config:
-    """Typed access to parsed configuration entries with line-precise errors."""
+def _bounded(cfg: Config, key: str, value, least: int, most: Optional[int] = None):
+    """``value`` of the integer ``key``, refused on the key's line outside
+    ``[least, most]``."""
+    if value is not None and not (least <= value and (most is None or value <= most)):
+        where = f"line {cfg.lineno(key)}: " if cfg.has(key) else ""
+        bound = f"at least {least}" if most is None else f"between {least} and {most}"
+        raise ConfigError(f"{where}{key} must be {bound}, got {value}")
+    return value
 
-    def __init__(self, entries: dict):
+
+# The kinds of the key table: each parses a present key's text, refusing it
+# on the key's line.
+def _parsed(cfg: Config, key: str, text: str, parse, message: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': {message} {text!r}") from None
+
+
+def _count(least: int):
+    """An integer of at least ``least``."""
+    return lambda cfg, key, text: _bounded(
+        cfg, key, _parsed(cfg, key, text, int, "not an integer:"), least)
+
+
+def _number(cfg: Config, key: str, text: str) -> float:
+    return _parsed(cfg, key, text, float, "not a number:")
+
+
+def _positive_number(cfg: Config, key: str, text: str) -> float:
+    """A positive, finite number."""
+    value = _number(cfg, key, text)
+    if not (value > 0.0 and np.isfinite(value)):
+        raise ConfigError(f"line {cfg.lineno(key)}: {key} must be positive and finite")
+    return value
+
+
+def _numbers(count: int):
+    """``count`` numbers: a box ``x0 y0 x1 y1`` and the values after it."""
+    def kind(cfg: Config, key: str, text: str) -> list:
+        vals = _parsed(cfg, key, text, lambda v: [float(x) for x in v.split()],
+                       "expected numbers, got")
+        if len(vals) != count:
+            raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': expected {count} "
+                              f"numbers, got {len(vals)}")
+        return vals
+    return kind
+
+
+def _inclusion(cfg: Config, key: str, text: str) -> tuple:
+    """The index (-1 for the bare key), box and value of
+    ``<prefix>.inclusion[.<int>]``."""
+    suffix = key.partition(".inclusion")[2]
+    try:
+        index = int(suffix[1:]) if suffix else -1
+    except ValueError:
+        raise ConfigError(
+            f"line {cfg.lineno(key)}: key '{key}': inclusion index must be an integer"
+        ) from None
+    return index, *_numbers(5)(cfg, key, text)
+
+
+def _levels(cfg: Config, key: str, text: str) -> list:
+    """A nonempty list of segment counts, each at least 1."""
+    levels = _parsed(cfg, key, text, lambda v: [int(x) for x in v.split()],
+                     "expected integers, got")
+    if not levels:
+        raise ConfigError(f"line {cfg.lineno(key)}: {key} lists no level")
+    for segments in levels:
+        _bounded(cfg, key, segments, 1)
+    return levels
+
+
+def _choice(*choices: str):
+    def kind(cfg: Config, key: str, text: str) -> str:
+        if text not in choices:
+            raise ConfigError(f"line {cfg.lineno(key)}: key '{key}': expected one of "
+                              f"{sorted(choices)}, got {text!r}")
+        return text
+    return kind
+
+
+def _string(cfg: Config, key: str, text: str) -> str:
+    return text
+
+
+_ONE_Q = {"eigs", "dq", "resonance-scan", "ntd", "localize", "reconstruct"}
+_TWO_Q = {"identity-check", "monotonicity-check"}
+_EVERY = {"mesh"} | _ONE_Q | _TWO_Q
+
+# Every accepted key: its kind, its default (or _REQUIRED) and the subcommands
+# that accept it.  "<prefix>.inclusion" also names "<prefix>.inclusion.<int>".
+# A subcommand checks every key it accepts, also one it does not read.
+_KEYS = {
+    "mesh.n": (_count(1), _REQUIRED, _EVERY),
+    "sigma.selector": (_string, "all", _EVERY),
+    "output.dir": (_string, None, _EVERY),
+    "seed": (_count(0), 0, _EVERY),
+    "k": (_positive_number, _REQUIRED, _EVERY - {"resonance-scan"}),
+    "tol.count": (_positive_number, None, _EVERY),
+    "basis.segments": (_count(1), None, _EVERY),
+    "coefficient.background": (_number, 1.0, _ONE_Q | _TWO_Q),
+    "coefficient.inclusion": (_inclusion, None, _ONE_Q | _TWO_Q),
+    "coefficient2.background": (_number, 1.0, _TWO_Q),
+    "coefficient2.inclusion": (_inclusion, None, _TWO_Q),
+    "eigs.count": (_count(1), 5, {"eigs"}),
+    "scan.k_min": (_positive_number, _REQUIRED, {"resonance-scan"}),
+    "scan.k_max": (_positive_number, _REQUIRED, {"resonance-scan"}),
+    "scan.steps": (_count(2), _REQUIRED, {"resonance-scan"}),
+    "g.mode": (_choice("first", "random"), "first", {"identity-check"}),
+    "localize.b_box": (_numbers(4), _REQUIRED, {"localize"}),
+    "localize.d_box": (_numbers(4), None, {"localize"}),
+    "localize.v_dim": (_count(0), 0, {"localize"}),
+    "localize.v_mode": (_choice("first", "random"), "first", {"localize"}),
+    "localize.segments": (_levels, None, {"localize"}),
+    "grid.nx": (_count(1), _REQUIRED, {"reconstruct"}),
+    "grid.ny": (_count(1), _REQUIRED, {"reconstruct"}),
+    "contrast": (_choice("positive", "negative"), "positive", {"reconstruct"}),
+    "alpha.value": (_positive_number, None, {"reconstruct"}),
+}
+
+
+def _row(key: str) -> str:
+    """The name of the table row that covers ``key``."""
+    head, indexed, _ = key.partition(".inclusion.")
+    return head + ".inclusion" if indexed else key
+
+
+class Config:
+    """The configuration of one subcommand: every key checked against the key
+    table and parsed to its kind on construction, with line-precise errors."""
+
+    def __init__(self, entries: dict, command: str):
         self._entries = entries
+        self._values = {}
+        for key, (text, lineno) in entries.items():
+            kind, _, commands = _KEYS.get(_row(key), (None, None, ()))
+            if command not in commands:
+                raise ConfigError(f"line {lineno}: unknown key '{key}' for this subcommand")
+            self._values[key] = kind(self, key, text)
+
+    def __getitem__(self, key: str):
+        """The parsed value of ``key``, or its default when it is absent."""
+        if key in self._values:
+            return self._values[key]
+        default = _KEYS[_row(key)][1]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}'")
+        return default
 
     def keys(self):
         return list(self._entries)
 
-    def pairs(self):
-        return [(k, v) for k, (v, _) in self._entries.items()]
-
     def has(self, key: str) -> bool:
         return key in self._entries
-
-    def _fetch(self, key: str, default):
-        if key in self._entries:
-            return self._entries[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key '{key}'")
-        return None
-
-    def get_str(self, key: str, default=_REQUIRED, choices=None):
-        entry = self._fetch(key, default)
-        if entry is None:
-            value = default
-        else:
-            value = entry[0]
-        if value is not None and choices is not None and value not in choices:
-            where = f"line {entry[1]}: " if entry else ""
-            raise ConfigError(
-                f"{where}key '{key}': expected one of {sorted(choices)}, got {value!r}"
-            )
-        return value
-
-    def _parsed(self, key: str, default, parse, message: str):
-        """``parse`` of the key's value, or ``default`` when it is absent."""
-        entry = self._fetch(key, default)
-        if entry is None:
-            return default
-        value, lineno = entry
-        try:
-            return parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: key '{key}': {message} {value!r}") from exc
-
-    def get_float(self, key: str, default=_REQUIRED):
-        return self._parsed(key, default, float, "not a number:")
-
-    def get_int(self, key: str, default=_REQUIRED):
-        return self._parsed(key, default, int, "not an integer:")
-
-    def get_floats(self, key: str, count=None, default=_REQUIRED):
-        vals = self._parsed(key, default, lambda v: [float(x) for x in v.split()],
-                            "expected numbers, got")
-        if vals is not default and count is not None and len(vals) != count:
-            raise ConfigError(f"line {self.lineno(key)}: key '{key}': expected {count} "
-                              f"numbers, got {len(vals)}")
-        return vals
-
-    def get_ints(self, key: str, default=_REQUIRED):
-        return self._parsed(key, default, lambda v: [int(x) for x in v.split()],
-                            "expected integers, got")
 
     def lineno(self, key: str) -> int:
         return self._entries[key][1]
@@ -142,104 +234,39 @@ class Config:
                               if key in self._entries else f"key '{key}'" for key in keys)
             raise ConfigError(f"{where}: {exc}") from exc
 
-    def check_known(self, exact: set, prefixes: tuple = ()) -> None:
-        for key, (_, lineno) in self._entries.items():
-            if key in exact:
-                continue
-            if any(key.startswith(p) for p in prefixes):
-                continue
-            raise ConfigError(f"line {lineno}: unknown key '{key}' for this subcommand")
 
-
-_BASE_KEYS = {"mesh.n", "sigma.selector", "output.dir", "seed", "k",
-              "tol.count", "basis.segments"}
-_COEFF_PREFIXES = ("coefficient.", "coefficient2.")
-
-
-def _load_config(path) -> Config:
+def _read_config(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return Config(parse_config_text(text))
-
-
-def _bounded(cfg: Config, key: str, value, least: int, most: Optional[int] = None):
-    """``value`` of the integer ``key``, refused on the key's line outside
-    ``[least, most]``."""
-    if value is not None and not (least <= value and (most is None or value <= most)):
-        where = f"line {cfg.lineno(key)}: " if cfg.has(key) else ""
-        bound = f"at least {least}" if most is None else f"between {least} and {most}"
-        raise ConfigError(f"{where}{key} must be {bound}, got {value}")
-    return value
+    return parse_config_text(text)
 
 
 def _build_mesh(cfg: Config):
-    mesh = build_unit_square_mesh(_bounded(cfg, "mesh.n", cfg.get_int("mesh.n"), 1))
+    mesh = build_unit_square_mesh(cfg["mesh.n"])
     with cfg.refusing("sigma.selector"):
-        return mark_sigma(mesh, cfg.get_str("sigma.selector", "all"))
+        return mark_sigma(mesh, cfg["sigma.selector"])
 
 
 def _inclusion_keys(cfg: Config, prefix: str):
-    bare = f"{prefix}.inclusion"
-    found = []
-    for key in cfg.keys():
-        if key == bare:
-            found.append((-1, key))
-        elif key.startswith(bare + "."):
-            suffix = key[len(bare) + 1:]
-            try:
-                found.append((int(suffix), key))
-            except ValueError:
-                raise ConfigError(
-                    f"line {cfg.lineno(key)}: key '{key}': inclusion index must be an integer"
-                ) from None
-    return [key for _, key in sorted(found)]
+    return sorted((key for key in cfg.keys() if _row(key) == f"{prefix}.inclusion"),
+                  key=lambda key: (cfg[key][0], key))
 
 
 def _build_coefficient(cfg: Config, mesh, prefix: str = "coefficient") -> Coefficient:
     key = f"{prefix}.background"
     with cfg.refusing(key):
-        coeff = Coefficient.constant(mesh, cfg.get_float(key, 1.0))
+        coeff = Coefficient.constant(mesh, cfg[key])
     for key in _inclusion_keys(cfg, prefix):
-        region, (value,) = _box_region(cfg, mesh, key, extra=1)
+        _, *box, value = cfg[key]
         with cfg.refusing(key):
-            coeff = coeff.with_region(region, value)
+            coeff = coeff.with_region(rect_region(mesh, box), value)
     return coeff
 
 
-def _box_region(cfg: Config, mesh, key: str, extra: int = 0):
-    """The region of the box ``x0 y0 x1 y1`` that leads the key's value, and
-    the ``extra`` numbers after it.  A box ``rect_region`` refuses is a
-    configuration error on the key's line."""
-    vals = cfg.get_floats(key, count=4 + extra)
-    with cfg.refusing(key):
-        return rect_region(mesh, vals[:4]), vals[4:]
-
-
-def _segments(cfg: Config):
-    """``basis.segments``, at least 1, or None when absent (one function per edge)."""
-    return _bounded(cfg, "basis.segments", cfg.get_int("basis.segments", None), 1)
-
-
-def _build_basis(cfg: Config, mesh, segments, key: str = "basis.segments"):
-    """The basis of ``segments`` groups; more groups than flagged edges is a
-    configuration error on the key's line."""
-    with cfg.refusing(key):
-        return boundary_basis(mesh, segments)
-
-
-def _positive(cfg: Config, key: str, default=_REQUIRED) -> Optional[float]:
-    """The number ``key``, refused on its line unless positive and finite;
-    None when it is absent and ``default`` is None."""
-    value = cfg.get_float(key, default)
-    if value is not None and not (value > 0.0 and np.isfinite(value)):
-        raise ConfigError(f"line {cfg.lineno(key)}: {key} must be positive and finite")
-    return value
-
-
-def _out_dir(cfg: Config, args) -> Path:
-    out = args.out or cfg.get_str("output.dir", None)
+def _out_dir(entries: dict, args) -> Path:
+    out = args.out or entries.get("output.dir", (None,))[0]
     if out is None:
         raise ConfigError("no output directory: set output.dir or pass --out")
     path = Path(out)
@@ -255,30 +282,24 @@ def _note(path: Path) -> None:
 
 
 def cmd_mesh(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(_BASE_KEYS)
     mesh = _build_mesh(cfg)
     write_mesh_text(outdir / "mesh.txt", mesh)
     _note(outdir / "mesh.txt")
 
 
 def cmd_eigs(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(_BASE_KEYS | {"eigs.count"}, _COEFF_PREFIXES)
-    count = _bounded(cfg, "eigs.count", cfg.get_int("eigs.count", 5), 1)
     mesh = _build_mesh(cfg)
-    _bounded(cfg, "eigs.count", count, 1, mesh.n_vertices)
+    count = _bounded(cfg, "eigs.count", cfg["eigs.count"], 1, mesh.n_vertices)
     q = _build_coefficient(cfg, mesh)
-    k = _positive(cfg, "k")
-    result = neumann_eigenvalues(mesh, q, k, count)
-    write_eigs_csv(outdir / "eigs.csv", result.values)
+    values = neumann_eigenvalues(mesh, q, cfg["k"], count)
+    write_eigs_csv(outdir / "eigs.csv", values)
     _note(outdir / "eigs.csv")
 
 
 def cmd_dq(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(_BASE_KEYS, _COEFF_PREFIXES)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k = _positive(cfg, "k")
-    tol = _positive(cfg, "tol.count", None)
+    k, tol = cfg["k"], cfg["tol.count"]
     zero = _at_zero(mesh, q, k, tol)
     d = zero.decided()
     try:
@@ -301,17 +322,12 @@ def cmd_dq(cfg: Config, args, outdir: Path) -> None:
 
 
 def cmd_resonance_scan(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(
-        (_BASE_KEYS - {"k"}) | {"scan.k_min", "scan.k_max", "scan.steps"},
-        _COEFF_PREFIXES,
-    )
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k_min, k_max = _positive(cfg, "scan.k_min"), _positive(cfg, "scan.k_max")
+    k_min, k_max = cfg["scan.k_min"], cfg["scan.k_max"]
     if not k_min < k_max:
         raise ConfigError(f"line {cfg.lineno('scan.k_max')}: scan.k_max must exceed scan.k_min")
-    steps = _bounded(cfg, "scan.steps", cfg.get_int("scan.steps"), 2)
-    ks = np.linspace(k_min, k_max, steps)
+    ks = np.linspace(k_min, k_max, cfg["scan.steps"])
     nearest = [nearest_neumann_eigenvalue(mesh, q, k) for k in ks]
     write_table_csv(outdir / "scan.csv", ["k", "lambda_nearest_zero"],
                     zip(ks, nearest))
@@ -326,12 +342,11 @@ def cmd_resonance_scan(cfg: Config, args, outdir: Path) -> None:
 
 
 def cmd_ntd(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(_BASE_KEYS, _COEFF_PREFIXES)
-    segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k = _positive(cfg, "k")
-    basis = _build_basis(cfg, mesh, segments)
+    k = cfg["k"]
+    with cfg.refusing("basis.segments"):
+        basis = boundary_basis(mesh, cfg["basis.segments"])
     system = HelmholtzSystem(mesh, q, k, sigma_last=True)
     write_symop_csv(outdir / "ntd.csv", ntd_matrix(mesh, q, k, basis, system=system))
     _note(outdir / "ntd.csv")
@@ -343,22 +358,19 @@ def cmd_ntd(cfg: Config, args, outdir: Path) -> None:
 
 
 def cmd_identity_check(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(_BASE_KEYS | {"g.mode"}, _COEFF_PREFIXES)
-    segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q1 = _build_coefficient(cfg, mesh, "coefficient")
     q2 = _build_coefficient(cfg, mesh, "coefficient2")
-    k = _positive(cfg, "k")
-    basis = _build_basis(cfg, mesh, segments)
-    mode = cfg.get_str("g.mode", "first", choices={"first", "random"})
-    seed = cfg.get_int("seed", 0)
+    with cfg.refusing("basis.segments"):
+        basis = boundary_basis(mesh, cfg["basis.segments"])
+    mode = cfg["g.mode"]
     if mode == "first":
         g = np.zeros(basis.dim)
         g[0] = 1.0
     else:
-        g = np.random.default_rng(seed).standard_normal(basis.dim)
+        g = np.random.default_rng(cfg["seed"]).standard_normal(basis.dim)
         g /= np.linalg.norm(g)
-    residual = identity_residual(mesh, q1, q2, k, basis, g)
+    residual = identity_residual(mesh, q1, q2, cfg["k"], basis, g)
     text = f"g_mode = {mode}\nresidual = {fmt(residual)}\n"
     (outdir / "identity.txt").write_text(text)
     print(text, end="")
@@ -366,14 +378,12 @@ def cmd_identity_check(cfg: Config, args, outdir: Path) -> None:
 
 
 def cmd_monotonicity_check(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(_BASE_KEYS, _COEFF_PREFIXES)
-    segments = _segments(cfg)
     mesh = _build_mesh(cfg)
     q1 = _build_coefficient(cfg, mesh, "coefficient")
     q2 = _build_coefficient(cfg, mesh, "coefficient2")
-    k = _positive(cfg, "k")
-    basis = _build_basis(cfg, mesh, segments)
-    result = monotonicity_check(mesh, q1, q2, k, basis, _positive(cfg, "tol.count", None))
+    with cfg.refusing("basis.segments"):
+        basis = boundary_basis(mesh, cfg["basis.segments"])
+    result = monotonicity_check(mesh, q1, q2, cfg["k"], basis, cfg["tol.count"])
     verdict = ("true" if result.verdict else "false") if result.decided else "undecided"
     text = (
         f"negative_count = {result.negative_count}\n"
@@ -391,49 +401,35 @@ def cmd_monotonicity_check(cfg: Config, args, outdir: Path) -> None:
 
 
 def cmd_localize(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(
-        _BASE_KEYS | {"localize.b_box", "localize.d_box", "localize.v_dim",
-                      "localize.v_mode", "localize.segments"},
-        _COEFF_PREFIXES,
-    )
-    v_mode = cfg.get_str("localize.v_mode", "first", choices={"first", "random"})
-    levels = cfg.get_ints("localize.segments", None)
+    key, levels = "localize.segments", cfg["localize.segments"]
     if levels is None:
-        key, levels = "basis.segments", [_segments(cfg)]
-    elif not levels:
-        raise ConfigError(f"line {cfg.lineno('localize.segments')}: "
-                          f"localize.segments lists no level")
-    else:
-        key = "localize.segments"
-        for segments in levels:
-            _bounded(cfg, key, segments, 1)
+        key, levels = "basis.segments", [cfg["basis.segments"]]
     # a level of segments has that dimension; one function per edge needs the mesh
-    v_dim = _bounded(cfg, "localize.v_dim", cfg.get_int("localize.v_dim", 0), 0,
+    v_dim = _bounded(cfg, "localize.v_dim", cfg["localize.v_dim"], 0,
                      None if None in levels else min(levels) - 1)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k = _positive(cfg, "k")
-    region_b, _ = _box_region(cfg, mesh, "localize.b_box")
-    if cfg.has("localize.d_box"):
-        region_d, _ = _box_region(cfg, mesh, "localize.d_box")
-    else:
-        region_d = empty_region(mesh)
+    with cfg.refusing("localize.b_box"):
+        region_b = rect_region(mesh, cfg["localize.b_box"])
+    d_box = cfg["localize.d_box"]
+    with cfg.refusing("localize.d_box"):
+        region_d = empty_region(mesh) if d_box is None else rect_region(mesh, d_box)
 
-    bases = [_build_basis(cfg, mesh, segments, key) for segments in levels]
+    with cfg.refusing(key):  # more segments than flagged edges
+        bases = [boundary_basis(mesh, segments) for segments in levels]
     _bounded(cfg, "localize.v_dim", v_dim, 0, min(basis.dim for basis in bases) - 1)
     # V is given as modes of the first level's basis and carried to every
     # level, the first included, by the same projection
     coarse = bases[0]
-    if v_mode == "first":
+    if cfg["localize.v_mode"] == "first":
         v_coarse = np.eye(coarse.dim)[:, :v_dim]
     else:
-        v_coarse = np.random.default_rng(cfg.get_int("seed", 0)).standard_normal(
-            (coarse.dim, v_dim))
+        v_coarse = np.random.default_rng(cfg["seed"]).standard_normal((coarse.dim, v_dim))
 
     rows = []
     for basis in bases:
         v = project_onto_basis(basis, basis_edge_values(coarse, v_coarse))
-        result = localized_potential(mesh, q, k, basis, region_b, region_d, v)
+        result = localized_potential(mesh, q, cfg["k"], basis, region_b, region_d, v)
         rows.append((basis.dim, result.ratio, result.b_energy, result.d_energy))
     write_table_csv(outdir / "localize.csv",
                     ["dim", "ratio", "b_energy", "d_energy"], rows)
@@ -446,24 +442,20 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
 
 
 def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
-    cfg.check_known(
-        _BASE_KEYS | {"grid.nx", "grid.ny", "contrast", "alpha.value"},
-        _COEFF_PREFIXES,
-    )
-    contrast = cfg.get_str("contrast", "positive", choices={"positive", "negative"})
-    # Without alpha.value, positive contrast derives alpha and negative sweeps it.
-    alpha = _positive(cfg, "alpha.value", None)
-    nx, ny = (_bounded(cfg, key, cfg.get_int(key), 1) for key in ("grid.nx", "grid.ny"))
-    segments = _segments(cfg)
+    nx, ny = cfg["grid.nx"], cfg["grid.ny"]
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
-    k = _positive(cfg, "k")
-    basis = _build_basis(cfg, mesh, segments)
+    with cfg.refusing("basis.segments"):
+        basis = boundary_basis(mesh, cfg["basis.segments"])
     with cfg.refusing("grid.nx", "grid.ny"):
         grid = pixel_grid(mesh, nx, ny)
+    # Without alpha.value, positive contrast derives alpha and negative sweeps it.
+    contrast, alpha = cfg["contrast"], cfg["alpha.value"]
+    with cfg.refusing("coefficient.background", *_inclusion_keys(cfg, "coefficient")):
+        contrast_alpha(q, contrast, alpha)  # before any solve
 
-    result = reconstruct(mesh, q, k, basis, grid, contrast=contrast, alpha=alpha,
-                         tol=_positive(cfg, "tol.count", None))
+    result = reconstruct(mesh, q, cfg["k"], basis, grid, contrast=contrast, alpha=alpha,
+                         tol=cfg["tol.count"])
 
     # Certified pixels were never counted; result.negative_counts would count them.
     rows = []
@@ -543,9 +535,9 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("thread cap must be at least 1")
-        cfg = _load_config(args.config)
-        outdir = _out_dir(cfg, args)
-        seed = _bounded(cfg, "seed", cfg.get_int("seed", 0), 0)  # before any artifact
+        entries = _read_config(args.config)
+        outdir = _out_dir(entries, args)  # so a refused key leaves it empty
+        cfg = Config(entries, args.command)  # every key checked before any artifact
         # One thread for everything: the BLAS pools cost more than they gain
         # at these sizes and would make the counts' last bits vary.
         with one_blas_thread() as capped, counting() as tally:
@@ -564,8 +556,8 @@ def main(argv=None) -> int:
         write_manifest(
             outdir / "manifest.txt",
             args.command,
-            cfg.pairs(),
-            seed,
+            [(key, text) for key, (text, _) in entries.items()],
+            cfg["seed"],
             [("total", time.perf_counter() - started)],
             stats,
         )

@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParameterError, ResonanceError
-from .fem import CoefficientLike, HelmholtzSystem, as_coefficient, assemble_region_masses, \
-    assemble_weighted_mass, count
+from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, \
+    assemble_region_masses, assemble_weighted_mass, count
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, SymOp, basis_load_matrix, basis_solutions, ntd_matrix, \
     probe_factors, tb_from_solutions
@@ -234,6 +234,34 @@ def _pixel_counts(diff: np.ndarray, tb: Callable[[int], np.ndarray], alpha: floa
     return counts
 
 
+def contrast_alpha(q: Coefficient, contrast: str, alpha: Optional[float]) -> Optional[float]:
+    """The alpha :func:`reconstruct` uses for ``q``: ``alpha`` if given, else
+    ``min(q) - 1`` over the triangles with ``q > 1`` under a positive contrast
+    and None (the sweep) under a negative one.  Raises
+    :class:`InvalidParameterError` where ``q`` or ``alpha`` breaks the
+    contrast's preconditions."""
+    if contrast not in ("positive", "negative"):
+        raise InvalidParameterError(f"contrast must be positive or negative, got {contrast!r}")
+    if alpha is not None:
+        _check_alpha(alpha)
+    if contrast == "negative" and q.max > 1.0:
+        raise InvalidParameterError(
+            f"negative contrast requires q <= 1 everywhere (max is {q.max:.17g})"
+        )
+    if contrast == "positive" and q.min < 1.0:
+        raise InvalidParameterError(
+            f"positive contrast requires q >= 1 everywhere (min is {q.min:.17g})"
+        )
+    if contrast == "positive" and alpha is None:
+        above = q.values[q.values > 1.0]
+        if above.size == 0:
+            raise InvalidParameterError(
+                "no triangle has q > 1; give alpha explicitly for a no-scatterer run"
+            )
+        alpha = float(above.min() - 1.0)
+    return alpha
+
+
 def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
                 basis: BoundaryBasis, grid: PixelGrid,
                 contrast: str = "positive", alpha: Optional[float] = None,
@@ -257,8 +285,8 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
       the cap the smallest alpha's result is returned with
       ``params["sweep_stable"]`` False.
 
-    An explicit ``alpha`` must be positive and finite, as in
-    :func:`inclusion_test`; each pixel then gets one dense count.  Every
+    :func:`contrast_alpha` checks ``q`` and ``alpha`` and derives alpha; at
+    a given or derived alpha each pixel gets one dense count.  Every
     pixel's mass comes from one assembly
     (:func:`~helmono.fem.assemble_region_masses`), and a pixel's ``T_B`` is
     built by :func:`~helmono.ntd.tb_from_solutions` only when a dense count
@@ -286,29 +314,11 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     Returns per-pixel verdicts plus the parameters that produced them.
     """
     q = as_coefficient(mesh, q_true)
-    if contrast not in ("positive", "negative"):
-        raise InvalidParameterError(f"contrast must be positive or negative, got {contrast!r}")
-    if alpha is not None:
-        _check_alpha(alpha)
+    alpha = contrast_alpha(q, contrast, alpha)
     if contrast == "positive":
-        if q.min < 1.0:
-            raise InvalidParameterError(
-                f"positive contrast requires q >= 1 everywhere (min is {q.min:.17g})"
-            )
         d_max = _defect_system(mesh, q.max, k)[1]
         system = None
-        if alpha is None:
-            above = q.values[q.values > 1.0]
-            if above.size == 0:
-                raise InvalidParameterError(
-                    "no triangle has q > 1; give alpha explicitly for a no-scatterer run"
-                )
-            alpha = float(above.min() - 1.0)
     else:
-        if q.max > 1.0:
-            raise InvalidParameterError(
-                f"negative contrast requires q <= 1 everywhere (max is {q.max:.17g})"
-            )
         system, d_max = _defect_system(mesh, 1.0, k)
 
     # The measured operator needs no solutions: it is read off the trailing

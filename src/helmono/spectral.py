@@ -49,7 +49,6 @@ import glob
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -149,16 +148,6 @@ def one_blas_thread():
                     put(saved)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Largest eigenvalues of a symmetric pencil, sorted descending."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
 class CountResult(NamedTuple):
     """Outcome of a signed eigenvalue count.
 
@@ -234,8 +223,8 @@ def _neumann_pencil(mesh: Mesh, q: CoefficientLike, k: float):
     return a, m, _neumann_upper(q, k)
 
 
-def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int) -> EigenResult:
-    """Largest ``count`` eigenvalues of the Neumann pencil for ``(q, k)``.
+def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int) -> np.ndarray:
+    """Largest ``count`` eigenvalues of the Neumann pencil for ``(q, k)``, read-only.
 
     These are the discrete Neumann eigenvalues of ``Laplacian + k^2 q``,
     sorted descending: one step of :func:`_sweep_down`, whose infinite
@@ -247,7 +236,8 @@ def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int) ->
             f"count must be between 1 and {mesh.n_vertices}, got {count}"
         )
     values, _ = _sweep_down(a, m, sigma_upper, np.inf, None, mesh.vertex_order, count)
-    return EigenResult(values)
+    values.setflags(write=False)
+    return values
 
 
 def _sweep_down(a, b, sigma_upper, threshold: float, tol: Optional[float],

@@ -817,6 +817,9 @@ def test_counts_above_the_meshs_bound_are_refused_on_their_line(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+_GRID = {"grid.nx": 2, "grid.ny": 2}
+
+
 @pytest.mark.parametrize("command, more, keys", [
     # a grid finer than the mesh leaves a pixel without a triangle
     ("reconstruct", {"grid.nx": 9, "grid.ny": 2}, ("grid.nx", "grid.ny")),
@@ -830,6 +833,21 @@ def test_counts_above_the_meshs_bound_are_refused_on_their_line(tmp_path, capsys
     ("reconstruct", {"grid.nx": 2, "grid.ny": 2, "alpha.policy": "fixed"},
      ("alpha.policy",)),
     ("mesh", {"mesh.domain": "unit_square"}, ("mesh.domain",)),
+    # misspelt coefficient keys
+    ("eigs", {"coefficient.backgrund": 5}, ("coefficient.backgrund",)),
+    ("monotonicity-check", {"coefficient2.inclusoin": "0 0 0.5 0.5 2"},
+     ("coefficient2.inclusoin",)),
+    ("eigs", {"coefficient.inclusion.x": "0 0 0.5 0.5 2"}, ("coefficient.inclusion.x",)),
+    # reconstruct's contrast preconditions, before any solve
+    ("reconstruct", {**_GRID, "coefficient.background": 0.5}, ("coefficient.background",)),
+    ("reconstruct", {**_GRID, "coefficient.background": 1.0}, ("coefficient.background",)),
+    ("reconstruct", {**_GRID, "contrast": "negative", "coefficient.inclusion": "0 0 0.5 0.5 2"},
+     ("coefficient.inclusion",)),
+    # keys a subcommand accepts but does not read are checked too
+    ("eigs", {"tol.count": -3}, ("tol.count",)),
+    ("localize", {"localize.b_box": "0 0.75 0.25 1", "localize.segments": 4,
+                  "basis.segments": 0}, ("basis.segments",)),
+    ("mesh", {"k": 0}, ("k",)),
 ])
 def test_refused_values_exit_2_on_their_lines(tmp_path, capsys, command, more, keys):
     out = tmp_path / "out"
@@ -843,26 +861,75 @@ def test_refused_values_exit_2_on_their_lines(tmp_path, capsys, command, more, k
     assert list(out.iterdir()) == []
 
 
-class _Known(Exception):
-    pass
+@pytest.mark.parametrize("more, message", [
+    ({"coefficient.background": 0.5},
+     "line 6: key 'coefficient.background': "
+     "positive contrast requires q >= 1 everywhere (min is 0.5)"),
+    ({"coefficient.background": 1.0},
+     "line 6: key 'coefficient.background': "
+     "no triangle has q > 1; give alpha explicitly for a no-scatterer run"),
+    ({"coefficient.background": 1.0, "coefficient.inclusion": "0 0 0.5 0.5 2",
+      "contrast": "negative"},
+     "line 6: key 'coefficient.background', line 7: key 'coefficient.inclusion': "
+     "negative contrast requires q <= 1 everywhere (max is 2)"),
+])
+def test_contrast_preconditions_keep_their_messages_on_the_coefficient_lines(
+        tmp_path, capsys, more, message):
+    out = tmp_path / "out"
+    assert run(tmp_path, base_cfg(out, n=4, **_GRID, **more), "reconstruct") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_readme_names_every_accepted_key(tmp_path, monkeypatch):
-    accepted = set()
+_SHARED_KEYS = {"mesh.n", "sigma.selector", "output.dir", "seed", "k", "tol.count",
+                "basis.segments"}
+_Q1_KEYS = {"coefficient.background", "coefficient.inclusion", "coefficient.inclusion.0"}
+_Q2_KEYS = _Q1_KEYS | {"coefficient2.background", "coefficient2.inclusion",
+                       "coefficient2.inclusion.12"}
+# Each subcommand's keys before the key table, less what its coefficient
+# prefixes let through unread: coefficient2.* outside the comparisons and
+# every coefficient key but background and inclusion[.<int>].
+_ACCEPTED = {
+    "mesh": _SHARED_KEYS,
+    "eigs": _SHARED_KEYS | _Q1_KEYS | {"eigs.count"},
+    "dq": _SHARED_KEYS | _Q1_KEYS,
+    "resonance-scan": (_SHARED_KEYS - {"k"}) | _Q1_KEYS | {"scan.k_min", "scan.k_max",
+                                                           "scan.steps"},
+    "ntd": _SHARED_KEYS | _Q1_KEYS,
+    "identity-check": _SHARED_KEYS | _Q2_KEYS | {"g.mode"},
+    "monotonicity-check": _SHARED_KEYS | _Q2_KEYS,
+    "localize": _SHARED_KEYS | _Q1_KEYS | {"localize.b_box", "localize.d_box",
+                                           "localize.v_dim", "localize.v_mode",
+                                           "localize.segments"},
+    "reconstruct": _SHARED_KEYS | _Q1_KEYS | {"grid.nx", "grid.ny", "contrast",
+                                              "alpha.value"},
+}
 
-    def record(self, exact, prefixes=()):
-        accepted.update(exact, prefixes)
-        raise _Known
 
-    monkeypatch.setattr(cli.Config, "check_known", record)
-    for command in cli._COMMANDS:
-        with pytest.raises(_Known):
-            run(tmp_path, base_cfg(tmp_path / "out", n=4), command)
+def _accepts(command, key):
+    """Does ``command`` take ``key``?  An empty value may still be refused."""
+    try:
+        cli.Config({key: ("", 1)}, command)
+    except ConfigError as exc:
+        return "unknown key" not in str(exc)
+    return True
+
+
+def test_each_subcommand_accepts_the_keys_it_accepted_before_the_key_table():
+    probes = set().union(*_ACCEPTED.values()) | {
+        "coefficient.backgrund", "coefficient2.inclusoin", "coefficient.inclusion0",
+        "alpha.policy", "mesh.domain", "eigs", "inclusion.0"}
+    assert set(cli._COMMANDS) == set(_ACCEPTED)
+    assert set(cli._KEYS) <= probes
+    for command, accepted in _ACCEPTED.items():
+        assert {key for key in probes if _accepts(command, key)} == accepted, command
+
+
+def test_readme_names_every_accepted_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    # a key stands alone, a prefix leads a key
-    missing = [key for key in sorted(accepted) if not re.search(
-        rf"(?<![\w.]){re.escape(key)}" + ("" if key.endswith(".") else r"(?!\w)"), readme)]
-    assert {"k", "coefficient.", "coefficient2.", "alpha.value"} <= accepted
+    missing = [key for key in cli._KEYS if not re.search(
+        rf"(?<![\w.]){re.escape(key)}(?!\w)", readme)]
+    assert {"k", "coefficient.inclusion", "coefficient2.background", "alpha.value"} \
+        <= set(cli._KEYS)
     assert missing == []
 
 
@@ -877,22 +944,36 @@ def test_parse_config_text_details():
 
 
 def test_config_values_parse_with_line_precise_errors():
-    cfg = cli.Config(parse_config_text("a = 1.5\nb = x\nc = 3\nd = 1 2 3\ne = 1 x\n"))
-    assert (cfg.get_float("a"), cfg.get_int("c")) == (1.5, 3)
-    assert (cfg.get_floats("d", 3), cfg.get_ints("d")) == ([1.0, 2.0, 3.0], [1, 2, 3])
-    for get in (cfg.get_float, cfg.get_int, cfg.get_floats, cfg.get_ints):
-        assert get("absent", default=None) is None
-        with pytest.raises(ConfigError, match="missing required key 'absent'"):
-            get("absent")
-    for get, key, message in ((cfg.get_float, "b", "line 2: key 'b': not a number: 'x'"),
-                              (cfg.get_int, "a", "line 1: key 'a': not an integer: '1.5'"),
-                              (cfg.get_floats, "e", "line 5: key 'e': expected numbers, got '1 x'"),
-                              (cfg.get_ints, "e", "line 5: key 'e': expected integers, got '1 x'")):
+    text = ("k = 1.5\nmesh.n = 3\nlocalize.b_box = 0 0 0.5 1\nlocalize.segments = 4 8\n"
+            "coefficient.inclusion.2 = 0 0 1 1 2\n")
+    cfg = cli.Config(parse_config_text(text), "localize")
+    assert (cfg["k"], cfg["mesh.n"]) == (1.5, 3)
+    assert (cfg["localize.b_box"], cfg["localize.segments"]) == ([0.0, 0.0, 0.5, 1.0], [4, 8])
+    assert cfg["coefficient.inclusion.2"] == (2, 0.0, 0.0, 1.0, 1.0, 2.0)
+    assert (cfg["localize.d_box"], cfg["localize.v_mode"], cfg["seed"]) == (None, "first", 0)
+    with pytest.raises(ConfigError, match="missing required key 'localize.b_box'"):
+        cli.Config(parse_config_text("mesh.n = 3\n"), "localize")["localize.b_box"]
+    for command, line, message in (
+            ("eigs", "coefficient.background = x",
+             "line 1: key 'coefficient.background': not a number: 'x'"),
+            ("mesh", "mesh.n = 1.5", "line 1: key 'mesh.n': not an integer: '1.5'"),
+            ("localize", "localize.b_box = 1 x",
+             "line 1: key 'localize.b_box': expected numbers, got '1 x'"),
+            ("localize", "localize.segments = 1 x",
+             "line 1: key 'localize.segments': expected integers, got '1 x'"),
+            ("localize", "localize.b_box = 1 2 3",
+             "line 1: key 'localize.b_box': expected 4 numbers, got 3"),
+            ("reconstruct", "contrast = sideways",
+             "line 1: key 'contrast': expected one of ['negative', 'positive'], got 'sideways'"),
+            ("eigs", "coefficient.inclusion.x = 0 0 1 1 2",
+             "line 1: key 'coefficient.inclusion.x': inclusion index must be an integer"),
+            ("eigs", "coefficient.backgrund = 5",
+             "line 1: unknown key 'coefficient.backgrund' for this subcommand"),
+            ("mesh", "coefficient.background = 1",
+             "line 1: unknown key 'coefficient.background' for this subcommand")):
         with pytest.raises(ConfigError) as info:
-            get(key)
+            cli.Config(parse_config_text(line + "\n"), command)
         assert str(info.value) == message
-    with pytest.raises(ConfigError, match="line 4: key 'd': expected 2 numbers, got 3"):
-        cfg.get_floats("d", 2)
 
 
 def test_pgm_roundtrip_orientation(tmp_path):
