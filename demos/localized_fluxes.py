@@ -45,4 +45,5 @@ for segments in (8, 16, 32):
 print()
 print("the absolute energies depend on the normalization of the flux; the")
 print("figure of merit is their ratio, which grows with every refinement")
-print("(the ratio adds a small regularizer to the energy in D).")
+print("(the ratio adds to the energy in D a floor, the smallest D energy")
+print("the solutions resolve).")

@@ -289,7 +289,8 @@ def cmd_mesh(cfg: Config, args, outdir: Path) -> None:
 
 def cmd_eigs(cfg: Config, args, outdir: Path) -> None:
     mesh = _build_mesh(cfg)
-    count = _bounded(cfg, "eigs.count", cfg["eigs.count"], 1, mesh.n_vertices)
+    count = (_bounded(cfg, "eigs.count", cfg["eigs.count"], 1, mesh.n_vertices)
+             if cfg.has("eigs.count") else min(cfg["eigs.count"], mesh.n_vertices))
     q = _build_coefficient(cfg, mesh)
     values = neumann_eigenvalues(mesh, q, cfg["k"], count)
     write_eigs_csv(outdir / "eigs.csv", values)
@@ -426,19 +427,21 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
     else:
         v_coarse = np.random.default_rng(cfg["seed"]).standard_normal((coarse.dim, v_dim))
 
+    system = HelmholtzSystem(mesh, q, cfg["k"])  # one factorization for every level
     rows = []
     for basis in bases:
         v = project_onto_basis(basis, basis_edge_values(coarse, v_coarse))
-        result = localized_potential(mesh, q, cfg["k"], basis, region_b, region_d, v)
-        rows.append((basis.dim, result.ratio, result.b_energy, result.d_energy))
+        result = localized_potential(mesh, q, cfg["k"], basis, region_b, region_d, v,
+                                     system=system)
+        rows.append((basis.dim, result.ratio, result.b_energy, result.d_energy, result.floor))
     write_table_csv(outdir / "localize.csv",
-                    ["dim", "ratio", "b_energy", "d_energy"], rows)
+                    ["dim", "ratio", "b_energy", "d_energy", "floor"], rows)
     write_vector_csv(outdir / "g.csv", result.g)
     _note(outdir / "localize.csv")
     _note(outdir / "g.csv")
-    for dim, ratio, be, de in rows:
+    for dim, ratio, be, de, floor in rows:
         print(f"dim {dim}: ratio {fmt(ratio)}, target energy {fmt(be)}, "
-              f"avoided energy {fmt(de)}")
+              f"avoided energy {fmt(de)}, floor {fmt(floor)}")
 
 
 def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:

@@ -74,6 +74,7 @@ _CHECK_SEED = 20171122
 SOLVE_PANEL = 16
 
 _MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+_MASS_FACTOR = (np.eye(3) + 1.0 / 3.0) / np.sqrt(12.0)  # root of it: (I + J/3)^2 = I + J
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,13 @@ def assemble_region_masses(mesh: Mesh, regions: Sequence[Region],
                               block.indptr[lo:hi + 1] - first), shape=(hi - lo, hi - lo))
         masses.append((keys[lo:hi] - r * n, mass))
     return masses
+
+
+def _region_factor(mesh: Mesh, triangles: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``X`` with ``X^T X = u^T M u``, ``M`` the mass of the given triangles: one
+    row block ``sqrt(area) _MASS_FACTOR u[vertices]`` per triangle."""
+    roots = np.sqrt(mesh.positive_areas[triangles])[:, None, None]
+    return (roots * (_MASS_FACTOR @ u[mesh.triangles[triangles]])).reshape(-1, u.shape[1])
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:

@@ -1,6 +1,6 @@
 """Conforming P1 triangle meshes of the unit square and triangle-set regions.
 
-The mesh generator produces the structured criss-cross triangulation: an
+The mesh generator produces a structured one-diagonal triangulation: an
 ``n x n`` grid of square cells, each split into two triangles along the
 south-west to north-east diagonal.  Boundary edges are stored in
 counter-clockwise loop order starting at the origin, so the arc-length
@@ -218,7 +218,7 @@ class Mesh:
         lower half, its upper half, then its separator, so separators come
         last; all boxes of one level are cut at once.
 
-        On the criss-cross meshes, a symmetric factorization in
+        On the unit-square meshes, a symmetric factorization in
         :attr:`vertex_order` keeps at most 1.4% more nonzeros than in
         SuperLU's minimum-degree order from ``n = 16`` to 44 (the corner
         moved last costs that), and from ``n = 45`` on, where nested
@@ -307,7 +307,7 @@ def _nested_dissection(vertices: np.ndarray, a: np.ndarray,
 
 
 def build_unit_square_mesh(n: int) -> Mesh:
-    """Triangulate the unit square into ``2 n^2`` criss-cross triangles.
+    """Triangulate the unit square into ``2 n^2`` triangles, one diagonal per cell.
 
     Vertices sit on the uniform ``(n+1) x (n+1)`` grid; vertex ``(i, j)`` has
     index ``j * (n + 1) + i`` and coordinates ``(i/n, j/n)``.  Each cell is

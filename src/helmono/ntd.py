@@ -31,8 +31,10 @@ import scipy.sparse as sp
 
 from .errors import BasisMismatchError, EigenSolverError, InvalidParameterError, SolverError
 from .fem import (
+    REFINE_BERR,
     CoefficientLike,
     HelmholtzSystem,
+    _region_factor,
     assemble_region_masses,
     boundary_load_matrix,
     check_system,
@@ -314,50 +316,64 @@ def tb_from_solutions(mesh: Mesh, region: Region, k: float, basis: BoundaryBasis
 
 
 class LocalizedPotential(NamedTuple):
-    """A flux concentrating solution energy in the probed region.
-
-    ``g`` is a unit flux orthogonal to the excluded family.  ``ratio`` is
-    its attained Rayleigh quotient, ``g . G_B g / g . (G_D + eps I) g``:
-    energy in the target region over the regularized energy in the avoided
-    region.  ``b_energy`` and ``d_energy`` are the solution energies of
-    ``g`` in the target and avoided regions, ``g . G_B g`` and ``g . G_D g``.
-    """
+    """A unit flux ``g``, orthogonal to the excluded family, concentrating
+    solution energy in the probed region: ``b_energy`` and ``d_energy`` are
+    its energies ``g . G_B g`` and ``g . G_D g`` in the target and avoided
+    regions, ``floor`` the smallest avoided energy per unit flux the
+    solutions resolve, and ``ratio`` is ``b_energy / (d_energy + floor)``."""
 
     g: np.ndarray
     ratio: float
     b_energy: float
     d_energy: float
+    floor: float
+
+
+#: Triangles (three factor rows each) per chunk when a region's factor is
+#: reduced, so a large region's factor is never in memory whole.
+_FACTOR_CHUNK = 512
+
+
+def _reduced_factor(mesh: Mesh, region: Region, u: np.ndarray) -> np.ndarray:
+    """The QR triangle ``R`` of the region's mass factor of ``u`` (``R^T R =
+    u^T M_R u``), reduced a chunk at a time; no rows for an empty region."""
+    triangles = np.flatnonzero(region.triangle_flags)
+    r = np.zeros((0, u.shape[1]))
+    for start in range(0, triangles.size, _FACTOR_CHUNK):
+        block = np.vstack([r, _region_factor(mesh, triangles[start:start + _FACTOR_CHUNK], u)])
+        r = sla.qr(block, mode="raw", overwrite_a=True, check_finite=False)[1]
+    return r
 
 
 def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
                         basis: BoundaryBasis, region_b: Region, region_d: Region,
-                        v: Optional[np.ndarray] = None) -> LocalizedPotential:
+                        v: Optional[np.ndarray] = None, *,
+                        system: Optional[HelmholtzSystem] = None) -> LocalizedPotential:
     """Maximize solution energy in ``region_b`` against ``region_d`` over the
     fluxes orthogonal to the columns of ``v`` (the excluded family ``V``).
 
-    With ``N`` an orthonormal basis of ``V``'s complement (the trailing
-    columns of a complete QR of ``v``; all of the basis when ``v`` is absent
-    or has no column), solves the regularized generalized eigenproblem
+    The flux ``g = N c``, ``N`` an orthonormal basis of ``V``'s complement (a
+    complete QR of ``v``), has energies ``|R_B c|^2`` and ``|R_D c|^2``, with
+    ``R_R`` the QR triangle of the region's mass factor of the
+    :func:`basis_solutions` (on ``system``) times ``N``.  A generalized SVD
+    (Van Loan 1976) maximizes ``|R_B c|^2 / (|R_D c|^2 + floor |c|^2)`` with
+    no Gram matrix: ``c = R^{-1} y`` for a QR ``Q R`` of ``[R_D; sqrt(floor)
+    I; R_B]`` and ``y`` the right singular vector of the smallest singular
+    value of ``Q``'s first two row blocks.  The solves refine each solution
+    to a backward error of :data:`~helmono.fem.REFINE_BERR`, which moves a
+    unit flux's energies by up to ``2 REFINE_BERR |[R_D; R_B]|_2^2``; the
+    floor, half that, is the smallest avoided energy they resolve.
 
-        N^T G_B N c = rho ( N^T G_D N + eps I ) c
-
-    where ``G_R`` is the region Gram of the ``(q, k)`` solutions and ``eps``,
-    ``1e-10`` times the mean diagonal of ``N^T G_D N`` (of ``N^T G_B N`` when
-    that is zero), keeps the right side definite.  The flux ``g = N c`` of
-    the top eigenvector is normalized and returned with its attained
-    quotient.
-
-    Preconditions: ``region_b`` minus ``region_d`` has positive area, and
-    ``v`` (if given) has independent columns, fewer than the basis dimension.
+    Preconditions: ``region_b`` minus ``region_d`` has positive area, ``v``
+    (if given) has independent columns, fewer than the basis dimension, and
+    ``system`` (if given) was factored for ``(mesh, q, k)``.
     """
     if region_b.minus(region_d).is_empty:
         raise InvalidParameterError(
             "target region must have positive area outside the avoided region"
         )
     dim = basis.dim
-    if v is None:
-        v = np.zeros((dim, 0))
-    v = np.asarray(v, dtype=float)
+    v = np.zeros((dim, 0)) if v is None else np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != dim:
         raise InvalidParameterError(f"excluded family must be ({dim}, p)")
     p = v.shape[1]
@@ -366,35 +382,21 @@ def localized_potential(mesh: Mesh, q: CoefficientLike, k: float,
     if p and np.linalg.matrix_rank(v) < p:
         raise InvalidParameterError("excluded family has dependent columns")
 
-    solutions = basis_solutions(mesh, q, k, basis)
-    g_b = gram_from_solutions(mesh, region_b, basis, solutions, label="gram_b", k=k).matrix
-    g_d = gram_from_solutions(mesh, region_d, basis, solutions, label="gram_d", k=k).matrix
-
     complement = np.linalg.qr(v, mode="complete")[0][:, p:]
-    b_reduced = complement.T @ g_b @ complement
-    d_reduced = complement.T @ g_d @ complement
-    eps_scale = float(np.trace(d_reduced)) / (dim - p)
-    if eps_scale <= 0.0:
-        eps_scale = float(np.trace(b_reduced)) / (dim - p)
-    if eps_scale <= 0.0:
-        raise EigenSolverError("regularizer scale collapsed: no solution energy anywhere")
-    eps = 1e-10 * eps_scale
-    rhs = d_reduced + eps * np.eye(dim - p)
-
-    try:
-        _, vecs = sla.eigh(0.5 * (b_reduced + b_reduced.T), 0.5 * (rhs + rhs.T))
-    except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise EigenSolverError(f"localization pencil breakdown: {exc}") from exc
-    g = complement @ vecs[:, -1]
-    g = g / np.linalg.norm(g)
-    top = int(np.argmax(np.abs(g)))
-    if g[top] < 0:
-        g = -g
+    u = basis_solutions(mesh, q, k, basis, system) @ complement
+    r_d, r_b = _reduced_factor(mesh, region_d, u), _reduced_factor(mesh, region_b, u)
+    floor = REFINE_BERR * np.linalg.norm(np.vstack([r_d, r_b]), 2) ** 2
+    stack = np.vstack([r_d, np.sqrt(floor) * np.eye(dim - p), r_b])
+    q_stack, r_stack = sla.qr(stack, mode="economic", check_finite=False)
+    y = np.linalg.svd(q_stack[:r_d.shape[0] + dim - p], full_matrices=False)[2][-1]
+    c = sla.solve_triangular(r_stack, y, check_finite=False)
+    c /= np.linalg.norm(c)
+    g = complement @ c
+    if g[np.argmax(np.abs(g))] < 0:
+        g, c = -g, -c
     residual = np.linalg.norm(v.T @ g)
     if residual > 1e-10 * np.linalg.norm(v, 2):
         raise EigenSolverError(f"excluded-family residual |V^T g| = {residual:.3e}")
-    b_energy = float(g @ g_b @ g)
-    d_energy = float(g @ g_d @ g)
-    # g is a unit vector, so g . eps I g is eps
-    return LocalizedPotential(g=g, ratio=b_energy / (d_energy + eps),
-                              b_energy=b_energy, d_energy=d_energy)
+    b_energy, d_energy = float(np.sum((r_b @ c) ** 2)), float(np.sum((r_d @ c) ** 2))
+    return LocalizedPotential(g, b_energy / (d_energy + floor), b_energy, d_energy,
+                              float(floor))

@@ -111,6 +111,17 @@ def test_eigs_top_eigenvalue(tmp_path):
     assert abs(top - 1.0) <= 1e-3
 
 
+def test_eigs_default_count_is_capped_at_the_vertex_count(tmp_path, capsys):
+    # mesh.n = 1 has 4 vertices: the unset default of 5 asks for all of them,
+    # while the same 5 configured is refused on its line
+    out = tmp_path / "out"
+    assert run(tmp_path, base_cfg(out, n=1), "eigs") == 0
+    assert len((out / "eigs.csv").read_text().splitlines()) == 1 + 4
+    out = tmp_path / "set"
+    assert run(tmp_path, base_cfg(out, n=1, **{"eigs.count": 5}), "eigs") == 2
+    assert "line 4: eigs.count must be between 1 and 4, got 5" in capsys.readouterr().err
+
+
 def test_eigs_byte_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh.n = 16\nk = 1.0\n")
@@ -652,6 +663,17 @@ def test_monotonicity_check_bytes_independent_of_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_localize_bytes_independent_of_blas_threads(tmp_path):
+    text = "\n".join([
+        "mesh.n = 32", "k = 1", "sigma.selector = bottom", "localize.v_dim = 3",
+        "localize.b_box = 0.0 0.75 0.25 1.0", "localize.d_box = 0.5 0.0 1.0 1.0",
+        "localize.segments = 8 16",
+    ]) + "\n"
+    outs = _artifacts_per_blas_thread_count(tmp_path, "localize", text)
+    assert set(outs[0]) == {"localize.csv", "g.csv", "manifest.txt"}
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("command, more, files", [
     ("eigs", "k = 2.5\neigs.count = 8\n", {"eigs.csv"}),
     ("dq", "k = 3\n", {"dq.txt"}),
@@ -718,15 +740,32 @@ def test_localize_multilevel_random_v(tmp_path):
                        "localize.segments": "4 8"})
     assert run(tmp_path, text, "localize") == 0
     rows = (out / "localize.csv").read_text().splitlines()
-    assert rows[0] == "dim,ratio,b_energy,d_energy"
+    assert rows[0] == "dim,ratio,b_energy,d_energy,floor"
     assert len(rows) == 3
     for ln in rows[1:]:
-        dim, ratio, b_energy, d_energy = ln.split(",")
+        dim, ratio, b_energy, d_energy, floor = ln.split(",")
         assert float(ratio) > 0.0
         assert float(b_energy) > 0.0
+        assert float(ratio) == float(b_energy) / (float(d_energy) + float(floor))
     assert int(rows[2].split(",")[0]) == 8
     g_rows = (out / "g.csv").read_text().splitlines()
     assert len(g_rows) == 9
+
+
+def test_localize_factors_once_for_every_level(tmp_path):
+    # acceptance 6's configuration: three levels share one factorization, and
+    # the floor leaves the first two ratios at their constrained maxima
+    out = tmp_path / "out"
+    text = base_cfg(out, n=32, **{"sigma.selector": "bottom", "localize.v_dim": 3,
+                                  "localize.b_box": "0.0 0.75 0.25 1.0",
+                                  "localize.d_box": "0.5 0.0 1.0 1.0",
+                                  "localize.segments": "8 16 32"})
+    assert run(tmp_path, text, "localize") == 0
+    assert read_kv(out / "manifest.txt")["stat.factorizations"] == "1"
+    rows = [ln.split(",") for ln in (out / "localize.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [8, 16, 32]
+    assert float(rows[0][1]) == pytest.approx(0.38734, abs=1e-5)
+    assert float(rows[1][1]) == pytest.approx(7.025, abs=1e-3)
 
 
 def _localize_cfg(out, **more):

@@ -279,12 +279,13 @@ def test_region_gram_direct_quadrature_oracle():
 
 
 def test_localized_potential_trivial_case():
-    # no avoided region, no excluded fluxes: the pencil is G against eps I
+    # no avoided region, no excluded fluxes: the quotient is g.G_B g / floor
     mesh = _mesh(8)
     basis = boundary_basis(mesh)
     result = localized_potential(mesh, 1.0, 1.0, basis, _whole(mesh), empty_region(mesh))
     assert np.isfinite(result.ratio)
-    assert result.ratio > 0.0
+    assert result.ratio > 0.0 and result.floor > 0.0 and result.d_energy == 0.0
+    assert result.ratio == result.b_energy / result.floor
 
 
 def test_localized_potential_orthogonal_to_v():
@@ -300,8 +301,8 @@ def test_localized_potential_orthogonal_to_v():
 
 
 def test_localized_potential_energies_are_region_grams():
-    # the returned energies are exactly g . G g for the two region Grams, so a
-    # caller needs no second solve to report them
+    # the returned energies are g . G g for the two region Grams, up to the
+    # Grams' own rounding, so a caller needs no second solve to report them
     mesh = _mesh(8, "bottom")
     basis = boundary_basis(mesh)
     b = rect_region(mesh, (0.0, 0.5, 0.5, 1.0))
@@ -310,15 +311,14 @@ def test_localized_potential_energies_are_region_grams():
     u = _background(mesh, 1.0, basis)
     for region, energy in ((b, result.b_energy), (d, result.d_energy)):
         gram = gram_from_solutions(mesh, region, basis, u, k=1.0).matrix
-        assert energy == float(result.g @ gram @ result.g)
+        assert abs(energy - result.g @ gram @ result.g) <= 1e-13 * np.linalg.norm(gram, 2)
     assert result.ratio > 0.0 and result.b_energy > 0.0
 
 
 def test_localized_potential_reaches_the_constrained_maximum():
-    # acceptance 6's configuration at 16 segments: no flux orthogonal to V has
-    # a larger quotient than the returned one, computed here on V's complement
-    # with localized_potential's eps; the maximum depends on eps, which is a
-    # fifth of the flux's D-energy here
+    # acceptance 6's configuration at 16 segments: the returned quotient is
+    # the exact constrained maximum, the top eigenvalue of the unregularized
+    # pencil on V's complement, less what the floor takes (about 1e-5 of it)
     mesh = _mesh(32, "bottom")
     region_b = rect_region(mesh, (0.0, 0.75, 0.25, 1.0))
     region_d = rect_region(mesh, (0.5, 0.0, 1.0, 1.0))
@@ -330,11 +330,10 @@ def test_localized_potential_reaches_the_constrained_maximum():
     g_b = gram_from_solutions(mesh, region_b, basis, solutions, k=1.0).matrix
     g_d = gram_from_solutions(mesh, region_d, basis, solutions, k=1.0).matrix
     n = sla.null_space(v.T)
-    eps = 1e-10 * np.trace(n.T @ g_d @ n) / n.shape[1]
-    best = sla.eigh(n.T @ g_b @ n, n.T @ g_d @ n + eps * np.eye(n.shape[1]),
-                    eigvals_only=True)[-1]
-    assert best == pytest.approx(5.657, abs=1e-3)
-    assert abs(result.ratio - best) <= 1e-6 * best
+    best = sla.eigh(n.T @ g_b @ n, n.T @ g_d @ n, eigvals_only=True)[-1]
+    assert best == pytest.approx(7.025, abs=1e-3)
+    assert result.ratio == pytest.approx(7.025, abs=1e-3)
+    assert result.ratio <= best
     assert np.abs(v.T @ result.g).max() <= 1e-10
 
 
@@ -389,9 +388,11 @@ def _box(cells):
        k=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
 def test_no_flux_orthogonal_to_v_beats_the_localized_potential(sides, b_cells, d_cells,
                                                                p, k, seed):
-    # result.ratio is the largest quotient h.G_B h / h.(G_D + eps I) h over
-    # the fluxes h orthogonal to V, with eps 1e-10 times the mean diagonal of
-    # G_D on V's complement (of G_B when D is empty)
+    # result.ratio is the largest quotient h.G_B h / (h.G_D h + floor h.h)
+    # over the fluxes h orthogonal to V.  The energies come from the regions'
+    # mass factors: a Gram's rounding is about the floor itself.  A D energy
+    # at the floor, an amplitude sqrt(eps) |S| known to eps |S|, moves the
+    # quotient by up to about sqrt(eps) relative.
     mesh = _mesh(8, " ".join(sorted(sides)))
     region_b = rect_region(mesh, _box(b_cells))
     region_d = empty_region(mesh) if d_cells is None else rect_region(mesh, _box(d_cells))
@@ -402,24 +403,22 @@ def test_no_flux_orthogonal_to_v_beats_the_localized_potential(sides, b_cells, d
     result = localized_potential(mesh, 1.0, k, basis, region_b, region_d, v)
 
     solutions = basis_solutions(mesh, 1.0, k, basis)
-    g_b = gram_from_solutions(mesh, region_b, basis, solutions, k=k).matrix
-    g_d = gram_from_solutions(mesh, region_d, basis, solutions, k=k).matrix
+    x_b, x_d = (fem._region_factor(mesh, np.flatnonzero(region.triangle_flags), solutions)
+                for region in (region_b, region_d))
     orth = sla.orth(v) if p else np.zeros((basis.dim, 0))
-    scale = next(t for t in (np.trace(g) - np.trace(orth.T @ g @ orth) for g in (g_d, g_b))
-                 if t > 0.0)
-    eps = 1e-10 * scale / (basis.dim - p)
 
     def quotient(h):
-        return (h @ g_b @ h) / (h @ g_d @ h + eps * (h @ h))
+        return np.sum((x_b @ h) ** 2) / (np.sum((x_d @ h) ** 2) + result.floor * (h @ h))
 
     assert abs(np.linalg.norm(result.g) - 1.0) <= 1e-12
     assert np.abs(v.T @ result.g).max(initial=0.0) <= 1e-10 * np.abs(v).max(initial=1.0)
-    assert quotient(result.g) == pytest.approx(result.ratio, rel=1e-9)
+    tol = 4.0 * np.sqrt(np.finfo(float).eps)
+    assert quotient(result.g) == pytest.approx(result.ratio, rel=tol)
     fluxes = rng.standard_normal((basis.dim, 20))
     fluxes[:, 0] = result.g + 1e-3 * fluxes[:, 0]  # near the maximizer
     fluxes -= orth @ (orth.T @ fluxes)
     for h in fluxes.T:
-        assert quotient(h) <= result.ratio * (1.0 + 1e-9)
+        assert quotient(h) <= result.ratio * (1.0 + tol)
 
 
 def test_localized_potential_precondition_errors():

@@ -3,8 +3,9 @@
 ``gram_from_solutions`` sums the mass of the region's own triangles against
 the solution rows at the region's vertices.  These tests hold it to the
 full-mesh product ``U.T @ M_w @ U`` over random meshes, regions and weights,
-hold the masses that one assembly gives many regions to each region's own
-assembly bit for bit, and check that the input checks still fire.
+hold a region's mass factor ``X`` (``X^T X`` is the Gram) to it, hold the
+masses that one assembly gives many regions to each region's own assembly
+bit for bit, and check that the input checks still fire.
 """
 
 import numpy as np
@@ -78,6 +79,22 @@ def test_gram_matches_full_mesh_mass(case):
     gram = gram_from_solutions(mesh, region, basis, u, weight=weight).matrix
     full = u.T @ assemble_weighted_mass(mesh, region.triangle_flags * weight) @ u
     assert np.abs(gram - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_probe_cases())
+def test_region_factor_squares_to_the_gram(case):
+    mesh, region, _, seed = case
+    basis = boundary_basis(mesh, 8)
+    u = np.random.default_rng(seed).standard_normal((mesh.n_vertices, basis.dim))
+    x = fem._region_factor(mesh, np.flatnonzero(region.triangle_flags), u)
+    gram = gram_from_solutions(mesh, region, basis, u).matrix
+    assert x.shape == (3 * np.count_nonzero(region.triangle_flags), basis.dim)
+    assert np.abs(x.T @ x - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+def test_mass_factor_squares_to_the_element_mass():
+    assert np.abs(fem._MASS_FACTOR.T @ fem._MASS_FACTOR - fem._MASS_PATTERN).max() <= 1e-16
 
 
 @pytest.mark.parametrize("n", [4, 9])
