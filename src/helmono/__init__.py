@@ -39,10 +39,10 @@ from .mesh import (
     build_unit_square_mesh,
     empty_region,
     mark_sigma,
-    mesh_to_text,
     pixel_grid,
     rect_region,
 )
+from .io import mesh_to_text
 from .monotone import (
     ComparisonResult,
     ReconstructionResult,
@@ -84,7 +84,9 @@ __all__ = [
     "InvalidParameterError", "BasisMismatchError", "EigenSolverError", "SolverError",
     # mesh
     "Mesh", "Region", "PixelGrid", "build_unit_square_mesh", "mark_sigma",
-    "rect_region", "empty_region", "pixel_grid", "mesh_to_text",
+    "rect_region", "empty_region", "pixel_grid",
+    # io
+    "mesh_to_text",
     # fem
     "Coefficient", "NodalField", "as_coefficient", "assemble_stiffness",
     "assemble_mass", "assemble_weighted_mass", "assemble_boundary_load",

@@ -32,8 +32,9 @@ from .errors import ConfigError, HelmonoError, InvalidParameterError, ResonanceE
 from .fem import Coefficient, HelmholtzSystem, counting
 from .io import (
     fmt,
-    parse_config_text,
+    read_config,
     write_eigs_csv,
+    write_key_values,
     write_manifest,
     write_mesh_text,
     write_pgm,
@@ -235,14 +236,6 @@ class Config:
             raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _read_config(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text)
-
-
 def _build_mesh(cfg: Config):
     mesh = build_unit_square_mesh(cfg["mesh.n"])
     with cfg.refusing("sigma.selector"):
@@ -307,15 +300,10 @@ def cmd_dq(cfg: Config, args, outdir: Path) -> None:
         via_k, undecided = count_K_eigs_above_one(mesh, q, k, tol), None
     except SpectralAmbiguityError as exc:  # dq.txt says so, then the run exits 4
         via_k, undecided = "undecided", exc
-    agree = "undecided" if undecided else "true" if d == via_k else "false"
-    text = (
-        f"d_of_q = {d}\n"
-        f"nearest_eigenvalue = {fmt(zero.nearest)}\n"
-        f"tol = {fmt(zero.tol)}\n"
-        f"count_K_eigs_above_one = {via_k}\n"
-        f"agree = {agree}\n"
-    )
-    (outdir / "dq.txt").write_text(text)
+    text = write_key_values(outdir / "dq.txt", [
+        ("d_of_q", d), ("nearest_eigenvalue", zero.nearest), ("tol", zero.tol),
+        ("count_K_eigs_above_one", via_k),
+        ("agree", "undecided" if undecided else d == via_k)])
     print(text, end="")
     _note(outdir / "dq.txt")
     if undecided:
@@ -372,8 +360,7 @@ def cmd_identity_check(cfg: Config, args, outdir: Path) -> None:
         g = np.random.default_rng(cfg["seed"]).standard_normal(basis.dim)
         g /= np.linalg.norm(g)
     residual = identity_residual(mesh, q1, q2, cfg["k"], basis, g)
-    text = f"g_mode = {mode}\nresidual = {fmt(residual)}\n"
-    (outdir / "identity.txt").write_text(text)
+    text = write_key_values(outdir / "identity.txt", [("g_mode", mode), ("residual", residual)])
     print(text, end="")
     _note(outdir / "identity.txt")
 
@@ -385,15 +372,11 @@ def cmd_monotonicity_check(cfg: Config, args, outdir: Path) -> None:
     with cfg.refusing("basis.segments"):
         basis = boundary_basis(mesh, cfg["basis.segments"])
     result = monotonicity_check(mesh, q1, q2, cfg["k"], basis, cfg["tol.count"])
-    verdict = ("true" if result.verdict else "false") if result.decided else "undecided"
-    text = (
-        f"negative_count = {result.negative_count}\n"
-        f"indeterminate_count = {result.indeterminate_count}\n"
-        f"d_allowed = {result.d_allowed}\n"
-        f"tol = {fmt(result.tol)}\n"
-        f"verdict = {verdict}\n"
-    )
-    (outdir / "comparison.txt").write_text(text)
+    text = write_key_values(outdir / "comparison.txt", [
+        ("negative_count", result.negative_count),
+        ("indeterminate_count", result.indeterminate_count),
+        ("d_allowed", result.d_allowed), ("tol", result.tol),
+        ("verdict", result.verdict if result.decided else "undecided")])
     print(text, end="")
     _note(outdir / "comparison.txt")
     if not result.decided:
@@ -475,20 +458,14 @@ def cmd_reconstruct(cfg: Config, args, outdir: Path) -> None:
     )
     write_pgm(outdir / "mask.pgm", result.pixel_values().reshape(grid.ny, grid.nx))
     params = result.params
-    text = ""
-    for key in ("k", "alpha", "d_max", "basis_dim", "tol", "contrast"):
-        v = params[key]
-        text += f"{key} = {fmt(v) if isinstance(v, float) else 'none' if v is None else v}\n"
     if result.sweep is not None:
-        stable = params["sweep_stable"]
-        text += f"sweep_stable = {'true' if stable else 'false'}\n"
-        text += f"certified = {sum(c is None for c in result.counts)}\n"
-        if not stable:
+        if not params["sweep_stable"]:
             print(f"warning: the alpha sweep found no stable accepted set; "
                   f"reporting the smallest alpha {fmt(params['alpha'])}", file=sys.stderr)
         write_table_csv(outdir / "sweep.csv", ["alpha", "accepted_count"], result.sweep)
         _note(outdir / "sweep.csv")
-    (outdir / "params.txt").write_text(text)
+        params = {**params, "certified": sum(c is None for c in result.counts)}
+    write_key_values(outdir / "params.txt", params.items())
     _note(outdir / "reconstruct.csv")
     _note(outdir / "mask.pgm")
     _note(outdir / "params.txt")
@@ -538,7 +515,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("thread cap must be at least 1")
-        entries = _read_config(args.config)
+        entries = read_config(args.config)
         outdir = _out_dir(entries, args)  # so a refused key leaves it empty
         cfg = Config(entries, args.command)  # every key checked before any artifact
         # One thread for everything: the BLAS pools cost more than they gain
@@ -548,7 +525,7 @@ def main(argv=None) -> int:
                 _COMMANDS[args.command](cfg, args, outdir)
             except (ResonanceError, SpectralAmbiguityError) as exc:
                 failure = exc  # a numerical outcome: the manifest explains it too
-        stats = [("blas_one_thread", "true" if capped else "false")]
+        stats = [("blas_one_thread", capped)]
         for group in (("factorizations", "ntd.trailing", "ntd.solved"),
                       ("defect.inertia", "defect.sweep"),
                       ("counts.dense", "probes.built", "counts.certified",

@@ -74,7 +74,6 @@ _CHECK_SEED = 20171122
 SOLVE_PANEL = 16
 
 _MASS_PATTERN = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-_MASS_FACTOR = (np.eye(3) + 1.0 / 3.0) / np.sqrt(12.0)  # root of it: (I + J/3)^2 = I + J
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,16 @@ def assemble_region_masses(mesh: Mesh, regions: Sequence[Region],
 
 
 def _region_factor(mesh: Mesh, triangles: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``X`` with ``X^T X = u^T M u``, ``M`` the mass of the given triangles: one
-    row block ``sqrt(area) _MASS_FACTOR u[vertices]`` per triangle."""
-    roots = np.sqrt(mesh.positive_areas[triangles])[:, None, None]
-    return (roots * (_MASS_FACTOR @ u[mesh.triangles[triangles]])).reshape(-1, u.shape[1])
+    """``X`` with ``X^T X = u^T M u``, ``M`` the mass of the given triangles.
+    The element mass ``area (I + J) / 12`` gives one row ``sqrt(w) u[v]`` per
+    vertex, ``w`` its triangles' summed ``area / 12``, and one row
+    ``sqrt(area / 12)`` times the sum of its vertices' rows per triangle."""
+    corners = mesh.triangles[triangles]
+    scale = mesh.positive_areas[triangles] / 12.0
+    vertices, local = np.unique(corners.ravel(), return_inverse=True)
+    weights = np.bincount(local, np.repeat(scale, 3), vertices.size)
+    return np.vstack([np.sqrt(weights)[:, None] * u[vertices],
+                      np.sqrt(scale)[:, None] * u[corners].sum(axis=1)])
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:

@@ -1,9 +1,9 @@
-"""Deterministic plain-text serialization of every artifact the package emits.
+"""Deterministic plain-text serialization of every artifact the package emits,
+and the reader of its configuration file.
 
-All floats are written with 17 significant digits (lossless round trip for
-doubles), all files end with a newline and use LF line endings, and nothing
-here depends on locale, time or iteration-order accidents, so identical
-inputs produce byte-identical files.
+Floats get 17 significant digits (a lossless round trip for doubles), files
+are UTF-8, end with a newline and use LF line endings, and nothing depends on
+locale, time or iteration order, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, InvalidParameterError
-from .mesh import Mesh, mesh_to_text
+from .mesh import Mesh
 from .ntd import SymOp
 
 
@@ -24,9 +24,45 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _cell(v) -> str:
+    """One value of a table or of a ``key = value`` line: ``true``/``false``,
+    17 digits for floats, ``none`` for None, ``str`` otherwise."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return fmt(v)
+    return "none" if v is None else str(v)
+
+
 def _write(path, text: str) -> None:
-    with Path(path).open("w", newline="\n") as handle:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
+
+
+def write_key_values(path, pairs: Iterable[tuple], comment: str = "") -> str:
+    """``key = value`` lines, after a ``# comment`` line if one is given;
+    returns the text written."""
+    lines = [f"# {comment}"] if comment else []
+    lines += [f"{key} = {_cell(value)}" for key, value in pairs]
+    text = "\n".join(lines) + "\n"
+    _write(path, text)
+    return text
+
+
+def mesh_to_text(mesh: Mesh) -> str:
+    """Serialize the mesh as plain text, one record per line.
+
+    Record kinds: ``vertex x y``, ``triangle i j k`` and ``edge a b s`` where
+    ``s`` is 1 on instrumented boundary edges and 0 elsewhere.  Coordinates
+    use 17 significant digits so the round trip is exact.
+    """
+    lines = [f"# helmono mesh: {mesh.n_vertices} vertices, "
+             f"{mesh.n_triangles} triangles, {mesh.boundary_edges.shape[0]} boundary edges"]
+    lines += [f"vertex {fmt(x)} {fmt(y)}" for x, y in mesh.vertices]
+    lines += [f"triangle {a} {b} {c}" for a, b, c in mesh.triangles]
+    lines += [f"edge {a} {b} {1 if s else 0}"
+              for (a, b), s in zip(mesh.boundary_edges, mesh.sigma_flags)]
+    return "\n".join(lines) + "\n"
 
 
 def write_mesh_text(path, mesh: Mesh) -> None:
@@ -52,17 +88,10 @@ def write_sparse_csv(path, matrix) -> None:
 
 
 def write_table_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Generic CSV writer; floats get the 17-digit treatment, the rest str()."""
-    def cell(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, (float, np.floating)):
-            return fmt(v)
-        return str(v)
-
+    """Generic CSV writer; cells as in :func:`write_key_values`."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell(v) for v in row))
+        lines.append(",".join(_cell(v) for v in row))
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -105,21 +134,23 @@ def write_manifest(path, command: str, config_pairs: Sequence[tuple],
 
     from . import __version__
 
-    lines = [
-        "# helmono run manifest",
-        f"command = {command}",
-        f"helmono = {__version__}",
-        f"numpy = {np.__version__}",
-        f"scipy = {scipy.__version__}",
-        f"seed = {seed}",
-    ]
-    for key, value in config_pairs:
-        lines.append(f"config.{key} = {value}")
-    for name, value in stats:
-        lines.append(f"stat.{name} = {value}")
-    for name, seconds in timings:
-        lines.append(f"time.{name} = {seconds:.3f}")
-    _write(path, "\n".join(lines) + "\n")
+    write_key_values(path, [
+        ("command", command), ("helmono", __version__), ("numpy", np.__version__),
+        ("scipy", scipy.__version__), ("seed", seed),
+        *((f"config.{key}", value) for key, value in config_pairs),
+        *((f"stat.{name}", value) for name, value in stats),
+        *((f"time.{name}", f"{seconds:.3f}") for name, seconds in timings),
+    ], "helmono run manifest")
+
+
+def read_config(path) -> dict:
+    """The parsed configuration file at ``path`` (see :func:`parse_config_text`),
+    read as UTF-8; an unreadable file is a configuration error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def parse_config_text(text: str):

@@ -488,20 +488,3 @@ def pixel_grid(mesh: Mesh, nx: int, ny: int) -> PixelGrid:
             regions.append(Region(flags))
     return PixelGrid(nx=nx, ny=ny, boxes=boxes, regions=regions)
 
-
-def mesh_to_text(mesh: Mesh) -> str:
-    """Serialize the mesh as plain text, one record per line.
-
-    Record kinds: ``vertex x y``, ``triangle i j k`` and ``edge a b s`` where
-    ``s`` is 1 on instrumented boundary edges and 0 elsewhere.  Coordinates
-    use 17 significant digits so the round trip is exact.
-    """
-    lines = [f"# helmono mesh: {mesh.n_vertices} vertices, "
-             f"{mesh.n_triangles} triangles, {mesh.boundary_edges.shape[0]} boundary edges"]
-    for x, y in mesh.vertices:
-        lines.append(f"vertex {x:.17g} {y:.17g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"triangle {a} {b} {c}")
-    for (a, b), s in zip(mesh.boundary_edges, mesh.sigma_flags):
-        lines.append(f"edge {a} {b} {1 if s else 0}")
-    return "\n".join(lines) + "\n"

@@ -329,8 +329,8 @@ class LocalizedPotential(NamedTuple):
     floor: float
 
 
-#: Triangles (three factor rows each) per chunk when a region's factor is
-#: reduced, so a large region's factor is never in memory whole.
+#: Triangles per chunk when a region's factor is reduced (one factor row each,
+#: plus one per vertex), so a large region's factor is never in memory whole.
 _FACTOR_CHUNK = 512
 
 

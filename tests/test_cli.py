@@ -381,6 +381,29 @@ def test_malformed_seed_is_refused_before_any_artifact(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    # Undecodable bytes are a configuration problem, as a directory is.
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"mesh.n = 2\n# caf\xe9\n")
+    for path in (bad, tmp_path):
+        assert main(["mesh", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_and_artifacts_are_utf8_under_any_locale(tmp_path):
+    # A non-ASCII value read under an ASCII locale is echoed as its UTF-8 bytes.
+    (tmp_path / "run.cfg").write_bytes("mesh.n = 1\nk = 1\noutput.dir = café\n".encode())
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    done = subprocess.run([sys.executable, "-m", "helmono.cli", "mesh", "run.cfg",
+                           "--out", "out"], cwd=tmp_path, env=env, capture_output=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    manifest = (tmp_path / "out" / "manifest.txt").read_bytes()
+    assert "config.output.dir = café\n".encode() in manifest
+
+
 def test_output_path_naming_a_file_is_refused(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
@@ -609,10 +632,13 @@ def test_reconstruct_rejects_pixels_whose_window_sits_above_the_threshold(tmp_pa
 
 
 def _artifacts(out):
-    """Every output file's bytes, the manifest without its timing lines."""
+    """Every output file's bytes, the manifest without its timing lines; each
+    file must be nonempty UTF-8 text with LF line endings."""
     files = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path.name
+        data.decode("utf-8")
         if path.name == "manifest.txt":
             data = b"".join(line for line in data.splitlines(keepends=True)
                             if not line.startswith(b"time."))

@@ -699,6 +699,18 @@ def test_certificate_on_a_low_rank_probe():
     assert count_negative(-0.5 * t).negative == 3
 
 
+def test_certificate_from_a_basis_off_the_identity_certifies_nothing(monkeypatch):
+    # The low-rank case above certifies on its true basis; the same basis
+    # off orthonormal by more than CERTIFICATE_MARGIN certifies nothing.
+    u = np.random.default_rng(5).standard_normal((3, 30))
+    diff = np.zeros((30, 30))
+    assert _certificate(diff, u, u).rejects(0.5, 2)
+    true_basis = spectral._krylov_basis
+    monkeypatch.setattr(spectral, "_krylov_basis", lambda *args: (
+        true_basis(*args) * (1.0 + 100.0 * spectral.CERTIFICATE_MARGIN)))
+    assert not _certificate(diff, u, u).rejects(0.5, 2)
+
+
 def test_certificate_declines_non_finite_input_and_refuses_bad_tolerances():
     u = np.eye(4)
     diff = np.zeros((4, 4))
