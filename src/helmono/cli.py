@@ -259,8 +259,8 @@ def _build_coefficient(cfg: Config, mesh, prefix: str = "coefficient") -> Coeffi
 
 
 def _out_dir(entries: dict, args) -> Path:
-    out = args.out or entries.get("output.dir", (None,))[0]
-    if out is None:
+    out = args.out if args.out is not None else entries.get("output.dir", (None,))[0]
+    if not out:
         raise ConfigError("no output directory: set output.dir or pass --out")
     path = Path(out)
     try:

@@ -45,12 +45,12 @@ RESIDUAL_RTOL = 1e-10
 #: factorization anywhere near that guard is redone with partial pivoting and
 #: judged by it.  Over 690 wavenumbers at the first five resonances of meshes
 #: n = 8, 16 and 32 (q = 1 and a random q), the 168 whose partial-pivoting
-#: ratio fell below ``PIVOT_RTOL`` had static ratios up to 1.7e-12 in the
-#: meshes' vertex order and up to 7.6e-10 with the flagged boundary last
-#: (all of it, the top, bottom and right, or a stretch without a corner);
-#: 979 such wavenumbers over more meshes, seeds and resonances reached
-#: 6.6e-10 and 7.6e-10.  SuperLU's minimum-degree order reached 1e-11 and
-#: 3e-10.
+#: ratio fell below ``PIVOT_RTOL`` had static ratios up to 2.5e-13 in the
+#: meshes' vertex order and up to 5.4e-13 with the flagged boundary last
+#: (all of it, the top, bottom or right side, or a stretch without a
+#: corner); the 1129 such wavenumbers of 4416 at the first eight
+#: resonances of meshes n = 8 to 32 (q = 1 and three random q) reached
+#: 1.6e-11 in either order.
 SYMMETRIC_PIVOT_RTOL = 1e-9
 #: Normwise backward error ``|A u - b| / (|A| |u| + |b|)`` above which a
 #: solve gets one step of iterative refinement.  Static pivots can let the
@@ -131,6 +131,17 @@ def as_coefficient(mesh: Mesh, q: CoefficientLike) -> Coefficient:
     if np.isscalar(q):
         return Coefficient.constant(mesh, float(q))
     return Coefficient.from_array(mesh, q)
+
+
+def checked_q_k(mesh: Mesh, q: CoefficientLike, k: float) -> Coefficient:
+    """``q`` as a :class:`Coefficient` of the mesh, refused together with
+    ``k`` unless ``k`` is positive and finite and ``k^2 q`` is finite."""
+    if not (k > 0.0 and np.isfinite(k)):
+        raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
+    q = as_coefficient(mesh, q)
+    if not np.isfinite(float(k) * float(k) * float(np.abs(q.values).max())):
+        raise InvalidParameterError(f"k^2 q must be finite, got k={float(k)!r}")
+    return q
 
 
 def _scatter(triangles: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
@@ -425,9 +436,7 @@ class HelmholtzSystem:
 
     def __init__(self, mesh: Mesh, q: CoefficientLike, k: float, *,
                  sigma_last: bool = False, mass: bool = False):
-        if not (k > 0.0 and np.isfinite(k)):
-            raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
-        q = as_coefficient(mesh, q)
+        q = checked_q_k(mesh, q, k)
         if not q.values.any():
             raise InvalidParameterError("coefficient is identically zero")
         self.mesh = mesh

@@ -20,14 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InvalidParameterError
 
 _SIDE_TOL = 1e-12
-#: Meshes of at most this many vertices are ordered by minimum degree, larger
-#: ones by nested dissection (see ``Mesh._fill_order``).
-_MINIMUM_DEGREE_MAX = 2048
 #: Boxes of at most this many vertices are not split further by the
 #: nested-dissection order.
 _DISSECTION_LEAF = 2
@@ -206,30 +202,22 @@ class Mesh:
 
     @cached_property
     def _fill_order(self) -> np.ndarray:
-        """A fill-reducing vertex order: minimum degree on meshes of at most
-        ``_MINIMUM_DEGREE_MAX`` vertices, nested dissection on larger ones.
+        """A fill-reducing vertex order: nested dissection by coordinate
+        bisection.
 
-        Minimum degree is SuperLU's multiple-minimum-degree order of the
-        mesh graph, read from a factorization of its Laplacian plus the
-        identity.  Nested dissection is coordinate bisection: every box
-        holding more than ``_DISSECTION_LEAF`` vertices is cut across its
-        longer side at the middle, and the vertices of the upper half with
-        an edge into the lower half form its separator.  A box's order is its
-        lower half, its upper half, then its separator, so separators come
-        last; all boxes of one level are cut at once.
+        Every box holding more than ``_DISSECTION_LEAF`` vertices is cut
+        across its longer side at the middle, and the vertices of the upper
+        half with an edge into the lower half form its separator.  A box's
+        order is its lower half, its upper half, then its separator, so
+        separators come last; all boxes of one level are cut at once.
 
         On the unit-square meshes, a symmetric factorization in
-        :attr:`vertex_order` keeps at most 1.4% more nonzeros than in
-        SuperLU's minimum-degree order from ``n = 16`` to 44 (the corner
-        moved last costs that), and from ``n = 45`` on, where nested
-        dissection takes over, at most 0.1% more and 5% fewer at
-        ``n = 128``.  Nested dissection would keep 8% more at ``n = 16`` and
-        4% more at ``n = 24``.
+        :attr:`vertex_order` (one corner moved last) keeps 9% more nonzeros
+        than in SuperLU's multiple-minimum-degree order at ``n = 16``, at
+        most 5% more from ``n = 24`` to 44, where a factorization takes
+        milliseconds, and fewer from ``n = 45`` on: 5% fewer at ``n = 128``.
         """
-        a, b = self._edges()
-        if self.n_vertices <= _MINIMUM_DEGREE_MAX:
-            return _minimum_degree(self.n_vertices, a, b)
-        return _nested_dissection(self.vertices, a, b)
+        return _nested_dissection(self.vertices, *self._edges())
 
     def boundary_edge_lengths(self) -> np.ndarray:
         a = self.vertices[self.boundary_edges[:, 0]]
@@ -254,19 +242,6 @@ class Region:
 
     def minus(self, other: "Region") -> "Region":
         return Region(self.triangle_flags & ~other.triangle_flags)
-
-
-def _minimum_degree(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """SuperLU's multiple-minimum-degree order of the graph on ``n`` vertices
-    with edges ``(a[i], b[i])``, read from a factorization of its Laplacian
-    plus the identity (positive definite, so diagonal pivots serve)."""
-    graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n)).tocsr()
-    graph = graph + graph.T
-    degree = np.asarray(graph.sum(axis=1)).ravel()
-    laplacian = (sp.diags(degree + 1.0) - graph).tocsc()
-    lu = spla.splu(laplacian, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
-    return np.argsort(lu.perm_c)
 
 
 def _nested_dissection(vertices: np.ndarray, a: np.ndarray,
@@ -466,10 +441,14 @@ def pixel_grid(mesh: Mesh, nx: int, ny: int) -> PixelGrid:
     Each triangle is assigned to exactly one pixel by its barycenter (the
     boxes tile the square half-open, so nothing is double counted).  Raises if
     any pixel ends up empty, which happens when the grid is finer than the
-    mesh.
+    mesh; a grid of more pixels than the mesh has triangles is refused before
+    anything is allocated.
     """
     if nx < 1 or ny < 1:
         raise InvalidParameterError("pixel grid must be at least 1 x 1")
+    if nx * ny > mesh.n_triangles:
+        raise InvalidParameterError(f"{nx} x {ny} pixels but {mesh.n_triangles} triangles; "
+                                    f"grid finer than mesh")
     bary = mesh.barycenters
     ix = np.clip(np.floor(bary[:, 0] * nx).astype(int), 0, nx - 1)
     iy = np.clip(np.floor(bary[:, 1] * ny).astype(int), 0, ny - 1)

@@ -56,8 +56,8 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, InvalidParameterError, ResonanceError, SpectralAmbiguityError
-from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, \
-    assemble_mass, assemble_weighted_mass, check_system, count, factorize
+from .fem import Coefficient, CoefficientLike, HelmholtzSystem, assemble_mass, \
+    assemble_weighted_mass, check_system, checked_q_k, count, factorize
 from .mesh import Mesh
 
 #: Problems at or below this many unknowns are solved densely.
@@ -199,12 +199,6 @@ def _eigenvalues(a, b, sigma: float, m: int, solve,
         raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _validated(mesh: Mesh, q: CoefficientLike, k: float) -> Coefficient:
-    if not (k > 0.0 and np.isfinite(k)):
-        raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
-    return as_coefficient(mesh, q)
-
-
 def _check_tol(tol: Optional[float]) -> None:
     if tol is not None and not (tol > 0.0 and np.isfinite(tol)):
         raise InvalidParameterError(f"tolerance must be positive and finite, got {tol!r}")
@@ -216,7 +210,7 @@ def _neumann_upper(q: Coefficient, k: float) -> float:
 
 
 def _neumann_pencil(mesh: Mesh, q: CoefficientLike, k: float):
-    q = _validated(mesh, q, k)
+    q = checked_q_k(mesh, q, k)
     mq = assemble_weighted_mass(mesh, q)
     m = assemble_mass(mesh)
     a = (k * k) * mq - mesh.stiffness
@@ -308,7 +302,7 @@ def _at_zero(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = No
     the same window, as does ``factor=False`` (the caller's factorization of
     it was refused).  The route is counted in :func:`fem.counting`."""
     _check_tol(tol)
-    coeff = _validated(mesh, q, k)
+    coeff = checked_q_k(mesh, q, k)
     if system is not None:
         check_system(system, mesh, coeff, k)
     tol = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
@@ -358,7 +352,7 @@ def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
     as mutual cross-checks.
     """
     _check_tol(tol)
-    q = _validated(mesh, q, k)
+    q = checked_q_k(mesh, q, k)
     p = assemble_weighted_mass(mesh, 1.0 + (k * k) * q.values)
     g = mesh.stiffness + assemble_mass(mesh)
     sigma_upper = max(1.0 + (k * k) * q.max, 0.0) + 1.0

@@ -366,6 +366,18 @@ def test_missing_output_dir_rejected(tmp_path, capsys):
     assert "output.dir" in capsys.readouterr().err
 
 
+def test_empty_output_dir_rejected(tmp_path, capsys, monkeypatch):
+    # An empty value names no directory; it must not mean the working one.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.cfg").write_text("mesh.n = 4\nk = 1\noutput.dir =\n")
+    (tmp_path / "set.cfg").write_text("mesh.n = 4\nk = 1\noutput.dir = out\n")
+    for argv in (["mesh", "empty.cfg"], ["mesh", "empty.cfg", "--out", ""],
+                 ["mesh", "set.cfg", "--out", ""]):
+        assert main(argv) == 2
+        assert "no output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg", "set.cfg"]
+
+
 def test_malformed_seed_is_refused_before_any_artifact(tmp_path, capsys):
     for seed, message in (("abc", "line 4: key 'seed': not an integer"),
                           ("-1", "line 4: seed must be at least 0, got -1")):
@@ -420,6 +432,19 @@ def test_ntd_at_resonance_exit_code(tmp_path, capsys):
     assert run(tmp_path, base_cfg(out, n=8, k=K_STAR_N8), "ntd") == 3
     assert "error:" in capsys.readouterr().err
     assert not (out / "ntd.csv").exists()
+
+
+@pytest.mark.parametrize("command, more", [
+    ("ntd", {}), ("dq", {}), ("eigs", {}),
+    ("reconstruct", {"grid.nx": 2, "grid.ny": 2,
+                     "coefficient.inclusion": "0.25 0.25 0.75 0.75 2"}),
+])
+def test_wavenumber_whose_square_overflows_exits_5(tmp_path, capsys, command, more):
+    # k^2 = inf: neither a resonance (3) nor a crash (1)
+    out = tmp_path / "out"
+    assert run(tmp_path, base_cfg(out, n=4, k=1e200, **more), command) == 5
+    assert "k^2 q must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_dq_at_resonance_is_ambiguous(tmp_path, capsys):
@@ -913,6 +938,8 @@ _GRID = {"grid.nx": 2, "grid.ny": 2}
     ("localize", {"localize.b_box": "0 0.75 0.25 1", "localize.segments": 4,
                   "basis.segments": 0}, ("basis.segments",)),
     ("mesh", {"k": 0}, ("k",)),
+    # refused before a pixel is allocated: each pixel needs a triangle
+    ("reconstruct", {"grid.nx": 100000, "grid.ny": 100000}, ("grid.nx", "grid.ny")),
 ])
 def test_refused_values_exit_2_on_their_lines(tmp_path, capsys, command, more, keys):
     out = tmp_path / "out"

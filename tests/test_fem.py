@@ -220,12 +220,14 @@ def test_negative_pivots_are_the_inertia(k):
     assert system.negative_pivots == int((w < 0.0).sum())
 
 
-@pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("random_q", [False, True])
-def test_resonance_guard_matches_partial_pivoting(n, random_q):
+@pytest.mark.parametrize("n, random_q, sigma_last", [
+    pytest.param(n, random_q, last, id=f"{random_q}-{n}" + ("-sigma_last" if last else ""))
+    for last in (False, True) for random_q in (False, True) for n in (8, 16)])
+def test_resonance_guard_matches_partial_pivoting(n, random_q, sigma_last):
     # At and around the first five discrete resonances, HelmholtzSystem must
     # refuse exactly the wavenumbers whose partial-pivoting factorization has
-    # a pivot ratio at or below PIVOT_RTOL, whichever factorization it keeps.
+    # a pivot ratio at or below PIVOT_RTOL, whichever factorization it keeps,
+    # in the vertex order and with the flagged boundary last.
     mesh = _mesh(n)
     q = (np.random.default_rng(n).uniform(0.5, 2.0, mesh.n_triangles) if random_q
          else np.ones(mesh.n_triangles))
@@ -243,7 +245,7 @@ def test_resonance_guard_matches_partial_pivoting(n, random_q):
             except RuntimeError:
                 expected = True
             try:
-                HelmholtzSystem(mesh, q, k)
+                HelmholtzSystem(mesh, q, k, sigma_last=sigma_last)
                 raised = False
             except ResonanceError:
                 raised = True

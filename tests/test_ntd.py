@@ -652,12 +652,12 @@ def test_sigma_last_system_solves_like_the_plain_one():
 
 
 def test_one_refinement_step_restores_a_grown_solve(monkeypatch):
-    # n = 23 with this q: the static pivots grow, the plain solves' NtD
-    # matrix is 4e-12 off and one refinement step brings it within 5e-14
-    mesh = _mesh(23)
+    # n = 26, k = 7 with this q: the static pivots grow, the plain solves'
+    # NtD matrix is 5.4e-12 off and one refinement step brings it to 1.2e-15
+    mesh = _mesh(26)
     loads = basis_load_matrix(mesh, boundary_basis(mesh, 4))
-    q = np.random.default_rng(5).uniform(0.5, 2.0, mesh.n_triangles)
-    system = HelmholtzSystem(mesh, q, 1.0)
+    q = np.random.default_rng(0).uniform(0.5, 2.0, mesh.n_triangles)
+    system = HelmholtzSystem(mesh, q, 7.0)
     b = loads.toarray()
     x = system.solve_many(loads)
     for _ in range(2):

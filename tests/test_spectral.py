@@ -206,6 +206,19 @@ def test_d_from_system_without_pivot_signs_takes_the_sweep(monkeypatch):
             d_of_q(other_mesh, other_q, other_k, system=system)
 
 
+@pytest.mark.parametrize("q, k", [(1.0, 1e200), (0.0, 1e200), (1e10, 1e150)])
+def test_a_wavenumber_whose_k2q_overflows_is_refused(q, k):
+    # An infinite k^2 q is no resonance and no LAPACK input: every route
+    # refuses it as a parameter.
+    mesh = build_unit_square_mesh(4)
+    for call in (lambda: HelmholtzSystem(mesh, q, k), lambda: d_of_q(mesh, q, k),
+                 lambda: count_K_eigs_above_one(mesh, q, k),
+                 lambda: nearest_neumann_eigenvalue(mesh, q, k),
+                 lambda: neumann_eigenvalues(mesh, q, k, 3)):
+        with pytest.raises(InvalidParameterError, match=r"k\^2 q must be finite"):
+            call()
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1e-8])
 def test_counts_reject_a_tolerance_that_is_not_positive_and_finite(tol):
     # NaN fails every comparison, so a NaN window would pass every guard.
