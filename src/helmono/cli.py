@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HelmonoError, InvalidParameterError, ResonanceError, \
-    SpectralAmbiguityError
+    SpectralAmbiguityError, checked_count, checked_positive
 from .fem import Coefficient, HelmholtzSystem, counting
 from .io import (
     fmt,
@@ -43,7 +43,8 @@ from .io import (
     write_table_csv,
     write_vector_csv,
 )
-from .mesh import build_unit_square_mesh, empty_region, mark_sigma, pixel_grid, rect_region
+from .mesh import _side_names, build_unit_square_mesh, empty_region, mark_sigma, pixel_grid, \
+    rect_region
 from .monotone import contrast_alpha, identity_residual, monotonicity_check, reconstruct
 from .ntd import (
     basis_edge_values,
@@ -64,14 +65,14 @@ from .spectral import (
 _REQUIRED = object()
 
 
-def _bounded(cfg: Config, key: str, value, least: int, most: Optional[int] = None):
-    """``value`` of the integer ``key``, refused on the key's line outside
-    ``[least, most]``."""
-    if value is not None and not (least <= value and (most is None or value <= most)):
-        where = f"line {cfg.lineno(key)}: " if cfg.has(key) else ""
-        bound = f"at least {least}" if most is None else f"between {least} and {most}"
-        raise ConfigError(f"{where}{key} must be {bound}, got {value}")
-    return value
+def _checked(cfg: Optional[Config], key: str, check, value, *bounds):
+    """``check(value, key, *bounds)``, a shared check of :mod:`helmono.errors`,
+    refused as a :class:`ConfigError` on the line of ``key`` if ``cfg`` has one."""
+    try:
+        return check(value, key, *bounds)
+    except InvalidParameterError as exc:
+        where = f"line {cfg.lineno(key)}: " if cfg is not None and cfg.has(key) else ""
+        raise ConfigError(f"{where}{exc}") from None
 
 
 # The kinds of the key table: each parses a present key's text, refusing it
@@ -85,8 +86,8 @@ def _parsed(cfg: Config, key: str, text: str, parse, message: str):
 
 def _count(least: int):
     """An integer of at least ``least``."""
-    return lambda cfg, key, text: _bounded(
-        cfg, key, _parsed(cfg, key, text, int, "not an integer:"), least)
+    return lambda cfg, key, text: _checked(
+        cfg, key, checked_count, _parsed(cfg, key, text, int, "not an integer:"), least)
 
 
 def _number(cfg: Config, key: str, text: str) -> float:
@@ -95,10 +96,7 @@ def _number(cfg: Config, key: str, text: str) -> float:
 
 def _positive_number(cfg: Config, key: str, text: str) -> float:
     """A positive, finite number."""
-    value = _number(cfg, key, text)
-    if not (value > 0.0 and np.isfinite(value)):
-        raise ConfigError(f"line {cfg.lineno(key)}: {key} must be positive and finite")
-    return value
+    return _checked(cfg, key, checked_positive, _number(cfg, key, text))
 
 
 def _numbers(count: int):
@@ -133,7 +131,7 @@ def _levels(cfg: Config, key: str, text: str) -> list:
     if not levels:
         raise ConfigError(f"line {cfg.lineno(key)}: {key} lists no level")
     for segments in levels:
-        _bounded(cfg, key, segments, 1)
+        _checked(cfg, key, checked_count, segments, 1)
     return levels
 
 
@@ -150,6 +148,13 @@ def _string(cfg: Config, key: str, text: str) -> str:
     return text
 
 
+def _selector(cfg: Config, key: str, text: str) -> str:
+    """Side names of the unit square, joined by ``+`` or whitespace."""
+    with cfg.refusing(key):
+        _side_names(text)
+    return text
+
+
 _ONE_Q = {"eigs", "dq", "resonance-scan", "ntd", "localize", "reconstruct"}
 _TWO_Q = {"identity-check", "monotonicity-check"}
 _EVERY = {"mesh"} | _ONE_Q | _TWO_Q
@@ -159,7 +164,7 @@ _EVERY = {"mesh"} | _ONE_Q | _TWO_Q
 # A subcommand checks every key it accepts, also one it does not read.
 _KEYS = {
     "mesh.n": (_count(1), _REQUIRED, _EVERY),
-    "sigma.selector": (_string, "all", _EVERY),
+    "sigma.selector": (_selector, "all", _EVERY),
     "output.dir": (_string, None, _EVERY),
     "seed": (_count(0), 0, _EVERY),
     "k": (_positive_number, _REQUIRED, _EVERY - {"resonance-scan"}),
@@ -237,9 +242,7 @@ class Config:
 
 
 def _build_mesh(cfg: Config):
-    mesh = build_unit_square_mesh(cfg["mesh.n"])
-    with cfg.refusing("sigma.selector"):
-        return mark_sigma(mesh, cfg["sigma.selector"])
+    return mark_sigma(build_unit_square_mesh(cfg["mesh.n"]), cfg["sigma.selector"])
 
 
 def _inclusion_keys(cfg: Config, prefix: str):
@@ -282,7 +285,7 @@ def cmd_mesh(cfg: Config, args, outdir: Path) -> None:
 
 def cmd_eigs(cfg: Config, args, outdir: Path) -> None:
     mesh = _build_mesh(cfg)
-    count = (_bounded(cfg, "eigs.count", cfg["eigs.count"], 1, mesh.n_vertices)
+    count = (_checked(cfg, "eigs.count", checked_count, cfg["eigs.count"], 1, mesh.n_vertices)
              if cfg.has("eigs.count") else min(cfg["eigs.count"], mesh.n_vertices))
     q = _build_coefficient(cfg, mesh)
     values = neumann_eigenvalues(mesh, q, cfg["k"], count)
@@ -389,7 +392,7 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
     if levels is None:
         key, levels = "basis.segments", [cfg["basis.segments"]]
     # a level of segments has that dimension; one function per edge needs the mesh
-    v_dim = _bounded(cfg, "localize.v_dim", cfg["localize.v_dim"], 0,
+    v_dim = _checked(cfg, "localize.v_dim", checked_count, cfg["localize.v_dim"], 0,
                      None if None in levels else min(levels) - 1)
     mesh = _build_mesh(cfg)
     q = _build_coefficient(cfg, mesh)
@@ -401,7 +404,8 @@ def cmd_localize(cfg: Config, args, outdir: Path) -> None:
 
     with cfg.refusing(key):  # more segments than flagged edges
         bases = [boundary_basis(mesh, segments) for segments in levels]
-    _bounded(cfg, "localize.v_dim", v_dim, 0, min(basis.dim for basis in bases) - 1)
+    _checked(cfg, "localize.v_dim", checked_count, v_dim, 0,
+             min(basis.dim for basis in bases) - 1)
     # V is given as modes of the first level's basis and carried to every
     # level, the first included, by the same projection
     coarse = bases[0]
@@ -513,8 +517,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     failure = None
     try:
-        if args.threads < 1:
-            raise ConfigError("thread cap must be at least 1")
+        _checked(None, "thread cap", checked_count, args.threads, 1)
         entries = read_config(args.config)
         outdir = _out_dir(entries, args)  # so a refused key leaves it empty
         cfg = Config(entries, args.command)  # every key checked before any artifact

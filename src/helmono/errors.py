@@ -8,6 +8,10 @@ exit 4, violated preconditions exit 5.
 
 from __future__ import annotations
 
+from contextlib import suppress
+from math import inf
+from numbers import Integral, Real
+
 
 class HelmonoError(Exception):
     """Base class for all package errors."""
@@ -51,6 +55,26 @@ class InvalidParameterError(HelmonoError):
     """A documented precondition was violated by the caller."""
 
     exit_code = 5
+
+
+def checked_positive(value, what: str) -> float:
+    """``value`` as a float, refused unless it is a real number (a bool is
+    none) above zero and within the float range."""
+    with suppress(OverflowError):  # float() of an int beyond the float range
+        if not isinstance(value, bool) and isinstance(value, Real) and 0 < float(value) < inf:
+            return float(value)
+    raise InvalidParameterError(f"{what} must be positive and finite, got {value!r}")
+
+
+def checked_count(value, what: str, least: int, most=None) -> int:
+    """``value`` as an int, refused unless it is an integer (a numpy one too;
+    a bool is none) of at least ``least``, and at most ``most`` if given."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    if not (least <= value and (most is None or value <= most)):
+        bound = f"at least {least}" if most is None else f"between {least} and {most}"
+        raise InvalidParameterError(f"{what} must be {bound}, got {value!r}")
+    return int(value)
 
 
 class BasisMismatchError(InvalidParameterError):

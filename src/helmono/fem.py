@@ -29,7 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidParameterError, ResonanceError, SolverError
+from .errors import InvalidParameterError, ResonanceError, SolverError, checked_positive
 from .mesh import Mesh, Region
 
 # A nodal field is a plain vector of vertex values.
@@ -136,11 +136,10 @@ def as_coefficient(mesh: Mesh, q: CoefficientLike) -> Coefficient:
 def checked_q_k(mesh: Mesh, q: CoefficientLike, k: float) -> Coefficient:
     """``q`` as a :class:`Coefficient` of the mesh, refused together with
     ``k`` unless ``k`` is positive and finite and ``k^2 q`` is finite."""
-    if not (k > 0.0 and np.isfinite(k)):
-        raise InvalidParameterError(f"wavenumber must be positive and finite, got {k!r}")
+    k = checked_positive(k, "wavenumber")
     q = as_coefficient(mesh, q)
-    if not np.isfinite(float(k) * float(k) * float(np.abs(q.values).max())):
-        raise InvalidParameterError(f"k^2 q must be finite, got k={float(k)!r}")
+    if not np.isfinite(k * k * float(np.abs(q.values).max())):
+        raise InvalidParameterError(f"k^2 q must be finite, got k={k!r}")
     return q
 
 
@@ -553,11 +552,9 @@ class HelmholtzSystem:
             return None
         lu, order = self._lu.lu, self._lu.order
         start = order.size - self._tail
-        inside = np.zeros(order.size, dtype=bool)
-        inside[order[start:]] = True
         kept = (np.array_equal(lu.perm_r, lu.perm_c)
                 and np.array_equal(lu.perm_c[start:], np.arange(start, order.size)))
-        if not (kept and inside[rows].all()):
+        if not (kept and self.mesh.sigma_tail[rows].all()):
             return None
         low, up = lu.L[start:, start:], lu.U[start:, start:]
         # With U = D L^T the diagonal of |L| |U| bounds all its entries.  It

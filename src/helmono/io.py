@@ -81,10 +81,8 @@ def write_sparse_csv(path, matrix) -> None:
     """Triplet dump (row, col, value) of a sparse matrix, row-major order."""
     coo = sp.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
-    lines = ["row,col,value"]
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        lines.append(f"{r},{c},{fmt(v)}")
-    _write(path, "\n".join(lines) + "\n")
+    write_table_csv(path, ["row", "col", "value"],
+                    zip(coo.row[order], coo.col[order], coo.data[order]))
 
 
 def write_table_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -97,10 +95,7 @@ def write_table_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 def write_symop_csv(path, op: SymOp) -> None:
     """Dense operator dump: one header line (label, k, dim), then the rows."""
-    lines = [f"{op.label},{fmt(op.k)},{op.dim}"]
-    for row in op.matrix:
-        lines.append(",".join(fmt(v) for v in row))
-    _write(path, "\n".join(lines) + "\n")
+    write_table_csv(path, [op.label, fmt(op.k), str(op.dim)], op.matrix)
 
 
 def write_pgm(path, values: np.ndarray) -> None:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, checked_count
 
 _SIDE_TOL = 1e-12
 #: Boxes of at most this many vertices are not split further by the
@@ -301,9 +301,7 @@ def build_unit_square_mesh(n: int) -> Mesh:
         boundary edges in counter-clockwise loop order starting at the origin;
         all sigma flags start False.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = checked_count(n, "n", 1)
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side)  # row index = j (y), column index = i (x)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -339,21 +337,27 @@ def build_unit_square_mesh(n: int) -> Mesh:
     )
 
 
-def _side_predicate(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    name = name.strip().lower()
-    if name == "all":
-        return lambda mx, my: np.ones_like(mx, dtype=bool)
-    if name == "bottom":
-        return lambda mx, my: np.abs(my) <= _SIDE_TOL
-    if name == "top":
-        return lambda mx, my: np.abs(my - 1.0) <= _SIDE_TOL
-    if name == "left":
-        return lambda mx, my: np.abs(mx) <= _SIDE_TOL
-    if name == "right":
-        return lambda mx, my: np.abs(mx - 1.0) <= _SIDE_TOL
-    raise InvalidParameterError(
-        f"unknown boundary selector {name!r}; expected all/bottom/top/left/right"
-    )
+#: The sides of the unit square by name, as masks of edge midpoints.
+_SIDES: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "all": lambda mx, my: np.ones_like(mx, dtype=bool),
+    "bottom": lambda mx, my: np.abs(my) <= _SIDE_TOL,
+    "top": lambda mx, my: np.abs(my - 1.0) <= _SIDE_TOL,
+    "left": lambda mx, my: np.abs(mx) <= _SIDE_TOL,
+    "right": lambda mx, my: np.abs(mx - 1.0) <= _SIDE_TOL,
+}
+
+
+def _side_names(selector: str) -> list:
+    """The side names of a selector string: split on ``+`` and whitespace,
+    lower-cased, and refused unless there is one and each names a side."""
+    names = selector.replace("+", " ").lower().split()
+    if not names:
+        raise InvalidParameterError("empty boundary selector")
+    for name in names:
+        if name not in _SIDES:
+            raise InvalidParameterError(
+                f"unknown boundary selector {name!r}; expected all/bottom/top/left/right")
+    return names
 
 
 def mark_sigma(mesh: Mesh, selector) -> Mesh:
@@ -377,12 +381,9 @@ def mark_sigma(mesh: Mesh, selector) -> Mesh:
         if matched.shape != (mesh.boundary_edges.shape[0],):
             raise InvalidParameterError("selector must return one flag per boundary edge")
     elif isinstance(selector, str):
-        parts = [p for p in selector.replace("+", " ").split() if p]
-        if not parts:
-            raise InvalidParameterError("empty boundary selector")
         matched = np.zeros(mesh.boundary_edges.shape[0], dtype=bool)
-        for part in parts:
-            matched |= _side_predicate(part)(mids[:, 0], mids[:, 1])
+        for name in _side_names(selector):
+            matched |= _SIDES[name](mids[:, 0], mids[:, 1])
     else:
         raise InvalidParameterError("selector must be a callable or a string")
     if not matched.any():
@@ -444,8 +445,7 @@ def pixel_grid(mesh: Mesh, nx: int, ny: int) -> PixelGrid:
     mesh; a grid of more pixels than the mesh has triangles is refused before
     anything is allocated.
     """
-    if nx < 1 or ny < 1:
-        raise InvalidParameterError("pixel grid must be at least 1 x 1")
+    nx, ny = checked_count(nx, "nx", 1), checked_count(ny, "ny", 1)
     if nx * ny > mesh.n_triangles:
         raise InvalidParameterError(f"{nx} x {ny} pixels but {mesh.n_triangles} triangles; "
                                     f"grid finer than mesh")

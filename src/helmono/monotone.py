@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResonanceError
+from .errors import InvalidParameterError, ResonanceError, checked_count, checked_positive
 from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, \
     assemble_region_masses, assemble_weighted_mass, count
 from .mesh import Mesh, PixelGrid
@@ -59,14 +59,13 @@ def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> Comparison
     Both operators must live on the same boundary basis and wavenumber
     (``b - a`` raises :class:`~helmono.errors.BasisMismatchError` otherwise).
     """
-    if not isinstance(d, (int, np.integer)) or d < 0:
-        raise InvalidParameterError(f"defect allowance must be a nonnegative integer, got {d!r}")
+    d = checked_count(d, "defect allowance", 0)
     counts = count_negative((b - a).matrix, tol)
     verdict = counts.verdict(d)
     return ComparisonResult(
         negative_count=counts.negative,
         indeterminate_count=counts.indeterminate,
-        d_allowed=int(d),
+        d_allowed=d,
         tol=counts.tol,
         verdict=verdict is True,
         decided=verdict is not None,
@@ -154,13 +153,7 @@ def inclusion_test(lam_q: SymOp, lam_1: SymOp, tb: SymOp, alpha: float,
     ``lam_q - lam_1 - alpha T_B``; on the same matrix the verdict is True
     exactly where :func:`reconstruct`'s pixel verdict is True.
     """
-    _check_alpha(alpha)
-    return leq_d(tb.scaled(alpha), lam_q - lam_1, d_max, tol)
-
-
-def _check_alpha(alpha) -> None:
-    if not (alpha > 0.0 and np.isfinite(alpha)):
-        raise InvalidParameterError(f"alpha must be positive and finite, got {alpha!r}")
+    return leq_d(tb.scaled(checked_positive(alpha, "alpha")), lam_q - lam_1, d_max, tol)
 
 
 @dataclass(frozen=True)
@@ -243,7 +236,7 @@ def contrast_alpha(q: Coefficient, contrast: str, alpha: Optional[float]) -> Opt
     if contrast not in ("positive", "negative"):
         raise InvalidParameterError(f"contrast must be positive or negative, got {contrast!r}")
     if alpha is not None:
-        _check_alpha(alpha)
+        alpha = checked_positive(alpha, "alpha")
     if contrast == "negative" and q.max > 1.0:
         raise InvalidParameterError(
             f"negative contrast requires q <= 1 everywhere (max is {q.max:.17g})"

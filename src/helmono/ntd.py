@@ -29,7 +29,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import BasisMismatchError, EigenSolverError, InvalidParameterError, SolverError
+from .errors import BasisMismatchError, EigenSolverError, InvalidParameterError, SolverError, \
+    checked_count
 from .fem import (
     REFINE_BERR,
     CoefficientLike,
@@ -102,11 +103,7 @@ def boundary_basis(mesh: Mesh, segments: Optional[int] = None) -> BoundaryBasis:
         m = idx.size
         group = np.arange(m)
     else:
-        m = int(segments)
-        if not (1 <= m <= idx.size):
-            raise InvalidParameterError(
-                f"segments must be between 1 and {idx.size}, got {segments}"
-            )
+        m = checked_count(segments, "segments", 1, idx.size)
         total = lengths.sum()
         cum = np.concatenate([[0.0], np.cumsum(lengths)])
         mid = 0.5 * (cum[:-1] + cum[1:])

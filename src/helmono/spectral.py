@@ -55,7 +55,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import EigenSolverError, InvalidParameterError, ResonanceError, SpectralAmbiguityError
+from .errors import EigenSolverError, InvalidParameterError, ResonanceError, \
+    SpectralAmbiguityError, checked_count, checked_positive
 from .fem import Coefficient, CoefficientLike, HelmholtzSystem, assemble_mass, \
     assemble_weighted_mass, check_system, checked_q_k, count, factorize
 from .mesh import Mesh
@@ -199,11 +200,6 @@ def _eigenvalues(a, b, sigma: float, m: int, solve,
         raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _check_tol(tol: Optional[float]) -> None:
-    if tol is not None and not (tol > 0.0 and np.isfinite(tol)):
-        raise InvalidParameterError(f"tolerance must be positive and finite, got {tol!r}")
-
-
 def _neumann_upper(q: Coefficient, k: float) -> float:
     """A bound strictly above every eigenvalue of the Neumann pencil of ``(q, k)``."""
     return (k * k) * max(q.max, 0.0) + 1.0
@@ -225,10 +221,7 @@ def neumann_eigenvalues(mesh: Mesh, q: CoefficientLike, k: float, count: int) ->
     threshold ends it there.
     """
     a, m, sigma_upper = _neumann_pencil(mesh, q, k)
-    if not (1 <= count <= mesh.n_vertices):
-        raise InvalidParameterError(
-            f"count must be between 1 and {mesh.n_vertices}, got {count}"
-        )
+    count = checked_count(count, "count", 1, mesh.n_vertices)
     values, _ = _sweep_down(a, m, sigma_upper, np.inf, None, mesh.vertex_order, count)
     values.setflags(write=False)
     return values
@@ -301,11 +294,11 @@ def _at_zero(mesh: Mesh, q: CoefficientLike, k: float, tol: Optional[float] = No
     factorization without pivot signs takes :func:`_sweep_down` instead, in
     the same window, as does ``factor=False`` (the caller's factorization of
     it was refused).  The route is counted in :func:`fem.counting`."""
-    _check_tol(tol)
     coeff = checked_q_k(mesh, q, k)
     if system is not None:
         check_system(system, mesh, coeff, k)
-    tol = tol if tol is not None else TOL_FACTOR * _neumann_upper(coeff, k)
+    tol = (TOL_FACTOR * _neumann_upper(coeff, k) if tol is None
+           else checked_positive(tol, "tolerance"))
     if system is None and factor and coeff.values.any():
         try:
             system = HelmholtzSystem(mesh, coeff, k, mass=True)
@@ -351,7 +344,7 @@ def count_K_eigs_above_one(mesh: Mesh, q: CoefficientLike, k: float,
     ``d_of_q``, but it is computed from a different pencil so the two serve
     as mutual cross-checks.
     """
-    _check_tol(tol)
+    tol = None if tol is None else checked_positive(tol, "tolerance")
     q = checked_q_k(mesh, q, k)
     p = assemble_weighted_mass(mesh, 1.0 + (k * k) * q.values)
     g = mesh.stiffness + assemble_mass(mesh)
@@ -392,10 +385,7 @@ def nearest_neumann_eigenvalue(mesh: Mesh, q: CoefficientLike, k: float) -> floa
 
 def _count_from(w: np.ndarray, tol: Optional[float]) -> CountResult:
     """The count rule on the ascending eigenvalues ``w`` of one matrix."""
-    if tol is not None:
-        tol_eff = float(tol)
-    else:
-        tol_eff = TOL_FACTOR * (float(np.abs(w).max()) if w.size else 0.0)
+    tol_eff = TOL_FACTOR * (float(np.abs(w).max()) if w.size else 0.0) if tol is None else tol
     below = w < -tol_eff
     return CountResult(negative=int(below.sum()),
                        indeterminate=int((np.abs(w + tol_eff) < 0.5 * tol_eff).sum()),
@@ -417,7 +407,7 @@ def count_negative(matrix: np.ndarray, tol: Optional[float] = None) -> CountResu
     setting.
     """
     sym = checked_symmetric(matrix)
-    _check_tol(tol)
+    tol = None if tol is None else checked_positive(tol, "tolerance")
     with one_blas_thread():
         w = np.linalg.eigvalsh(sym)
     return _count_from(w, tol)
@@ -501,12 +491,12 @@ class RejectionCertificate:
         """Whether ``diff - alpha t`` certainly has more than ``d`` eigenvalues
         below the window, so that its count's ``verdict(d)`` is False; False
         means only that this basis does not show it."""
-        _check_tol(tol)
+        tol = None if tol is None else checked_positive(tol, "tolerance")
         if self._diff.shape[0] <= d:
             return False
         theta = np.linalg.eigvalsh(self._diff - alpha * self._t)
         b = self._norms[0] + alpha * self._norms[1]
-        tau = TOL_FACTOR * b if tol is None else float(tol)
+        tau = TOL_FACTOR * b if tol is None else tol
         return bool(theta[d] < -1.5 * tau - CERTIFICATE_MARGIN * b)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from helmono import Coefficient, assemble_mass, assemble_stiffness, boundary_basis, \
     build_unit_square_mesh, leq_d, make_symop, mark_sigma, ntd_matrix, pixel_grid, \
@@ -15,7 +16,7 @@ from helmono import cli, spectral
 from helmono.cli import main
 from helmono.errors import ConfigError, InvalidParameterError, SpectralAmbiguityError
 from helmono.fem import counting
-from helmono.io import parse_config_text, write_pgm, write_symop_csv
+from helmono.io import parse_config_text, write_pgm, write_sparse_csv, write_symop_csv
 from support import read_pgm, read_symop_csv
 
 K_STAR_N8 = 3.1614184302807775  # sqrt of the first positive Neumann eigenvalue, n = 8
@@ -357,6 +358,22 @@ def test_bad_selector_rejected(tmp_path, capsys):
     text = base_cfg(out, **{"sigma.selector": "diagonal"})
     assert run(tmp_path, text, "mesh") == 2
     assert "sigma.selector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selector, message", [
+    ("bottom + diagonal", "unknown boundary selector 'diagonal'"),
+    ("+", "empty boundary selector"),
+])
+def test_bad_selector_is_refused_on_its_line_before_the_mesh(tmp_path, capsys, monkeypatch,
+                                                             selector, message):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli, "build_unit_square_mesh", no_mesh)
+    out = tmp_path / "out"
+    assert run(tmp_path, base_cfg(out, **{"sigma.selector": selector}), "mesh") == 2
+    assert f"line 4: key 'sigma.selector': {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_missing_output_dir_rejected(tmp_path, capsys):
@@ -1095,3 +1112,13 @@ def test_symop_csv_validation(tmp_path):
     path.write_text("just,two\n")
     with pytest.raises(InvalidParameterError, match="malformed header"):
         read_symop_csv(path)
+
+
+def test_sparse_and_operator_dumps_have_exact_bytes(tmp_path):
+    path = tmp_path / "sparse.csv"
+    # entries out of order: the dump is row-major
+    write_sparse_csv(path, sp.coo_matrix(([-1.0 / 3.0, 0.1, 2.0], ([1, 0, 1], [1, 1, 0]))))
+    assert path.read_bytes() == (b"row,col,value\n0,1,0.10000000000000001\n1,0,2\n"
+                                 b"1,1,-0.33333333333333331\n")
+    write_symop_csv(path, make_symop(np.array([[1.0, 0.1], [0.1, 2.5]]), "b", "lam", 2.5))
+    assert path.read_bytes() == b"lam,2.5,2\n1,0.10000000000000001\n0.10000000000000001,2.5\n"
