@@ -33,8 +33,8 @@ for trial in range(8):
     q1 = rng.uniform(0.5, 2.0, mesh.n_triangles)
     q2 = q1 + rng.uniform(0.0, 1.0, mesh.n_triangles)
     result = monotonicity_check(mesh, q1, q2, 1.0, basis)
-    print(f"{trial:5d}  {result.negative_count:9d}  {result.d_allowed:9d}"
-          f"  {str(result.verdict).lower()}")
+    verdict = "undecided" if result.verdict is None else str(result.verdict).lower()
+    print(f"{trial:5d}  {result.counts.negative:9d}  {result.d_allowed:9d}  {verdict}")
 
 print()
 print("the same comparison with the roles swapped is not just false, it")

@@ -6,7 +6,8 @@ eigenvalues at k = 1 are 1 - pi^2 (i^2 + j^2).  The discrete spectrum should
 land on those values to a few permille on a fine mesh.  The same spectrum
 drives everything else here: the defect bound d(q) is the number of pencil
 eigenvalues above zero, computed twice through two different pencils as a
-cross-check, and a resonance is an eigenvalue sitting at zero.
+cross-check, and a resonance is an eigenvalue sitting at zero: where d(q)
+changes along a scan of k, eigenvalues crossed zero.
 """
 
 import math
@@ -49,11 +50,16 @@ for q, k in ((1.0, 1.0), (1.0, 4.0), (4.0, 1.0), (0.1, 1.0)):
 print()
 print("scanning k for the first resonance (the exact location is k = pi)")
 print()
-print("      k    nearest pencil eigenvalue")
+print("      k    nearest pencil eigenvalue   d(q)")
+previous = None
 for k in np.linspace(3.0, 3.3, 7):
     nearest = nearest_neumann_eigenvalue(mesh, 1.0, k)
-    marker = "  <- sign change" if abs(nearest) < 0.12 else ""
-    print(f"  {k:5.2f}   {nearest:12.5f}{marker}")
+    d = d_of_q(mesh, 1.0, k)
+    marker = "  <- d(q) jumps" if previous is not None and d != previous else ""
+    print(f"  {k:5.2f}   {nearest:12.5f}           {d:4d}{marker}")
+    previous = d
 print()
-print(f"pi = {math.pi:.5f}; the eigenvalue crosses zero inside the bracket,")
-print("and solving there would be refused with a resonance error.")
+print(f"pi = {math.pi:.5f}; d(q) counts the pencil eigenvalues above zero, so its")
+print("jump brackets the eigenvalues that cross zero, here the double one of")
+print("the modes cos(pi x) and cos(pi y); solving there would be refused with")
+print("a resonance error.")

@@ -57,7 +57,6 @@ from .ntd import (
 from .spectral import (
     _at_zero,
     count_K_eigs_above_one,
-    nearest_neumann_eigenvalue,
     neumann_eigenvalues,
     one_blas_thread,
 )
@@ -320,14 +319,13 @@ def cmd_resonance_scan(cfg: Config, args, outdir: Path) -> None:
     if not k_min < k_max:
         raise ConfigError(f"line {cfg.lineno('scan.k_max')}: scan.k_max must exceed scan.k_min")
     ks = np.linspace(k_min, k_max, cfg["scan.steps"])
-    nearest = [nearest_neumann_eigenvalue(mesh, q, k) for k in ks]
-    write_table_csv(outdir / "scan.csv", ["k", "lambda_nearest_zero"],
-                    zip(ks, nearest))
-    brackets = []
-    for i in range(len(ks) - 1):
-        if np.sign(nearest[i]) * np.sign(nearest[i + 1]) < 0:
-            brackets.append((ks[i], ks[i + 1]))
-    write_table_csv(outdir / "brackets.csv", ["k_lo", "k_hi"], brackets)
+    steps = [_at_zero(mesh, q, k) for k in ks]  # one factorization per step
+    write_table_csv(outdir / "scan.csv", ["k", "lambda_nearest_zero", "d"],
+                    [(k, step.nearest, step.d) for k, step in zip(ks, steps)])
+    # d counts the eigenvalues above zero: its change is the net crossings
+    brackets = [(k_lo, k_hi, hi.d - lo.d) for k_lo, k_hi, lo, hi
+                in zip(ks, ks[1:], steps, steps[1:]) if hi.d != lo.d]
+    write_table_csv(outdir / "brackets.csv", ["k_lo", "k_hi", "crossings"], brackets)
     _note(outdir / "scan.csv")
     _note(outdir / "brackets.csv")
     print(f"{len(brackets)} resonance bracket(s) in [{fmt(k_min)}, {fmt(k_max)}]")
@@ -375,16 +373,16 @@ def cmd_monotonicity_check(cfg: Config, args, outdir: Path) -> None:
     with cfg.refusing("basis.segments"):
         basis = boundary_basis(mesh, cfg["basis.segments"])
     result = monotonicity_check(mesh, q1, q2, cfg["k"], basis, cfg["tol.count"])
+    counts, verdict = result.counts, result.verdict
     text = write_key_values(outdir / "comparison.txt", [
-        ("negative_count", result.negative_count),
-        ("indeterminate_count", result.indeterminate_count),
-        ("d_allowed", result.d_allowed), ("tol", result.tol),
-        ("verdict", result.verdict if result.decided else "undecided")])
+        ("negative_count", counts.negative), ("indeterminate_count", counts.indeterminate),
+        ("d_allowed", result.d_allowed), ("tol", counts.tol),
+        ("verdict", "undecided" if verdict is None else verdict)])
     print(text, end="")
     _note(outdir / "comparison.txt")
-    if not result.decided:
-        raise SpectralAmbiguityError(f"undecided comparison: {result.indeterminate_count}"
-                                     f" eigenvalue(s) in the window around -{fmt(result.tol)}")
+    if verdict is None:
+        raise SpectralAmbiguityError(f"undecided comparison: {counts.indeterminate}"
+                                     f" eigenvalue(s) in the window around -{fmt(counts.tol)}")
 
 
 def cmd_localize(cfg: Config, args, outdir: Path) -> None:
@@ -507,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(at least 1; default: the CPU count): every "
                             "subcommand runs on one thread under a one-thread "
                             "BLAS limit")
-        p.add_argument("--dump-matrices", action="store_true",
-                       help="also dump system matrix and load vectors (debug)")
+        if name == "ntd":
+            p.add_argument("--dump-matrices", action="store_true",
+                           help="also dump system matrix and load vectors (debug)")
     return parser
 
 

@@ -57,23 +57,30 @@ class InvalidParameterError(HelmonoError):
     exit_code = 5
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an int too long for Python to print."""
+    with suppress(ValueError):  # more digits than sys.get_int_max_str_digits()
+        return repr(value)
+    return f"an integer of {value.bit_length()} bits"
+
+
 def checked_positive(value, what: str) -> float:
     """``value`` as a float, refused unless it is a real number (a bool is
     none) above zero and within the float range."""
     with suppress(OverflowError):  # float() of an int beyond the float range
         if not isinstance(value, bool) and isinstance(value, Real) and 0 < float(value) < inf:
             return float(value)
-    raise InvalidParameterError(f"{what} must be positive and finite, got {value!r}")
+    raise InvalidParameterError(f"{what} must be positive and finite, got {_shown(value)}")
 
 
 def checked_count(value, what: str, least: int, most=None) -> int:
     """``value`` as an int, refused unless it is an integer (a numpy one too;
     a bool is none) of at least ``least``, and at most ``most`` if given."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+        raise InvalidParameterError(f"{what} must be an integer, got {_shown(value)}")
     if not (least <= value and (most is None or value <= most)):
         bound = f"at least {least}" if most is None else f"between {least} and {most}"
-        raise InvalidParameterError(f"{what} must be {bound}, got {value!r}")
+        raise InvalidParameterError(f"{what} must be {bound}, got {_shown(value)}")
     return int(value)
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameterError, checked_count
+from .errors import InvalidParameterError, _shown, checked_count
 
 _SIDE_TOL = 1e-12
 #: Boxes of at most this many vertices are not split further by the
@@ -447,8 +447,8 @@ def pixel_grid(mesh: Mesh, nx: int, ny: int) -> PixelGrid:
     """
     nx, ny = checked_count(nx, "nx", 1), checked_count(ny, "ny", 1)
     if nx * ny > mesh.n_triangles:
-        raise InvalidParameterError(f"{nx} x {ny} pixels but {mesh.n_triangles} triangles; "
-                                    f"grid finer than mesh")
+        raise InvalidParameterError(f"{_shown(nx)} x {_shown(ny)} pixels but "
+                                    f"{mesh.n_triangles} triangles; grid finer than mesh")
     bary = mesh.barycenters
     ix = np.clip(np.floor(bary[:, 0] * nx).astype(int), 0, nx - 1)
     iy = np.clip(np.floor(bary[:, 1] * ny).astype(int), 0, ny - 1)

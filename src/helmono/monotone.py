@@ -10,9 +10,10 @@ scatterer region ``B`` inside the support ``D`` of a positive contrast forces
 are accepted or rejected by exactly that test.
 
 Every pixel, operator pair and certificate is decided by one rule,
-:meth:`~helmono.spectral.CountResult.verdict`.  A :class:`ComparisonResult`
-carries the raw counts, the tolerance used and the defect allowance, so a
-verdict can always be audited against the counts that produced it.
+:meth:`~helmono.spectral.CountResult.verdict`: True, False, or None where
+undecided.  A :class:`ComparisonResult` and a :class:`ReconstructionResult`
+store only the counts and the allowance, and read their verdicts from them,
+so a verdict can always be audited against the count that produced it.
 """
 
 from __future__ import annotations
@@ -29,28 +30,27 @@ from .fem import Coefficient, CoefficientLike, HelmholtzSystem, as_coefficient, 
 from .mesh import Mesh, PixelGrid
 from .ntd import BoundaryBasis, SymOp, basis_load_matrix, basis_solutions, ntd_matrix, \
     probe_factors, tb_from_solutions
-from .spectral import RejectionCertificate, _at_zero, checked_symmetric, count_negative, \
-    d_of_q, one_blas_thread
+from .spectral import CountResult, RejectionCertificate, _at_zero, checked_symmetric, \
+    count_negative, d_of_q, one_blas_thread
 
 _SWEEP_CAP = 20
 
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Outcome of one ``A <=_d B`` test.
+    """Outcome of one ``A <=_d B`` test: the count of ``B - A``, with its
+    tolerance, and the allowance ``d_allowed`` it is held to.
 
-    ``verdict`` is True exactly when the count's
-    :meth:`~helmono.spectral.CountResult.verdict` at ``d_allowed`` is True;
-    ``decided`` is False when that verdict is None (undecided), where
-    ``verdict`` reads False.
+    ``verdict`` is the count's :meth:`~helmono.spectral.CountResult.verdict`
+    at ``d_allowed``: True, False, or None where undecided.
     """
 
-    negative_count: int
-    indeterminate_count: int
+    counts: CountResult
     d_allowed: int
-    tol: float
-    verdict: bool
-    decided: bool
+
+    @property
+    def verdict(self) -> Optional[bool]:
+        return self.counts.verdict(self.d_allowed)
 
 
 def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> ComparisonResult:
@@ -60,16 +60,7 @@ def leq_d(a: SymOp, b: SymOp, d: int, tol: Optional[float] = None) -> Comparison
     (``b - a`` raises :class:`~helmono.errors.BasisMismatchError` otherwise).
     """
     d = checked_count(d, "defect allowance", 0)
-    counts = count_negative((b - a).matrix, tol)
-    verdict = counts.verdict(d)
-    return ComparisonResult(
-        negative_count=counts.negative,
-        indeterminate_count=counts.indeterminate,
-        d_allowed=d,
-        tol=counts.tol,
-        verdict=verdict is True,
-        decided=verdict is not None,
-    )
+    return ComparisonResult(count_negative((b - a).matrix, tol), d)
 
 
 def identity_residual(mesh: Mesh, q1: CoefficientLike, q2: CoefficientLike,
@@ -150,8 +141,8 @@ def inclusion_test(lam_q: SymOp, lam_1: SymOp, tb: SymOp, alpha: float,
     """Test ``alpha T_B <=_d  lam_q - lam_1`` for one probing region.
 
     :func:`leq_d` counts the negative eigenvalues of
-    ``lam_q - lam_1 - alpha T_B``; on the same matrix the verdict is True
-    exactly where :func:`reconstruct`'s pixel verdict is True.
+    ``lam_q - lam_1 - alpha T_B``; on the same matrix its verdict is
+    :func:`reconstruct`'s pixel verdict, None where undecided.
     """
     return leq_d(tb.scaled(checked_positive(alpha, "alpha")), lam_q - lam_1, d_max, tol)
 
@@ -162,27 +153,33 @@ class ReconstructionResult:
 
     ``counts[i]`` is pixel ``i``'s :class:`~helmono.spectral.CountResult`,
     or None where the alpha sweep certified its rejection without a dense
-    count.  ``mask[i]`` is True where the count has at most ``d_max``
-    eigenvalues below ``-tol``; ``verdicts[i]`` is its
-    :meth:`~helmono.spectral.CountResult.verdict` at ``d_max`` (None when
-    undecided, False when certified), equal to ``mask[i]`` wherever decided.
-    ``params`` records the run parameters (k, alpha, d_max, basis_dim, tol,
-    contrast, and ``sweep_stable`` when the sweep ran); ``sweep`` lists the
-    ``(alpha, accepted_count)`` history when the sweep ran.  On first access
-    ``negative_counts`` and ``indeterminate_counts`` count the certified
-    pixels, to the bits of an explicit-alpha run at ``params["alpha"]``.
+    count.  ``params`` records k, alpha, d_max, basis_dim, tol, contrast and,
+    with ``sweep`` (its ``(alpha, accepted_count)`` history), ``sweep_stable``
+    when the sweep ran.  ``mask`` and ``verdicts`` are derived on
+    construction, at the ``d_max`` read then: ``mask[i]`` is True where
+    ``counts[i]`` has at most ``d_max`` eigenvalues below ``-tol``;
+    ``verdicts[i]`` is its :meth:`~helmono.spectral.CountResult.verdict`
+    (None when undecided, False when certified), equal to ``mask[i]``
+    wherever decided.  On first access ``negative_counts`` and
+    ``indeterminate_counts`` count the certified pixels, to the bits of an
+    explicit-alpha run at ``params["alpha"]``.
     """
 
     grid: PixelGrid
-    mask: np.ndarray
     counts: tuple
-    verdicts: tuple
     params: dict
     sweep: Optional[list] = field(default=None)
     _complete: Optional[Callable[[], list]] = field(default=None, repr=False, compare=False)
+    mask: np.ndarray = field(init=False)
+    verdicts: tuple = field(init=False)
 
     def __post_init__(self):
-        self.mask.setflags(write=False)
+        d_max = self.params["d_max"]
+        mask = _accepted(self.counts, d_max)
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "verdicts", tuple(
+            False if c is None else c.verdict(d_max) for c in self.counts))
 
     @cached_property
     def _dense(self) -> np.ndarray:
@@ -368,8 +365,6 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
                 break
             step = (a, step_counts, mask)
         alpha_used, counts, _ = step
-    verdicts = tuple(False if c is None else c.verdict(d_max) for c in counts)
-    count("pixels.undecided", verdicts.count(None))
 
     def complete() -> list:
         missing = np.array([c is None for c in counts])
@@ -386,12 +381,8 @@ def reconstruct(mesh: Mesh, q_true: CoefficientLike, k: float,
     }
     if sweep_history is not None:
         params["sweep_stable"] = stable
-    return ReconstructionResult(
-        grid=grid,
-        mask=_accepted(counts, d_max),
-        counts=tuple(counts),
-        verdicts=verdicts,
-        params=params,
-        sweep=sweep_history,
-        _complete=complete if None in counts else None,
-    )
+    result = ReconstructionResult(grid=grid, counts=tuple(counts), params=params,
+                                  sweep=sweep_history,
+                                  _complete=complete if None in counts else None)
+    count("pixels.undecided", result.verdicts.count(None))
+    return result

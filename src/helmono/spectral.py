@@ -376,9 +376,9 @@ def nearest_neumann_eigenvalue(mesh: Mesh, q: CoefficientLike, k: float) -> floa
     """The signed Neumann eigenvalue of smallest magnitude, from the
     factorization :func:`d_of_q` counts with.
 
-    Measures how close the configuration is to a discrete resonance; scanning
-    it over a wavenumber range and watching for sign changes brackets the
-    resonances of the discretization.
+    Measures how close the configuration is to a discrete resonance.  Its
+    sign brackets no resonance along a wavenumber scan, as the nearest
+    eigenvalue jumps between branches; :func:`d_of_q`'s changes do.
     """
     return _at_zero(mesh, q, k).nearest
 

@@ -219,13 +219,30 @@ def test_resonance_scan_brackets_known_resonance(tmp_path):
     text += "scan.k_min = 3.0\nscan.k_max = 3.3\nscan.steps = 7\n"
     assert run(tmp_path, text, "resonance-scan") == 0
     scan = (out / "scan.csv").read_text().splitlines()
-    assert scan[0] == "k,lambda_nearest_zero"
+    assert scan[0] == "k,lambda_nearest_zero,d"
     assert len(scan) == 8
     brackets = (out / "brackets.csv").read_text().splitlines()
-    assert brackets[0] == "k_lo,k_hi"
+    assert brackets[0] == "k_lo,k_hi,crossings"
     assert len(brackets) == 2
-    k_lo, k_hi = map(float, brackets[1].split(","))
+    k_lo, k_hi, _ = map(float, brackets[1].split(","))
     assert k_lo < K_STAR_N8 < k_hi
+
+
+def test_resonance_scan_brackets_where_the_inertia_changes(tmp_path):
+    # The nearest eigenvalue jumps between branches as k moves, so its sign
+    # changes both where no eigenvalue crosses zero and not where two do;
+    # d(k) from each step's pivots counts the crossings.
+    out = tmp_path / "out"
+    text = base_cfg(out).replace("k = 1.0\n", "")
+    text += "scan.k_min = 1\nscan.k_max = 12\nscan.steps = 12\n"
+    assert run(tmp_path, text, "resonance-scan") == 0
+    scan = [line.split(",") for line in (out / "scan.csv").read_text().splitlines()[1:]]
+    assert [int(d) for _, _, d in scan] == [1, 1, 1, 3, 4, 4, 6, 8, 8, 11, 13, 15]
+    brackets = [tuple(map(int, line.split(",")))
+                for line in (out / "brackets.csv").read_text().splitlines()[1:]]
+    assert [(k_lo, k_hi) for k_lo, k_hi, _ in brackets] == [
+        (3, 4), (4, 5), (6, 7), (7, 8), (9, 10), (10, 11), (11, 12)]
+    assert sum(crossings for _, _, crossings in brackets) == 14
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -256,6 +273,16 @@ def test_ntd_roundtrip_and_dumps(tmp_path):
     direct = ntd_matrix(mesh, 1.0, 1.0, basis)
     assert np.array_equal(loaded.matrix, direct.matrix)  # 17 digits round-trip
     assert leq_d(loaded, direct, 0).verdict
+
+
+@pytest.mark.parametrize("command", ["mesh", "reconstruct", "monotonicity-check"])
+def test_dump_matrices_is_refused_where_it_would_do_nothing(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, base_cfg(out, n=4), command, "--dump-matrices")
+    assert info.value.code == 2
+    assert "unrecognized arguments: --dump-matrices" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_monotonicity_check_verdict(tmp_path):

@@ -47,6 +47,13 @@ BAD_SCALARS = {
     "boundary_basis segments 17": lambda: boundary_basis(MESH, 17),
     "neumann_eigenvalues count 26": lambda: neumann_eigenvalues(MESH, 1.0, 1.0, 26),
     "leq_d d -1": lambda: leq_d(OP, OP, -1),
+    # Python refuses to print an int of more than 4300 digits, so a message
+    # that formats one raised ValueError.
+    "checked_positive k 10**5000": lambda: checked_positive(10**5000, "k"),
+    "checked_count n 10**5000": lambda: checked_count(10**5000, "n", 1, 5),
+    "HelmholtzSystem k 10**5000": lambda: HelmholtzSystem(MESH, 1.0, 10**5000),
+    "boundary_basis segments 10**5000": lambda: boundary_basis(MESH, 10**5000),
+    "pixel_grid nx 10**5000": lambda: pixel_grid(MESH, 10**5000, 1),
 }
 
 

@@ -54,8 +54,8 @@ def test_leq_d_reflexive():
     for d in (0, 1, 5):
         result = leq_d(a, a, d)
         assert result.verdict
-        assert result.negative_count == 0
-        assert result.indeterminate_count == 0
+        assert result.counts.negative == 0
+        assert result.counts.indeterminate == 0
 
 
 def test_leq_d_two_negatives():
@@ -63,7 +63,7 @@ def test_leq_d_two_negatives():
     zero = _op(np.zeros((4, 4)))
     b = _op(diff)
     rejected = leq_d(zero, b, 1)
-    assert not rejected.verdict and rejected.decided
+    assert rejected.verdict is False
     assert leq_d(zero, b, 2).verdict
 
 
@@ -74,10 +74,10 @@ def test_leq_d_accepts_when_every_window_eigenvalue_lies_below_the_threshold():
     zero = _op(np.zeros((3, 3)))
     b = _op(np.diag([-1.2 * tol, 1.0, 2.0]))
     accepted = leq_d(zero, b, 1, tol)
-    assert (accepted.negative_count, accepted.indeterminate_count) == (1, 1)
-    assert accepted.verdict and accepted.decided
+    assert (accepted.counts.negative, accepted.counts.indeterminate) == (1, 1)
+    assert accepted.verdict is True
     undecided = leq_d(zero, b, 0, tol)
-    assert not undecided.verdict and not undecided.decided
+    assert undecided.verdict is None
 
 
 def test_leq_d_guards():
@@ -101,8 +101,8 @@ def test_leq_d_transitive():
             x = rng.standard_normal((12, 12))
             mats.append(0.5 * (x + x.T))
         a, b, c = (_op(m) for m in mats)
-        d1 = leq_d(a, b, 12).negative_count
-        d2 = leq_d(b, c, 12).negative_count
+        d1 = leq_d(a, b, 12).counts.negative
+        d2 = leq_d(b, c, 12).counts.negative
         assert leq_d(a, c, d1 + d2).verdict
 
 
@@ -142,7 +142,7 @@ def test_monotonicity_equal_coefficients():
     basis = boundary_basis(mesh)
     result = monotonicity_check(mesh, 1.0, 1.0, 1.0, basis)
     assert result.verdict
-    assert result.negative_count == 0
+    assert result.counts.negative == 0
 
 
 def test_monotonicity_center_bump():
@@ -152,7 +152,7 @@ def test_monotonicity_center_bump():
     q2 = Coefficient.constant(mesh, 1.0).with_region(bump, 1.5)
     result = monotonicity_check(mesh, 1.0, q2, 1.0, basis)
     assert result.verdict
-    assert result.negative_count <= result.d_allowed == 1
+    assert result.counts.negative <= result.d_allowed == 1
 
 
 @pytest.mark.parametrize("run", ["compare", "positive", "negative"])
@@ -242,7 +242,7 @@ def test_inclusion_with_zero_probe_reduces_to_monotonicity():
     d_max = d_of_q(mesh, q, 1.0)
     direct = inclusion_test(lam_q, lam_1, tiny, 1.0, d_max)
     reference = monotonicity_check(mesh, 1.0, q, 1.0, basis)
-    assert direct.negative_count == reference.negative_count
+    assert direct.counts.negative == reference.counts.negative
     assert direct.verdict == reference.verdict
 
 
@@ -261,9 +261,39 @@ def test_inclusion_probe_outside_scatterer_rejected_and_grows():
                                basis_solutions(mesh, 1.0, 1.0, basis))
         result = inclusion_test(lam_q, lam_1, tb, 1.0, d_max)
         assert not result.verdict
-        assert result.negative_count > d_max
-        counts.append(result.negative_count)
+        assert result.counts.negative > d_max
+        counts.append(result.counts.negative)
     assert counts[0] < counts[1]
+
+
+def test_inclusion_test_reads_an_undecided_count_as_none():
+    # lam_q - lam_1 - alpha T_B = diag(-1.2 tol, 1, 2): the window eigenvalue
+    # is certainly counted against d = 1 and may or may not be against d = 0
+    tol = 1e-6
+    lam_q = _op(np.diag([1.0 - 1.2 * tol, 1.0, 2.0]))
+    lam_1 = _op(np.zeros((3, 3)))
+    tb = _op(np.diag([1.0, 0.0, 0.0]))
+    assert inclusion_test(lam_q, lam_1, tb, 1.0, 1, tol).verdict is True
+    undecided = inclusion_test(lam_q, lam_1, tb, 1.0, 0, tol)
+    assert (undecided.counts.negative, undecided.counts.indeterminate) == (1, 1)
+    assert undecided.verdict is None
+
+
+def test_every_entry_point_reads_the_same_undecided_count_as_none(monkeypatch):
+    # one certainly negative eigenvalue and one inside the window leave the
+    # count on either side of d = 1, the allowance of every call here
+    undecided = spectral.CountResult(negative=2, indeterminate=1, tol=1e-6, certain=1)
+    monkeypatch.setattr(monotone, "count_negative", lambda matrix, tol=None: undecided)
+    mesh = _mesh(8)
+    basis = boundary_basis(mesh)
+    op = _op(np.eye(3))
+    assert leq_d(op, op, 1).verdict is None
+    assert inclusion_test(op, op, op, 1.0, 1).verdict is None
+    compared = monotonicity_check(mesh, 1.0, 1.5, 1.0, basis)
+    assert (compared.d_allowed, compared.verdict) == (1, None)
+    result = reconstruct(mesh, 1.0, 1.0, basis, pixel_grid(mesh, 2, 2), alpha=0.5)
+    assert result.params["d_max"] == 1
+    assert result.verdicts == (None,) * 4 and result.ambiguous.all()
 
 
 def test_inclusion_guards():
@@ -340,9 +370,9 @@ def test_reconstruct_counts_match_inclusion_test(contrast, value):
     for p, region in enumerate(grid.regions):
         test = inclusion_test(upper, lower, tb_from_solutions(mesh, region, 1.0, basis, u1),
                               alpha, d_max)
-        assert result.negative_counts[p] == test.negative_count
-        assert test.verdict == (result.pixel_values()[p] == 255)
-        assert result.mask[p] == (test.negative_count <= d_max)
+        assert result.negative_counts[p] == test.counts.negative
+        assert test.verdict == result.verdicts[p]
+        assert result.mask[p] == (test.counts.negative <= d_max)
 
 
 def _recording_counts(monkeypatch):
@@ -636,14 +666,15 @@ def test_pixel_values_mapping():
     counts = [count_negative(np.diag(w), tol) for w in eigenvalues]
     assert [(c.negative, c.indeterminate, c.certain) for c in counts] == [
         (1, 0, 1), (1, 2, 0), (2, 1, 2), (1, 1, 0)]
-    negative = np.array([c.negative for c in counts])
+    params = {"d_max": d_max}
     result = ReconstructionResult(
         grid=PixelGrid(nx=4, ny=1, boxes=np.zeros((4, 4)), regions=[None] * 4),
-        mask=negative <= d_max,
         counts=tuple(counts),
-        verdicts=tuple(c.verdict(d_max) for c in counts),
-        params={"d_max": d_max},
+        params=params,
     )
+    params["d_max"] = 0  # read once, on construction
+    assert result.mask.tolist() == [True, True, False, True]
+    assert result.verdicts == (True, None, False, True)
     assert result.pixel_values().tolist() == [255, 128, 0, 255]
     assert result.ambiguous.tolist() == [False, True, False, False]
 

@@ -25,7 +25,7 @@ ALLOWED = {
     "is_resonance": "the frozen acceptance suite (criterion 3) flags resonances with it",
     "inclusion_test": "the single-region form of reconstruct's pixel test, for library "
                       "callers probing any region; it counts the same matrix and its "
-                      "verdict is True exactly where reconstruct's CountResult.verdict is",
+                      "verdict is reconstruct's verdicts entry, None where undecided",
     "ReconstructionResult.ambiguous": "the frozen acceptance suite (criterion 5) asserts "
                                       "that no pixel is undecided with it",
     "ReconstructionResult.negative_counts": "the frozen acceptance suite (criterion 5) "
